@@ -3,18 +3,23 @@
 ``CreditCapitalModel`` bundles a portfolio and a capital state into the
 capital-function abstraction the solver and samplers consume: anything with
 ``ratio(s)``, ``r0`` and ``r_star`` works, so synthetic maps are injectable.
+A map that also has ``ratio_grad(s)`` gives the solver its analytic gradient;
+without it the solver falls back to central differences.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
-from .loss import LossQuantileSpec, loss_quantile
-from .special_functions import normal_cdf, normal_pdf, normal_quantile
+from .loss import (LossQuantileSpec, clip_pd, conditional_default_prob,
+                   tail_pd_derivative)
+from .reference import as_scenario_array
 from .transmission import Portfolio
 
 RWA_FLOOR_FRACTION = 1e-6
@@ -93,17 +98,34 @@ def maturity_adjustment_factor(pd, maturity):
     return out
 
 
+def _maturity_adjustment_slope(pd, maturity):
+    """d/dpd of :func:`maturity_adjustment_factor`."""
+    sqb = 0.11852 - 0.05478 * np.log(pd)
+    b = sqb ** 2
+    m = np.asarray(maturity, dtype=float)
+    dgamma_db = ((m - 2.5) * (1.0 - 1.5 * b)
+                 + 1.5 * (1.0 + (m - 2.5) * b)) / (1.0 - 1.5 * b) ** 2
+    return dgamma_db * 2.0 * sqb * (-0.05478 / pd)
+
+
+def _risk_weight_pd_slope(pd, lgd, tail, dtail_dpd, maturity,
+                          use_maturity_adjustment: bool):
+    """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd)."""
+    if not use_maturity_adjustment:
+        return lgd * (dtail_dpd - 1.0)
+    return lgd * ((dtail_dpd - 1.0) * maturity_adjustment_factor(pd, maturity)
+                  + (tail - pd) * _maturity_adjustment_slope(pd, maturity))
+
+
 def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
                 use_maturity_adjustment: bool = True):
     """Unexpected-loss risk weight per unit EAD.
 
     lgd * [Phi((Phi^-1(pd) + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho)) - pd]
-    times the maturity adjustment (or 1 when disabled).
+    times the maturity adjustment (or 1 when disabled), floored at 0.
     """
-    pd = np.clip(np.asarray(pd, dtype=float), 1e-300, 1.0 - 1e-16)
-    tail = normal_cdf((normal_quantile(pd)
-                       + np.sqrt(np.asarray(rho, dtype=float)) * normal_quantile(spec.q))
-                      / np.sqrt(1.0 - np.asarray(rho, dtype=float)))
+    pd = clip_pd(pd)
+    tail = conditional_default_prob(pd, rho, spec.q)
     rw = np.asarray(lgd, dtype=float) * (tail - pd)
     if use_maturity_adjustment:
         rw = rw * maturity_adjustment_factor(pd, maturity)
@@ -116,26 +138,14 @@ def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
 def risk_weight_pd_derivative(pd, lgd, rho, maturity, spec: LossQuantileSpec,
                               use_maturity_adjustment: bool = True):
     """Analytic d RW / d pd, used to calibrate the linear RWA mode."""
-    pd = np.clip(np.asarray(pd, dtype=float), 1e-300, 1.0 - 1e-16)
-    lgd = np.asarray(lgd, dtype=float)
+    pd = clip_pd(pd)
     rho = np.asarray(rho, dtype=float)
-    zq = normal_quantile(spec.q)
-    zp = normal_quantile(pd)
+    zp = ndtri(pd)
     sq1 = np.sqrt(1.0 - rho)
-    arg = (zp + np.sqrt(rho) * zq) / sq1
-    bracket = normal_cdf(arg) - pd
-    dbracket = normal_pdf(arg) / (sq1 * normal_pdf(zp)) - 1.0
-    if not use_maturity_adjustment:
-        out = lgd * dbracket
-    else:
-        sqb = 0.11852 - 0.05478 * np.log(pd)
-        b = sqb ** 2
-        m = np.asarray(maturity, dtype=float)
-        gamma_m = (1.0 + (m - 2.5) * b) / (1.0 - 1.5 * b)
-        dgamma_db = ((m - 2.5) * (1.0 - 1.5 * b)
-                     + 1.5 * (1.0 + (m - 2.5) * b)) / (1.0 - 1.5 * b) ** 2
-        db_dpd = 2.0 * sqb * (-0.05478 / pd)
-        out = lgd * (dbracket * gamma_m + bracket * dgamma_db * db_dpd)
+    arg = (zp + np.sqrt(rho) * ndtri(spec.q)) / sq1
+    out = _risk_weight_pd_slope(pd, np.asarray(lgd, dtype=float), ndtr(arg),
+                                tail_pd_derivative(zp, arg, sq1), maturity,
+                                use_maturity_adjustment)
     if out.ndim == 0:
         return float(out)
     return out
@@ -159,67 +169,67 @@ def rwa_stressed(state: CapitalState, portfolio: Portfolio, s,
 def rwa_stressed_flagged(state: CapitalState, portfolio: Portfolio, s,
                          spec: LossQuantileSpec) -> tuple[float, bool]:
     """RWA plus a flag marking activation of the floor clamp."""
-    if state.rwa_mode is RwaMode.CONSTANT:
-        raw = state.rwa_0
-    elif state.rwa_mode is RwaMode.LINEAR:
-        if state.alpha.shape != (portfolio.n,):
-            raise InvalidInputError("alpha length must match the number of exposures")
-        dpd = portfolio.stressed_pd(s) - portfolio.pd0
-        raw = state.rwa_0 + float(state.alpha @ dpd)
-    else:
-        rw = risk_weight(portfolio.stressed_pd(s), portfolio.stressed_lgd(s),
-                         portfolio.rho, portfolio.maturity, spec,
-                         state.maturity_adjustment)
-        raw = float(portfolio.ead @ rw)
-    floor = RWA_FLOOR_FRACTION * state.rwa_0
-    if raw < floor:
-        return floor, True
-    return raw, False
+    point = CreditCapitalModel(portfolio, state, spec)._evaluate(s)
+    return point.rwa, point.clamped
 
 
 def cet1_stressed(state: CapitalState, portfolio: Portfolio, s,
-                  spec: LossQuantileSpec,
-                  baseline_loss: float | None = None) -> float:
+                  spec: LossQuantileSpec) -> float:
     """Stressed CET1: capital minus the tail loss plus linear non-credit P&L.
 
     Under the incremental basis the baseline tail loss is netted out so the
     unstressed scenario reproduces CET1_0 exactly.
     """
-    lq = loss_quantile(portfolio, s, spec)
-    if state.loss_basis is LossBasis.INCREMENTAL:
-        if baseline_loss is None:
-            d = portfolio.d
-            baseline_loss = loss_quantile(portfolio, np.zeros(d), spec)
-        lq -= baseline_loss
-    out = state.cet1_0 - lq
-    if state.pnl_noncredit is not None:
-        from .reference import as_scenario_array
-        arr = as_scenario_array(s, portfolio.d)
-        if state.pnl_noncredit.shape != (portfolio.d,):
-            raise InvalidInputError("pnl_noncredit length must equal dimension d")
-        out += float(state.pnl_noncredit @ arr)
-    return out
+    return CreditCapitalModel(portfolio, state, spec).cet1(s)
 
 
 def cet1_ratio(state: CapitalState, portfolio: Portfolio, s,
-               spec: LossQuantileSpec,
-               baseline_loss: float | None = None) -> float:
+               spec: LossQuantileSpec) -> float:
     """Stressed CET1 ratio R(s); breach means R(s) <= r_star (inclusive)."""
-    num = cet1_stressed(state, portfolio, s, spec, baseline_loss=baseline_loss)
-    den = rwa_stressed(state, portfolio, s, spec)
-    return num / den
+    return CreditCapitalModel(portfolio, state, spec).ratio(s)
+
+
+class _Point(NamedTuple):
+    """One kernel evaluation: per-exposure terms and the capital totals."""
+
+    s: np.ndarray
+    pd: np.ndarray      # stressed PD, clipped into the domain of Phi^-1
+    lgd: np.ndarray
+    zp: np.ndarray      # Phi^-1(pd)
+    arg: np.ndarray     # (zp + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho)
+    tail: np.ndarray    # conditional default probability Phi(arg)
+    loss: float
+    cet1: float
+    rw: np.ndarray | None   # unclamped IRB risk weights (IRB mode only)
+    rwa: float
+    clamped: bool       # RWA held at the floor
 
 
 class CreditCapitalModel:
-    """Capital-function view of a portfolio: s -> R(s) and the breach test."""
+    """Capital-function view of a portfolio: s -> R(s), its gradient and the
+    breach test.
+
+    One kernel evaluates a scenario: the stressed PD and LGD once,
+    Phi^-1(PD) once, and one conditional default probability that feeds
+    both the loss quantile and the IRB risk weight. Phi^-1(q), sqrt(rho) and
+    sqrt(1 - rho) are computed once per model. The module functions
+    (``risk_weight``, ``loss.loss_quantile``, ``cet1_stressed``, ...) use
+    the same arithmetic, so their values equal the model's bit for bit.
+    """
 
     def __init__(self, portfolio: Portfolio, state: CapitalState,
                  spec: LossQuantileSpec | None = None):
         self.portfolio = portfolio
         self.state = state
         self.spec = spec if spec is not None else LossQuantileSpec()
-        self._baseline_loss = loss_quantile(portfolio, np.zeros(portfolio.d),
-                                            self.spec)
+        if state.alpha is not None and state.alpha.shape != (portfolio.n,):
+            raise InvalidInputError("alpha length must match the number of exposures")
+        if (state.pnl_noncredit is not None
+                and state.pnl_noncredit.shape != (portfolio.d,)):
+            raise InvalidInputError("pnl_noncredit length must equal dimension d")
+        self._shift = np.sqrt(portfolio.rho) * ndtri(self.spec.q)
+        self._sqrt_1mrho = np.sqrt(1.0 - portfolio.rho)
+        self._baseline_loss = self._loss_terms(np.zeros(portfolio.d))[-1]
         self.rwa_floor_hits = 0
 
     @property
@@ -234,22 +244,87 @@ class CreditCapitalModel:
     def r_star(self) -> float:
         return self.state.r_star
 
+    def _loss_terms(self, arr):
+        pf = self.portfolio
+        pd_raw = pf.stressed_pd(arr)
+        pd = clip_pd(pd_raw)
+        lgd = pf.stressed_lgd(arr)
+        zp = ndtri(pd)
+        arg = (zp + self._shift) / self._sqrt_1mrho
+        tail = ndtr(arg)
+        return pd_raw, pd, lgd, zp, arg, tail, float(np.sum(pf.ead * lgd * tail))
+
+    def _evaluate(self, s) -> _Point:
+        pf, state = self.portfolio, self.state
+        arr = as_scenario_array(s, pf.d)
+        pd_raw, pd, lgd, zp, arg, tail, loss = self._loss_terms(arr)
+        cet1 = state.cet1_0 - (loss - self._baseline_loss
+                               if state.loss_basis is LossBasis.INCREMENTAL
+                               else loss)
+        if state.pnl_noncredit is not None:
+            cet1 += float(state.pnl_noncredit @ arr)
+        rw = None
+        if state.rwa_mode is RwaMode.CONSTANT:
+            raw = state.rwa_0
+        elif state.rwa_mode is RwaMode.LINEAR:
+            raw = state.rwa_0 + float(state.alpha @ (pd_raw - pf.pd0))
+        else:
+            rw = lgd * (tail - pd)
+            if state.maturity_adjustment:
+                rw = rw * maturity_adjustment_factor(pd, pf.maturity)
+            raw = float(pf.ead @ np.maximum(rw, 0.0))
+        floor = RWA_FLOOR_FRACTION * state.rwa_0
+        clamped = raw < floor
+        return _Point(arr, pd, lgd, zp, arg, tail, loss, cet1, rw,
+                      floor if clamped else raw, clamped)
+
     def loss_quantile(self, s) -> float:
-        return loss_quantile(self.portfolio, s, self.spec)
+        return self._evaluate(s).loss
 
     def cet1(self, s) -> float:
-        return cet1_stressed(self.state, self.portfolio, s, self.spec,
-                             baseline_loss=self._baseline_loss)
+        return self._evaluate(s).cet1
 
     def rwa(self, s) -> float:
-        value, clamped = rwa_stressed_flagged(self.state, self.portfolio, s,
-                                              self.spec)
-        if clamped:
-            self.rwa_floor_hits += 1
-        return value
+        point = self._evaluate(s)
+        self.rwa_floor_hits += point.clamped
+        return point.rwa
 
     def ratio(self, s) -> float:
-        return self.cet1(s) / self.rwa(s)
+        point = self._evaluate(s)
+        self.rwa_floor_hits += point.clamped
+        return point.cet1 / point.rwa
+
+    def ratio_grad(self, s) -> np.ndarray:
+        """Analytic gradient of R(s) = CET1(s) / RWA(s).
+
+        (dCET1 RWA - CET1 dRWA) / RWA^2, with dRWA = 0 where the RWA floor
+        clamps and no contribution from risk weights clamped at 0. Does not
+        count RWA-floor hits.
+        """
+        pf, state = self.portfolio, self.state
+        p = self._evaluate(s)
+        pd_jac = pf.stressed_pd_jac(p.s)
+        lgd_jac = pf.stressed_lgd_jac(p.s)
+        dtail = tail_pd_derivative(p.zp, p.arg, self._sqrt_1mrho)
+        d_cet1 = -((pf.ead * p.lgd * dtail) @ pd_jac
+                   + (pf.ead * p.tail) @ lgd_jac)
+        if state.pnl_noncredit is not None:
+            d_cet1 = d_cet1 + state.pnl_noncredit
+        if p.clamped or state.rwa_mode is RwaMode.CONSTANT:
+            return d_cet1 / p.rwa
+        if state.rwa_mode is RwaMode.LINEAR:
+            d_rwa = state.alpha @ pd_jac
+        else:
+            w = pf.ead * (p.rw > 0.0)
+            d_rw_dlgd = p.tail - p.pd
+            if state.maturity_adjustment:
+                d_rw_dlgd = d_rw_dlgd * maturity_adjustment_factor(
+                    p.pd, pf.maturity)
+            d_rw_dpd = _risk_weight_pd_slope(p.pd, p.lgd, p.tail, dtail,
+                                             pf.maturity,
+                                             state.maturity_adjustment)
+            d_rwa = (w * d_rw_dpd) @ pd_jac + (w * d_rw_dlgd) @ lgd_jac
+        return (d_cet1 * p.rwa - p.cet1 * d_rwa) / p.rwa ** 2
 
     def ratio_many(self, S: np.ndarray) -> np.ndarray:
         S = np.asarray(S, dtype=float)
@@ -291,6 +366,9 @@ class LinearCapital:
 
     def ratio(self, s) -> float:
         return self.r0 - self.slope * float(self.weights @ np.asarray(s, dtype=float))
+
+    def ratio_grad(self, s) -> np.ndarray:
+        return -self.slope * self.weights
 
     def ratio_many(self, S: np.ndarray) -> np.ndarray:
         S = np.asarray(S, dtype=float)

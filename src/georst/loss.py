@@ -7,9 +7,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
-from .special_functions import normal_cdf, normal_quantile
+from .special_functions import normal_pdf
 from .transmission import Portfolio
 
 _PD_FLOOR = 1e-300
@@ -27,12 +28,22 @@ class LossQuantileSpec:
             raise InvalidInputError(f"confidence level q={self.q} must be in (0, 1)")
 
 
+def clip_pd(pd) -> np.ndarray:
+    """PD clipped into the open interval where Phi^-1 is finite."""
+    return np.clip(np.asarray(pd, dtype=float), _PD_FLOOR, _PD_CAP)
+
+
 def conditional_default_prob(pd, rho, q: float):
     """Phi((Phi^-1(pd) + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho))."""
-    pd = np.clip(np.asarray(pd, dtype=float), _PD_FLOOR, _PD_CAP)
     rho = np.asarray(rho, dtype=float)
-    zq = normal_quantile(q)
-    return normal_cdf((normal_quantile(pd) + np.sqrt(rho) * zq) / np.sqrt(1.0 - rho))
+    return ndtr((ndtri(clip_pd(pd)) + np.sqrt(rho) * ndtri(q))
+                / np.sqrt(1.0 - rho))
+
+
+def tail_pd_derivative(zp, arg, sqrt_1mrho):
+    """d/dpd of the conditional default probability Phi(arg), given
+    zp = Phi^-1(pd): phi(arg) / (sqrt(1 - rho) phi(zp))."""
+    return normal_pdf(arg) / (sqrt_1mrho * np.maximum(normal_pdf(zp), _PD_FLOOR))
 
 
 def loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec) -> float:
@@ -50,19 +61,15 @@ def loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec) -> float:
 
 def loss_quantile_grad(portfolio: Portfolio, s, spec: LossQuantileSpec) -> np.ndarray:
     """Analytic gradient of :func:`loss_quantile` with respect to s."""
-    from .special_functions import normal_pdf
-
-    pd = np.clip(portfolio.stressed_pd(s), _PD_FLOOR, _PD_CAP)
+    pd = clip_pd(portfolio.stressed_pd(s))
     lgd = portfolio.stressed_lgd(s)
-    zq = normal_quantile(spec.q)
+    zp = ndtri(pd)
     sq1 = np.sqrt(1.0 - portfolio.rho)
-    arg = (normal_quantile(pd) + np.sqrt(portfolio.rho) * zq) / sq1
-    tail = normal_cdf(arg)
-    dtail_dpd = normal_pdf(arg) / (sq1 * np.maximum(normal_pdf(normal_quantile(pd)), _PD_FLOOR))
-    pd_jac = portfolio.stressed_pd_jac(s)      # (n, d)
-    lgd_jac = portfolio.stressed_lgd_jac(s)    # (n, d)
+    arg = (zp + np.sqrt(portfolio.rho) * ndtri(spec.q)) / sq1
     w = portfolio.ead
-    return (w * lgd * dtail_dpd) @ pd_jac + (w * tail) @ lgd_jac
+    return ((w * lgd * tail_pd_derivative(zp, arg, sq1))
+            @ portfolio.stressed_pd_jac(s)
+            + (w * ndtr(arg)) @ portfolio.stressed_lgd_jac(s))
 
 
 @dataclass(frozen=True)
@@ -90,13 +97,13 @@ def mc_loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec,
     """
     if n_sims < 10_000:
         raise InvalidInputError(f"n_sims={n_sims} below the minimum of 10000")
-    pd = np.clip(portfolio.stressed_pd(s), _PD_FLOOR, _PD_CAP)
+    pd = clip_pd(portfolio.stressed_pd(s))
     lgd = portfolio.stressed_lgd(s)
 
     params = np.column_stack([portfolio.ead, pd, lgd, portfolio.rho])
     uniq, counts = np.unique(params, axis=0, return_counts=True)
     g_ead, g_pd, g_lgd, g_rho = uniq.T
-    g_thr = normal_quantile(np.clip(g_pd, _PD_FLOOR, _PD_CAP))
+    g_thr = ndtri(g_pd)
     g_sq_rho = np.sqrt(g_rho)
     g_sq_1mrho = np.sqrt(1.0 - g_rho)
     g_loss_unit = g_ead * g_lgd
@@ -111,7 +118,7 @@ def mc_loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec,
         rng = np.random.default_rng(ss)
         z = rng.standard_normal(size)
         # conditional PD per group and draw, shape (size, n_groups)
-        cond = normal_cdf((g_thr[None, :] - g_sq_rho[None, :] * z[:, None])
+        cond = ndtr((g_thr[None, :] - g_sq_rho[None, :] * z[:, None])
                           / g_sq_1mrho[None, :])
         defaults = rng.binomial(counts[None, :], cond)
         losses.append(defaults @ g_loss_unit)

@@ -152,10 +152,6 @@ class ReferenceModel:
             raise InvalidInputError(f"whitened vector must have shape ({self.d},)")
         return self.chol @ y
 
-    def unwhiten_many(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        return Y @ self.chol.T
-
     def mahalanobis_sq(self, s) -> float:
         """Squared Mahalanobis distance s' sigma^{-1} s via the Cholesky factor."""
         y = self.whiten(s)

@@ -99,15 +99,18 @@ class Membership:
         arr = np.asarray(s, dtype=float)
         if arr.shape != (self.model.d,) or not np.all(np.isfinite(arr)):
             return False
-        if not breaches(self.capital.ratio(arr), self.capital.r_star):
+        return (self._geometry(arr)
+                and breaches(self.capital.ratio(arr), self.capital.r_star))
+
+    def _geometry(self, arr: np.ndarray) -> bool:
+        """The set's geometric tests, checked before the costly R(s)."""
+        if self.target is TargetSet.NEAR_OPTIMAL and not arr[0] > 0.0:
             return False
         m2 = self.model.mahalanobis_sq(arr)
         if self.target is TargetSet.NEIGHBOURHOOD:
             eta = self.spec.radius_eta
             slack = MEMBERSHIP_RTOL * (eta + m2 + self._m2_star)
             return self.model.mahalanobis_sq(arr - self.s_star) <= eta + slack
-        if not arr[0] > 0.0:
-            return False
         nld = self.model.neg_log_density_from_m2(m2)
         half_eps = 0.5 * self.spec.epsilon
         slack = MEMBERSHIP_RTOL * (half_eps + abs(nld) + abs(self._nld_star))
@@ -208,8 +211,6 @@ def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
                     hi = t
                 else:
                     lo = t
-            else:
-                pass
         if not moved:
             stalls += 1
         chain.append(model.unwhiten(y))

@@ -83,20 +83,15 @@ class SolverConfig:
 
     n_starts: int = 32
     seed: int = 0
-    penalty_initial: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_rounds: int = 6
     fd_step: float = 1e-5          # central-difference step, whitened units
     tol_constraint: float = 1e-8   # monotonicity only; the breach has no slack
-    tol_stationarity: float = 1e-8
     dedup_radius: float = 1e-3     # whitened distance
     max_inner_iter: int = 200
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise InvalidInputError("n_starts must be >= 1")
-        for name in ("fd_step", "tol_constraint", "tol_stationarity",
-                     "dedup_radius"):
+        for name in ("fd_step", "tol_constraint", "dedup_radius"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be positive")
 
@@ -135,21 +130,29 @@ def _fd_grad(fun, y: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
+def _breach_margin(model: ReferenceModel, capital, config: SolverConfig):
+    """The scaled breach margin c(y) = (r_star - R(L y)) / scale, c >= 0 on
+    the breach set, and its gradient in y: analytic when the capital map has
+    ``ratio_grad``, central differences otherwise."""
+    L = model.chol
+    scale = _constraint_scale(capital)
+
+    def margin(y):
+        return (capital.r_star - capital.ratio(L @ y)) / scale
+
+    ratio_grad = getattr(capital, "ratio_grad", None)
+    if ratio_grad is None:
+        return margin, lambda y: _fd_grad(margin, y, config.fd_step)
+    return margin, lambda y: -(ratio_grad(L @ y) @ L) / scale
+
+
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
                        config: SolverConfig, monotonicity_fn=None,
                        g_fixed: float | None = None) -> list[dict]:
     L = model.chol
     d = model.d
-    scale = _constraint_scale(capital)
-
-    def breach_fun(y):
-        return (capital.r_star - capital.ratio(L @ y)) / scale
-
-    cons = [{
-        "type": "ineq",
-        "fun": breach_fun,
-        "jac": lambda y: _fd_grad(breach_fun, y, config.fd_step),
-    }]
+    breach_fun, breach_jac = _breach_margin(model, capital, config)
+    cons = [{"type": "ineq", "fun": breach_fun, "jac": breach_jac}]
     row_g = L[0, :]
     if g_fixed is None:
         cons.append({
@@ -262,19 +265,14 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
                         config: SolverConfig) -> np.ndarray:
     """Push a near-frontier iterate exactly onto the feasible side.
 
-    Moves along the (finite-difference) constraint normal until the ratio
-    crosses r_star, then keeps a strictly feasible point on the bracket.
+    Moves along the constraint normal until the ratio crosses r_star, then
+    keeps a strictly feasible point on the bracket.
     """
-    L = model.chol
-    scale = _constraint_scale(capital)
-
-    def c(yy):
-        return (capital.r_star - capital.ratio(L @ yy)) / scale
-
+    c, c_grad = _breach_margin(model, capital, config)
     c0 = c(y)
     if c0 >= 0.0:
         return y
-    grad = _fd_grad(c, y, config.fd_step)
+    grad = c_grad(y)
     norm = np.linalg.norm(grad)
     if norm < 1e-14:
         return y

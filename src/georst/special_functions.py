@@ -1,9 +1,8 @@
 """Special functions backing the plausibility calibration.
 
-Regularized incomplete gamma/beta are implemented in-repo (series plus
-continued fractions, Lentz's method) and feed the chi-squared and Fisher
-CDFs. The standard normal CDF uses the complementary error function; its
-inverse is a rational initial guess polished by Newton steps.
+Thin, domain-checked wrappers over ``scipy.special``: the regularized
+incomplete gamma/beta functions behind the chi-squared and Fisher CDFs, and
+the standard normal CDF, density and quantile.
 """
 
 from __future__ import annotations
@@ -11,98 +10,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import betainc, gammainc, ndtr, ndtri
 
 from .errors import InvalidInputError
 
-_MAX_ITER = 500
-_EPS = 1e-16
-_TINY = 1e-300
-
-SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def regularized_incomplete_gamma(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x).
-
-    Series expansion for x < a + 1, continued fraction otherwise.
-    """
+    """Lower regularized incomplete gamma P(a, x)."""
     if not (a > 0.0):
         raise InvalidInputError(f"gamma parameter a must be > 0, got {a}")
     if x < 0.0:
         raise InvalidInputError(f"gamma argument x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        # series: P(a,x) = prefactor * sum_n x^n / (a (a+1) ... (a+n))
-        term = 1.0 / a
-        total = term
-        for n in range(1, _MAX_ITER):
-            term *= x / (a + n)
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                break
-        return min(1.0, math.exp(log_prefactor) * total)
-    # continued fraction for Q(a,x), modified Lentz
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    q = math.exp(log_prefactor) * h
-    return max(0.0, 1.0 - q)
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+    return float(gammainc(a, x))
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -111,23 +32,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise InvalidInputError(f"beta parameters must be > 0, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise InvalidInputError(f"beta argument x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_prefactor = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    # use the fraction on the side where it converges fast, symmetry otherwise
-    if x < (a + 1.0) / (a + b + 2.0):
-        val = math.exp(log_prefactor) * _beta_continued_fraction(a, b, x) / a
-        return min(1.0, max(0.0, val))
-    val = 1.0 - math.exp(log_prefactor) * _beta_continued_fraction(b, a, 1.0 - x) / b
-    return min(1.0, max(0.0, val))
+    return float(betainc(a, b, x))
 
 
 def chi2_cdf(x: float, dof: int) -> float:
@@ -150,8 +55,8 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
 
 
 def normal_cdf(x):
-    """Standard normal CDF, |error| <= 1e-10. Accepts scalars or arrays."""
-    out = 0.5 * erfc(-np.asarray(x, dtype=float) / SQRT2)
+    """Standard normal CDF. Accepts scalars or arrays."""
+    out = ndtr(np.asarray(x, dtype=float))
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -166,47 +71,12 @@ def normal_pdf(x):
     return out
 
 
-# Acklam's rational approximation coefficients for the inverse normal CDF
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _normal_quantile_initial(p: np.ndarray) -> np.ndarray:
-    out = np.empty_like(p)
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r) + 1.0
-        out[mid] = q * num / den
-    for mask, sign, pp in ((lo, 1.0, p), (hi, -1.0, 1.0 - p)):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(pp[mask]))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q) + 1.0
-            out[mask] = sign * num / den
-    return out
-
-
 def normal_quantile(p):
-    """Inverse standard normal CDF on (0, 1), Newton-refined to ~1e-14."""
+    """Inverse standard normal CDF on the open interval (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise InvalidInputError("normal_quantile argument must lie strictly in (0, 1)")
-    x = _normal_quantile_initial(np.atleast_1d(arr).copy())
-    for _ in range(3):
-        err = 0.5 * erfc(-x / SQRT2) - np.atleast_1d(arr)
-        x = x - err / np.maximum(INV_SQRT_2PI * np.exp(-0.5 * x * x), _TINY)
+    out = ndtri(arr)
     if arr.ndim == 0:
-        return float(x[0])
-    return x.reshape(arr.shape)
+        return float(out)
+    return out

@@ -1,14 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from georst import (CapitalState, InvalidInputError, LinearCapital, LossBasis,
-                    LossQuantileSpec, RwaMode, calibrate_linear_alpha,
-                    risk_weight)
+from georst import (CapitalState, CreditCapitalModel, ExposureRecord,
+                    InvalidInputError, LinearCapital, LossBasis,
+                    LossQuantileSpec, Portfolio, RwaMode, SectorSensitivities,
+                    calibrate_linear_alpha, loss_quantile, risk_weight)
 from georst.capital import (cet1_ratio, cet1_stressed,
                             maturity_adjustment_factor,
                             risk_weight_pd_derivative, rwa_stressed,
                             rwa_stressed_flagged)
+from georst.loss import loss_quantile_grad
+from georst.solver import _fd_grad
 
 from conftest import make_credit_capital, make_portfolio
 
@@ -189,3 +195,109 @@ def test_linear_capital_breach_half_space():
     assert cap.breach(np.array([2.0, 2.0]))
     assert cap.breach(np.array([0.0, 5.0]))
     assert cap.ratio(np.zeros(2)) == pytest.approx(cap.r0)
+
+
+def test_linear_capital_ratio_grad_is_the_slope():
+    cap = LinearCapital(weights=np.array([1.0, 2.0]), level=4.0)
+    s = np.array([0.3, -1.0])
+    assert np.allclose(cap.ratio_grad(s), _fd_grad(cap.ratio, s, 1e-5),
+                       rtol=1e-9, atol=0.0)
+
+
+# -- the fused kernel: analytic gradient and exact equalities ----------------
+
+def random_capital(seed, rwa_mode=RwaMode.IRB_FULL,
+                   loss_basis=LossBasis.INCREMENTAL, maturity_adjustment=True,
+                   with_pnl=False, d=3, n=6, cet1_0=None, rwa_0=None):
+    """Two sectors, n exposures with random credit terms and loadings."""
+    rng = np.random.default_rng(seed)
+    sectors = {
+        k: SectorSensitivities(k, delta=rng.uniform(0.1, 0.8),
+                               eta=rng.uniform(0.0, 0.06),
+                               beta=rng.normal(0.0, 0.4, d - 1),
+                               gamma=rng.normal(0.0, 0.03, d - 1))
+        for k in ("a", "b")}
+    exposures = [
+        ExposureRecord(f"e{i}", "ab"[i % 2], ead=rng.lognormal(),
+                       pd0=rng.uniform(0.003, 0.05),
+                       lgd0=rng.uniform(0.25, 0.55),
+                       rho=rng.uniform(0.05, 0.25),
+                       maturity=rng.uniform(1.0, 5.0))
+        for i in range(n)]
+    pf = Portfolio(exposures, sectors)
+    if rwa_0 is None:
+        rwa_0 = float(pf.ead @ risk_weight(pf.pd0, pf.lgd0, pf.rho,
+                                           pf.maturity, SPEC,
+                                           maturity_adjustment))
+    alpha = None
+    if rwa_mode is RwaMode.LINEAR:
+        alpha = calibrate_linear_alpha(pf, SPEC, maturity_adjustment)
+    state = CapitalState(
+        cet1_0=0.12 * rwa_0 if cet1_0 is None else cet1_0, rwa_0=rwa_0, rwa_mode=rwa_mode, alpha=alpha,
+        pnl_noncredit=rng.normal(0.0, 0.002 * rwa_0, d) if with_pnl else None,
+        loss_basis=loss_basis, maturity_adjustment=maturity_adjustment)
+    return CreditCapitalModel(pf, state, SPEC)
+
+
+KERNEL_CASES = list(itertools.product(RwaMode, LossBasis, (True, False),
+                                      (True, False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       case=st.sampled_from(KERNEL_CASES),
+       s=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_ratio_grad_matches_finite_differences(seed, case, s):
+    rwa_mode, loss_basis, maturity_adjustment, with_pnl = case
+    cap = random_capital(seed, rwa_mode, loss_basis, maturity_adjustment,
+                         with_pnl)
+    s = np.array(s)
+    grad = cap.ratio_grad(s)
+    fd = _fd_grad(cap.ratio, s, 1e-5)
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_ratio_grad_on_the_rwa_floor():
+    # rwa_0 so large that the floor 1e-6 rwa_0 exceeds the IRB RWA: R is
+    # CET1 / floor and the RWA term of the gradient vanishes
+    cap = random_capital(4, cet1_0=1.0, rwa_0=1e7)
+    floor = 1e-6 * cap.state.rwa_0
+    s = np.array([0.7, -0.4, 0.9])
+    assert cap.rwa(s) == floor
+    grad = cap.ratio_grad(s)
+    d_cet1 = -loss_quantile_grad(cap.portfolio, s, SPEC)
+    assert np.allclose(grad, d_cet1 / floor, rtol=1e-12, atol=0.0)
+    assert np.linalg.norm(grad - _fd_grad(cap.ratio, s, 1e-5)) <= (
+        1e-6 * np.linalg.norm(grad))
+    # hits count once per ratio or rwa call, never from the gradient
+    cap.rwa_floor_hits = 0
+    cap.ratio(s)
+    cap.rwa(s)
+    cap.ratio_grad(s)
+    cap.cet1(s)
+    assert cap.rwa_floor_hits == 2
+
+
+@pytest.mark.parametrize("rwa_mode,loss_basis,maturity_adjustment,with_pnl",
+                         KERNEL_CASES)
+def test_kernel_exact_equalities(rwa_mode, loss_basis, maturity_adjustment,
+                                 with_pnl):
+    cap = random_capital(11, rwa_mode, loss_basis, maturity_adjustment,
+                         with_pnl)
+    pf, state = cap.portfolio, cap.state
+    zero = np.zeros(cap.d)
+    # R(0) is CET1(0) / RWA(0) bit for bit, and CET1(0) = cet1_0 under the
+    # incremental basis
+    assert cap.ratio(zero) == cap.cet1(zero) / cap.rwa(zero)
+    if loss_basis is LossBasis.INCREMENTAL:
+        assert cap.ratio(zero) == state.cet1_0 / cap.rwa(zero)
+    # the module functions share the model's arithmetic
+    for s in (zero, np.array([0.9, -0.3, 0.4])):
+        assert cap.loss_quantile(s) == loss_quantile(pf, s, SPEC)
+        assert cap.cet1(s) == cet1_stressed(state, pf, s, SPEC)
+        assert cap.rwa(s) == rwa_stressed(state, pf, s, SPEC)
+        assert cap.ratio(s) == cet1_ratio(state, pf, s, SPEC)
+        if rwa_mode is RwaMode.IRB_FULL:
+            assert cap.rwa(s) == float(pf.ead @ risk_weight(
+                pf.stressed_pd(s), pf.stressed_lgd(s), pf.rho, pf.maturity,
+                SPEC, maturity_adjustment))

@@ -30,6 +30,47 @@ def test_neighbourhood_membership(half_plane):
     assert mem(res.s_star + np.array([1.0, 0.0]))
 
 
+class CountingCapital:
+    """Capital map wrapper that counts R(s) evaluations."""
+
+    def __init__(self, inner, ratio=None):
+        self.r0, self.r_star = inner.r0, inner.r_star
+        self._ratio = inner.ratio if ratio is None else ratio
+        self.calls = 0
+
+    def ratio(self, s):
+        self.calls += 1
+        return self._ratio(s)
+
+
+@pytest.mark.parametrize("target,spec", [
+    (TargetSet.NEIGHBOURHOOD, NeighbourhoodSpec(radius_eta=1.0)),
+    (TargetSet.NEAR_OPTIMAL, NearOptimalSpec(epsilon=2.0))])
+def test_membership_tests_geometry_before_ratio(half_plane, target, spec):
+    model, cap, res = half_plane
+    counting = CountingCapital(cap)
+    mem = Membership(target, model, counting, res.s_star, spec)
+    # the same set with every point breaching: its geometric tests alone
+    geometry = Membership(target, model,
+                          CountingCapital(cap, ratio=lambda s: -np.inf),
+                          res.s_star, spec)
+    # a breaching point far outside the set costs no R(s) call
+    assert cap.breach(np.array([6.0, 6.0]))
+    assert not mem(np.array([6.0, 6.0]))
+    assert counting.calls == 0
+    axis = np.linspace(-1.0, 5.0, 25)
+    inside = 0
+    for g in axis:
+        for x in axis:
+            s = np.array([g, x])
+            # ratio first, then geometry: the order before the change
+            old = cap.breach(s) and geometry(s)
+            assert mem(s) == old
+            inside += geometry(s)
+    assert 0 < inside < axis.size ** 2
+    assert counting.calls == inside
+
+
 def test_near_optimal_membership(half_plane):
     model, cap, res = half_plane
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,

@@ -3,9 +3,9 @@ import pytest
 
 from georst import (CapitalState, ConstraintSet, CreditCapitalModel,
                     ExposureRecord, LossQuantileSpec, Portfolio,
-                    ReferenceModel, SectorPortfolio, SectorRecord,
-                    SolverConfig, aggregate_sectors, loss_quantile,
-                    solve_design_point)
+                    ReferenceModel, RwaMode, SectorPortfolio, SectorRecord,
+                    SolverConfig, aggregate_sectors, calibrate_linear_alpha,
+                    loss_quantile, solve_design_point)
 from georst.capital import rwa_stressed
 from georst.sectors import (calibrate_sector_linear_rw, sector_loss_quantile,
                             sector_risk_weight, sector_risk_weight_linear)
@@ -53,6 +53,21 @@ def test_rwa_and_ratio_consistency_exact():
     cap_b = CreditCapitalModel(exposure_pf, state, SPEC)
     s = np.array([1.0, 0.5])
     assert cap_a.ratio(s) == cap_b.ratio(s)
+
+
+@pytest.mark.parametrize("rwa_mode", list(RwaMode))
+def test_ratio_grad_consistency_exact(rwa_mode):
+    sector_pf, exposure_pf = two_sector_setup()
+    sector_as_pf = sector_pf.to_portfolio()
+    caps = []
+    for pf in (sector_as_pf, exposure_pf):
+        alpha = (calibrate_linear_alpha(pf, SPEC)
+                 if rwa_mode is RwaMode.LINEAR else None)
+        state = CapitalState(cet1_0=6.0, rwa_0=50.0, rwa_mode=rwa_mode,
+                             alpha=alpha, pnl_noncredit=np.array([-0.1, 0.2]))
+        caps.append(CreditCapitalModel(pf, state, SPEC))
+    for s in (np.zeros(2), np.array([1.0, 0.5]), np.array([2.0, -0.5])):
+        assert np.array_equal(caps[0].ratio_grad(s), caps[1].ratio_grad(s))
 
 
 def test_design_point_consistency():

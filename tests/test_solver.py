@@ -119,6 +119,29 @@ def test_solver_on_credit_capital_model(correlated_model):
     assert res.mahalanobis_sq <= grid.mahalanobis_sq + 2 * cell
 
 
+class NoGradient:
+    """A capital map without ratio_grad: the solver falls back to central
+    differences and counts as the reference path."""
+
+    def __init__(self, inner):
+        self.r0, self.r_star = inner.r0, inner.r_star
+        self.ratio = inner.ratio
+
+
+def test_analytic_gradient_path_matches_finite_differences(correlated_model):
+    pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
+                        gamma=(0.08,), pd0=0.015, lgd0=0.4)
+    cap = make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
+    config = SolverConfig(seed=0, n_starts=12)
+    analytic = solve_design_point(correlated_model, cap, ConstraintSet(),
+                                  config)
+    fd = solve_design_point(correlated_model, NoGradient(cap),
+                            ConstraintSet(), config)
+    assert np.linalg.norm(analytic.y_star - fd.y_star) <= 1e-6
+    assert analytic.mahalanobis_sq == pytest.approx(fd.mahalanobis_sq,
+                                                    rel=1e-9)
+
+
 def test_solver_deterministic(identity_model):
     cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
     a = solve_design_point(identity_model, cap, ConstraintSet(),
