@@ -23,6 +23,10 @@ from .reference import as_scenario_array
 from .transmission import Portfolio
 
 RWA_FLOOR_FRACTION = 1e-6
+# The maturity adjustment's b = (0.11852 - 0.05478 ln PD)^2 reaches 2/3, the
+# pole of 1 / (1 - 1.5 b), at PD ~ 2.93e-6; b is evaluated at PD no lower
+# than the Basel II corporate PD floor of 0.03 %.
+MA_PD_FLOOR = 3e-4
 
 
 def breaches(ratio, r_star):
@@ -89,9 +93,9 @@ class CapitalState:
 
 
 def maturity_adjustment_factor(pd, maturity):
-    """Basel IRB maturity multiplier (1 + (M - 2.5) b) / (1 - 1.5 b)."""
-    pd = np.asarray(pd, dtype=float)
-    b = (0.11852 - 0.05478 * np.log(pd)) ** 2
+    """Basel IRB maturity multiplier (1 + (M - 2.5) b) / (1 - 1.5 b), with b
+    evaluated at max(pd, MA_PD_FLOOR)."""
+    b = (0.11852 - 0.05478 * np.log(np.maximum(pd, MA_PD_FLOOR))) ** 2
     out = (1.0 + (np.asarray(maturity, dtype=float) - 2.5) * b) / (1.0 - 1.5 * b)
     if out.ndim == 0:
         return float(out)
@@ -99,21 +103,23 @@ def maturity_adjustment_factor(pd, maturity):
 
 
 def _maturity_adjustment_slope(pd, maturity):
-    """d/dpd of :func:`maturity_adjustment_factor`."""
-    sqb = 0.11852 - 0.05478 * np.log(pd)
+    """d/dpd of :func:`maturity_adjustment_factor`: 0 below MA_PD_FLOOR."""
+    pd = np.asarray(pd, dtype=float)
+    sqb = 0.11852 - 0.05478 * np.log(np.maximum(pd, MA_PD_FLOOR))
     b = sqb ** 2
     m = np.asarray(maturity, dtype=float)
     dgamma_db = ((m - 2.5) * (1.0 - 1.5 * b)
                  + 1.5 * (1.0 + (m - 2.5) * b)) / (1.0 - 1.5 * b) ** 2
-    return dgamma_db * 2.0 * sqb * (-0.05478 / pd)
+    return np.where(pd < MA_PD_FLOOR, 0.0,
+                    dgamma_db * 2.0 * sqb * (-0.05478 / pd))
 
 
-def _risk_weight_pd_slope(pd, lgd, tail, dtail_dpd, maturity,
-                          use_maturity_adjustment: bool):
-    """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd)."""
-    if not use_maturity_adjustment:
+def _risk_weight_pd_slope(pd, lgd, tail, dtail_dpd, maturity, ma):
+    """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd); ``ma``
+    is MA(pd), or None without the maturity adjustment."""
+    if ma is None:
         return lgd * (dtail_dpd - 1.0)
-    return lgd * ((dtail_dpd - 1.0) * maturity_adjustment_factor(pd, maturity)
+    return lgd * ((dtail_dpd - 1.0) * ma
                   + (tail - pd) * _maturity_adjustment_slope(pd, maturity))
 
 
@@ -143,9 +149,10 @@ def risk_weight_pd_derivative(pd, lgd, rho, maturity, spec: LossQuantileSpec,
     zp = ndtri(pd)
     sq1 = np.sqrt(1.0 - rho)
     arg = (zp + np.sqrt(rho) * ndtri(spec.q)) / sq1
+    ma = (maturity_adjustment_factor(pd, maturity)
+          if use_maturity_adjustment else None)
     out = _risk_weight_pd_slope(pd, np.asarray(lgd, dtype=float), ndtr(arg),
-                                tail_pd_derivative(zp, arg, sq1), maturity,
-                                use_maturity_adjustment)
+                                tail_pd_derivative(zp, arg, sq1), maturity, ma)
     if out.ndim == 0:
         return float(out)
     return out
@@ -157,13 +164,6 @@ def calibrate_linear_alpha(portfolio: Portfolio, spec: LossQuantileSpec,
     return portfolio.ead * risk_weight_pd_derivative(
         portfolio.pd0, portfolio.lgd0, portfolio.rho, portfolio.maturity,
         spec, use_maturity_adjustment)
-
-
-def rwa_stressed(state: CapitalState, portfolio: Portfolio, s,
-                 spec: LossQuantileSpec) -> float:
-    """Total risk-weighted assets under scenario s, floored away from zero."""
-    value, _ = rwa_stressed_flagged(state, portfolio, s, spec)
-    return value
 
 
 def rwa_stressed_flagged(state: CapitalState, portfolio: Portfolio, s,
@@ -183,24 +183,20 @@ def cet1_stressed(state: CapitalState, portfolio: Portfolio, s,
     return CreditCapitalModel(portfolio, state, spec).cet1(s)
 
 
-def cet1_ratio(state: CapitalState, portfolio: Portfolio, s,
-               spec: LossQuantileSpec) -> float:
-    """Stressed CET1 ratio R(s); breach means R(s) <= r_star (inclusive)."""
-    return CreditCapitalModel(portfolio, state, spec).ratio(s)
-
-
 class _Point(NamedTuple):
     """One kernel evaluation: per-exposure terms and the capital totals."""
 
-    s: np.ndarray
+    pd_raw: np.ndarray  # stressed PD
     pd: np.ndarray      # stressed PD, clipped into the domain of Phi^-1
     lgd: np.ndarray
+    lgd_slope: np.ndarray   # soft-clip slope of the LGD at its pre-image
     zp: np.ndarray      # Phi^-1(pd)
     arg: np.ndarray     # (zp + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho)
     tail: np.ndarray    # conditional default probability Phi(arg)
     loss: float
     cet1: float
     rw: np.ndarray | None   # unclamped IRB risk weights (IRB mode only)
+    ma: np.ndarray | None   # maturity adjustment (IRB mode with it only)
     rwa: float
     clamped: bool       # RWA held at the floor
 
@@ -212,8 +208,9 @@ class CreditCapitalModel:
     One kernel evaluates a scenario: the stressed PD and LGD once,
     Phi^-1(PD) once, and one conditional default probability that feeds
     both the loss quantile and the IRB risk weight. Phi^-1(q), sqrt(rho) and
-    sqrt(1 - rho) are computed once per model. The module functions
-    (``risk_weight``, ``loss.loss_quantile``, ``cet1_stressed``, ...) use
+    sqrt(1 - rho) are computed once per model. ``ratio_grad`` differentiates
+    the same evaluation. The module functions (``risk_weight``,
+    ``loss.loss_quantile``, ``cet1_stressed``, ``rwa_stressed_flagged``) use
     the same arithmetic, so their values equal the model's bit for bit.
     """
 
@@ -248,22 +245,23 @@ class CreditCapitalModel:
         pf = self.portfolio
         pd_raw = pf.stressed_pd(arr)
         pd = clip_pd(pd_raw)
-        lgd = pf.stressed_lgd(arr)
+        lgd, lgd_slope = pf.stressed_lgd_and_slope(arr)
         zp = ndtri(pd)
         arg = (zp + self._shift) / self._sqrt_1mrho
         tail = ndtr(arg)
-        return pd_raw, pd, lgd, zp, arg, tail, float(np.sum(pf.ead * lgd * tail))
+        return (pd_raw, pd, lgd, lgd_slope, zp, arg, tail,
+                float(np.sum(pf.ead * lgd * tail)))
 
     def _evaluate(self, s) -> _Point:
         pf, state = self.portfolio, self.state
         arr = as_scenario_array(s, pf.d)
-        pd_raw, pd, lgd, zp, arg, tail, loss = self._loss_terms(arr)
+        pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss = self._loss_terms(arr)
         cet1 = state.cet1_0 - (loss - self._baseline_loss
                                if state.loss_basis is LossBasis.INCREMENTAL
                                else loss)
         if state.pnl_noncredit is not None:
             cet1 += float(state.pnl_noncredit @ arr)
-        rw = None
+        rw = ma = None
         if state.rwa_mode is RwaMode.CONSTANT:
             raw = state.rwa_0
         elif state.rwa_mode is RwaMode.LINEAR:
@@ -271,12 +269,13 @@ class CreditCapitalModel:
         else:
             rw = lgd * (tail - pd)
             if state.maturity_adjustment:
-                rw = rw * maturity_adjustment_factor(pd, pf.maturity)
+                ma = maturity_adjustment_factor(pd, pf.maturity)
+                rw = rw * ma
             raw = float(pf.ead @ np.maximum(rw, 0.0))
         floor = RWA_FLOOR_FRACTION * state.rwa_0
         clamped = raw < floor
-        return _Point(arr, pd, lgd, zp, arg, tail, loss, cet1, rw,
-                      floor if clamped else raw, clamped)
+        return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
+                      rw, ma, floor if clamped else raw, clamped)
 
     def loss_quantile(self, s) -> float:
         return self._evaluate(s).loss
@@ -299,31 +298,33 @@ class CreditCapitalModel:
 
         (dCET1 RWA - CET1 dRWA) / RWA^2, with dRWA = 0 where the RWA floor
         clamps and no contribution from risk weights clamped at 0. Does not
-        count RWA-floor hits.
+        count RWA-floor hits. The chain rule runs from the kernel's own
+        evaluation: per-exposure weights on PD and LGD are scaled by the
+        slopes pd (1 - pd) and the LGD soft-clip slope, then contracted with
+        the portfolio's loading matrices [delta | beta] and [eta | gamma].
         """
         pf, state = self.portfolio, self.state
         p = self._evaluate(s)
-        pd_jac = pf.stressed_pd_jac(p.s)
-        lgd_jac = pf.stressed_lgd_jac(p.s)
+        pd_slope = p.pd_raw * (1.0 - p.pd_raw)
+
+        def chain(w_pd, w_lgd):
+            return ((w_pd * pd_slope) @ pf.pd_loadings
+                    + (w_lgd * p.lgd_slope) @ pf.lgd_loadings)
+
         dtail = tail_pd_derivative(p.zp, p.arg, self._sqrt_1mrho)
-        d_cet1 = -((pf.ead * p.lgd * dtail) @ pd_jac
-                   + (pf.ead * p.tail) @ lgd_jac)
+        d_cet1 = -chain(pf.ead * p.lgd * dtail, pf.ead * p.tail)
         if state.pnl_noncredit is not None:
             d_cet1 = d_cet1 + state.pnl_noncredit
         if p.clamped or state.rwa_mode is RwaMode.CONSTANT:
             return d_cet1 / p.rwa
         if state.rwa_mode is RwaMode.LINEAR:
-            d_rwa = state.alpha @ pd_jac
+            d_rwa = (state.alpha * pd_slope) @ pf.pd_loadings
         else:
             w = pf.ead * (p.rw > 0.0)
-            d_rw_dlgd = p.tail - p.pd
-            if state.maturity_adjustment:
-                d_rw_dlgd = d_rw_dlgd * maturity_adjustment_factor(
-                    p.pd, pf.maturity)
+            d_rw_dlgd = (p.tail - p.pd) * (1.0 if p.ma is None else p.ma)
             d_rw_dpd = _risk_weight_pd_slope(p.pd, p.lgd, p.tail, dtail,
-                                             pf.maturity,
-                                             state.maturity_adjustment)
-            d_rwa = (w * d_rw_dpd) @ pd_jac + (w * d_rw_dlgd) @ lgd_jac
+                                             pf.maturity, p.ma)
+            d_rwa = chain(w * d_rw_dpd, w * d_rw_dlgd)
         return (d_cet1 * p.rwa - p.cet1 * d_rwa) / p.rwa ** 2
 
     def ratio_many(self, S: np.ndarray) -> np.ndarray:
@@ -332,18 +333,6 @@ class CreditCapitalModel:
 
     def breach(self, s) -> bool:
         return breaches(self.ratio(s), self.r_star)
-
-    def scenario_metrics(self, s) -> dict:
-        """Severity numbers for reporting a single scenario."""
-        lq = self.loss_quantile(s)
-        ratio = self.ratio(s)
-        return {
-            "loss_quantile": lq,
-            "cet1": self.cet1(s),
-            "rwa": self.rwa(s),
-            "ratio": ratio,
-            "breach": breaches(ratio, self.r_star),
-        }
 
 
 class LinearCapital:

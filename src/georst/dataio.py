@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .sectors import SectorPortfolio, SectorRecord
-from .transmission import ExposureRecord, Portfolio, SectorSensitivities, SoftClip
+from .transmission import ExposureRecord, Portfolio, SectorSensitivities
 
 
 def _read_rows(path, expected_columns=None) -> tuple[list[str], list[dict]]:
@@ -102,8 +102,7 @@ def load_sensitivities(path, factor_names) -> dict[str, SectorSensitivities]:
 
 
 def load_portfolio(path, sensitivities: dict[str, SectorSensitivities],
-                   sign_constraints: bool = True,
-                   softclip: SoftClip | None = None) -> Portfolio:
+                   sign_constraints: bool = True) -> Portfolio:
     """Exposure file: exposure_id, sector_id, ead, pd0, lgd0, rho, maturity."""
     cols = ["exposure_id", "sector_id", "ead", "pd0", "lgd0", "rho", "maturity"]
     _, rows = _read_rows(path, cols)
@@ -119,9 +118,8 @@ def load_portfolio(path, sensitivities: dict[str, SectorSensitivities],
             rho=_to_float(path, eid, "rho", row["rho"]),
             maturity=_to_float(path, eid, "maturity", row["maturity"]),
         ))
-    kwargs = {"softclip": softclip} if softclip is not None else {}
     return Portfolio(exposures=exposures, sectors=sensitivities,
-                     sign_constraints=sign_constraints, **kwargs)
+                     sign_constraints=sign_constraints)
 
 
 def load_sector_portfolio(path, sensitivities: dict[str, SectorSensitivities],

@@ -59,19 +59,6 @@ def loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec) -> float:
     return float(np.sum(portfolio.ead * lgd * tail))
 
 
-def loss_quantile_grad(portfolio: Portfolio, s, spec: LossQuantileSpec) -> np.ndarray:
-    """Analytic gradient of :func:`loss_quantile` with respect to s."""
-    pd = clip_pd(portfolio.stressed_pd(s))
-    lgd = portfolio.stressed_lgd(s)
-    zp = ndtri(pd)
-    sq1 = np.sqrt(1.0 - portfolio.rho)
-    arg = (zp + np.sqrt(portfolio.rho) * ndtri(spec.q)) / sq1
-    w = portfolio.ead
-    return ((w * lgd * tail_pd_derivative(zp, arg, sq1))
-            @ portfolio.stressed_pd_jac(s)
-            + (w * ndtr(arg)) @ portfolio.stressed_lgd_jac(s))
-
-
 @dataclass(frozen=True)
 class McLossResult:
     quantile: float

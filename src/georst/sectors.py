@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .loss import LossQuantileSpec, loss_quantile
-from .capital import risk_weight, risk_weight_pd_derivative
-from .transmission import (ExposureRecord, Portfolio, SectorSensitivities,
-                           SoftClip)
+from .transmission import ExposureRecord, Portfolio, SectorSensitivities
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,7 @@ def aggregate_sectors(portfolio: Portfolio, s) -> list[SectorAggregate]:
     pd = portfolio.stressed_pd(s)
     lgd = portfolio.stressed_lgd(s)
     out = []
-    for sector_id in portfolio.sectors:
-        idx = np.array([i for i, e in enumerate(portfolio.exposures)
-                        if e.sector_id == sector_id])
+    for sector_id, idx in portfolio.sector_rows.items():
         if idx.size == 0:
             raise InvalidInputError(f"sector {sector_id} has no exposures")
         ead = portfolio.ead[idx]
@@ -70,7 +65,6 @@ class SectorPortfolio:
     records: list[SectorRecord]
     sensitivities: dict[str, SectorSensitivities]
     sign_constraints: bool = True
-    softclip: SoftClip | None = None
 
     def to_portfolio(self) -> Portfolio:
         """One pseudo-exposure per sector; reuses the exposure-level engine
@@ -81,43 +75,5 @@ class SectorPortfolio:
                            maturity=r.maturity)
             for r in self.records
         ]
-        kwargs = {}
-        if self.softclip is not None:
-            kwargs["softclip"] = self.softclip
         return Portfolio(exposures=exposures, sectors=dict(self.sensitivities),
-                         sign_constraints=self.sign_constraints, **kwargs)
-
-
-def sector_loss_quantile(sector_portfolio: SectorPortfolio, s,
-                         spec: LossQuantileSpec) -> float:
-    """Sector-indexed analogue of the exposure-level tail-loss quantile."""
-    return loss_quantile(sector_portfolio.to_portfolio(), s, spec)
-
-
-def sector_risk_weight(sector_portfolio: SectorPortfolio, s,
-                       spec: LossQuantileSpec,
-                       use_maturity_adjustment: bool = False) -> np.ndarray:
-    """Full sector-level risk weights under scenario s."""
-    p = sector_portfolio.to_portfolio()
-    return np.asarray(risk_weight(p.stressed_pd(s), p.stressed_lgd(s), p.rho,
-                                  p.maturity, spec, use_maturity_adjustment))
-
-
-def calibrate_sector_linear_rw(sector_portfolio: SectorPortfolio,
-                               spec: LossQuantileSpec,
-                               use_maturity_adjustment: bool = False
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Baseline intercepts and PD slopes for the linear risk-weight form."""
-    p = sector_portfolio.to_portfolio()
-    alpha = np.asarray(risk_weight(p.pd0, p.lgd0, p.rho, p.maturity, spec,
-                                   use_maturity_adjustment))
-    beta_rw = np.asarray(risk_weight_pd_derivative(
-        p.pd0, p.lgd0, p.rho, p.maturity, spec, use_maturity_adjustment))
-    return alpha, beta_rw
-
-
-def sector_risk_weight_linear(alpha: np.ndarray, beta_rw: np.ndarray,
-                              sector_portfolio: SectorPortfolio, s) -> np.ndarray:
-    """Linear approximation alpha_k + beta_k (PD_k(s) - PD_k^0)."""
-    p = sector_portfolio.to_portfolio()
-    return alpha + beta_rw * (p.stressed_pd(s) - p.pd0)
+                         sign_constraints=self.sign_constraints)

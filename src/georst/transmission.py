@@ -37,35 +37,33 @@ class SoftClip:
         if self.hi - self.lo <= 2 * self.width:
             raise InvalidInputError("softclip blend regions overlap")
 
-    def __call__(self, t):
+    def value_and_slope(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """The map and its derivative at t, as arrays.
+
+        The logistic tails are evaluated only for entries outside
+        [lo + width, hi - width]; inside, the value is t and the slope 1.
+        """
         t = np.asarray(t, dtype=float)
-        lo_edge = self.lo + self.width
-        hi_edge = self.hi - self.width
         w = self.width
-        up = w * (2.0 * expit(2.0 * (t - hi_edge) / w) - 1.0)
-        dn = w * (2.0 * expit(2.0 * (t - lo_edge) / w) - 1.0)
-        out = np.where(t > hi_edge, hi_edge + up,
-                       np.where(t < lo_edge, lo_edge + dn, t))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        hi_edge, lo_edge = self.hi - w, self.lo + w
+        value = t.copy()
+        slope = np.ones(t.shape)
+        tails = (t > hi_edge) | (t < lo_edge)
+        if tails.any():
+            tt = t[tails]
+            edge = np.where(tt > hi_edge, hi_edge, lo_edge)
+            sig = expit(2.0 * (tt - edge) / w)
+            value[tails] = edge + w * (2.0 * sig - 1.0)
+            slope[tails] = 4.0 * sig * (1.0 - sig)
+        return value, slope
+
+    def __call__(self, t):
+        out = self.value_and_slope(t)[0]
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        lo_edge = self.lo + self.width
-        hi_edge = self.hi - self.width
-        w = self.width
-        su = expit(2.0 * (t - hi_edge) / w)
-        sd = expit(2.0 * (t - lo_edge) / w)
-        out = np.where(t > hi_edge, 4.0 * su * (1.0 - su),
-                       np.where(t < lo_edge, 4.0 * sd * (1.0 - sd),
-                                np.ones_like(t)))
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-
-DEFAULT_SOFTCLIP = SoftClip()
+        out = self.value_and_slope(t)[1]
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -150,6 +148,14 @@ class Portfolio:
         self.beta = np.vstack([s.beta for s in sens]).reshape(n, -1)
         self.gamma = np.vstack([s.gamma for s in sens]).reshape(n, -1)
         self.logit_pd0 = np.log(self.pd0 / (1.0 - self.pd0))
+        # d PD_i / d s = pd_i (1 - pd_i) pd_loadings[i], with s = (g, x)
+        self.pd_loadings = np.column_stack([self.delta, self.beta])
+        self.lgd_loadings = np.column_stack([self.eta, self.gamma])
+        rows = {sector_id: [] for sector_id in self.sectors}
+        for i, e in enumerate(self.exposures):
+            rows[e.sector_id].append(i)
+        self.sector_rows = {sector_id: np.array(r, dtype=np.intp)
+                            for sector_id, r in rows.items()}
 
     @property
     def n(self) -> int:
@@ -171,43 +177,14 @@ class Portfolio:
 
     def stressed_lgd(self, s) -> np.ndarray:
         """Per-exposure stressed LGD under scenario s, softly saturated to (0, 1)."""
+        return self.stressed_lgd_and_slope(s)[0]
+
+    def stressed_lgd_and_slope(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Stressed LGD and the soft-clip slope at its affine pre-image
+        lgd0 + gamma x + eta g, so d LGD_i / d s = slope_i lgd_loadings[i]."""
         arr = as_scenario_array(s, self.d)
-        raw = self.lgd0 + self.gamma @ arr[1:] + self.eta * arr[0]
-        return np.asarray(self.softclip(raw))
-
-    def stressed_pd_jac(self, s) -> np.ndarray:
-        """d PD_i / d s, shape (n, d)."""
-        arr = as_scenario_array(s, self.d)
-        pd = self.stressed_pd(arr)
-        slope = pd * (1.0 - pd)
-        loadings = np.column_stack([self.delta, self.beta])
-        return slope[:, None] * loadings
-
-    def stressed_lgd_jac(self, s) -> np.ndarray:
-        """d LGD_i / d s, shape (n, d)."""
-        arr = as_scenario_array(s, self.d)
-        raw = self.lgd0 + self.gamma @ arr[1:] + self.eta * arr[0]
-        slope = np.asarray(self.softclip.derivative(raw))
-        loadings = np.column_stack([self.eta, self.gamma])
-        return slope[:, None] * loadings
-
-
-def stressed_pd(exposure: ExposureRecord, sens: SectorSensitivities, s) -> float:
-    """Stressed PD for one exposure: logistic shift of the baseline log-odds."""
-    arr = as_scenario_array(s, 1 + sens.beta.size)
-    z = float(sens.beta @ arr[1:] + sens.delta * arr[0])
-    if not math.isfinite(z):
-        raise InvalidInputError("non-finite log-odds shift")
-    logit0 = math.log(exposure.pd0 / (1.0 - exposure.pd0))
-    return float(expit(logit0 + z))
-
-
-def stressed_lgd(exposure: ExposureRecord, sens: SectorSensitivities, s,
-                 softclip: SoftClip = DEFAULT_SOFTCLIP) -> float:
-    """Stressed LGD for one exposure: affine shift, smoothly saturated."""
-    arr = as_scenario_array(s, 1 + sens.gamma.size)
-    raw = exposure.lgd0 + float(sens.gamma @ arr[1:] + sens.eta * arr[0])
-    return float(softclip(raw))
+        return self.softclip.value_and_slope(
+            self.lgd0 + self.gamma @ arr[1:] + self.eta * arr[0])
 
 
 def monotonicity_violation(portfolio: Portfolio, s) -> float:

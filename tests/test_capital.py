@@ -9,11 +9,9 @@ from georst import (CapitalState, CreditCapitalModel, ExposureRecord,
                     InvalidInputError, LinearCapital, LossBasis,
                     LossQuantileSpec, Portfolio, RwaMode, SectorSensitivities,
                     calibrate_linear_alpha, loss_quantile, risk_weight)
-from georst.capital import (cet1_ratio, cet1_stressed,
+from georst.capital import (MA_PD_FLOOR, cet1_stressed,
                             maturity_adjustment_factor,
-                            risk_weight_pd_derivative, rwa_stressed,
-                            rwa_stressed_flagged)
-from georst.loss import loss_quantile_grad
+                            risk_weight_pd_derivative, rwa_stressed_flagged)
 from georst.solver import _fd_grad
 
 from conftest import make_credit_capital, make_portfolio
@@ -61,6 +59,26 @@ def test_risk_weight_pd_derivative_matches_fd():
         assert got == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("rho", [0.03, 0.12, 0.24])
+@pytest.mark.parametrize("maturity", [2.5, 5.0])
+def test_risk_weight_non_decreasing_in_pd(rho, maturity):
+    # b(PD) of the maturity adjustment reaches its pole 2/3 at PD ~ 2.93e-6;
+    # below MA_PD_FLOOR the adjustment is held at its value on the floor, so
+    # a fall in PD never raises the risk weight
+    pd = np.geomspace(1e-9, 0.1, 2001)
+    rw = risk_weight(pd, 0.45, rho, maturity, SPEC)
+    assert np.all(np.diff(rw) >= 0.0)
+    assert risk_weight(2.93e-6, 0.45, rho, maturity, SPEC) <= risk_weight(
+        1e-3, 0.45, rho, maturity, SPEC)
+    # the analytic slope follows the held adjustment on both sides
+    for p in (1e-5, 0.5 * MA_PD_FLOOR, 2.0 * MA_PD_FLOOR):
+        h = 1e-3 * p
+        fd = (risk_weight(p + h, 0.45, rho, maturity, SPEC)
+              - risk_weight(p - h, 0.45, rho, maturity, SPEC)) / (2 * h)
+        assert risk_weight_pd_derivative(p, 0.45, rho, maturity, SPEC) == (
+            pytest.approx(fd, rel=1e-6))
+
+
 def test_capital_state_thresholds():
     state = CapitalState(cet1_0=8.0, rwa_0=100.0)
     assert state.r0 == pytest.approx(0.08)
@@ -84,11 +102,11 @@ def test_capital_state_validation():
 def test_constant_mode_rwa_and_baseline_ratio():
     pf = make_portfolio(n=4)
     state = CapitalState(cet1_0=6.0, rwa_0=50.0, rwa_mode=RwaMode.CONSTANT)
+    cap = CreditCapitalModel(pf, state, SPEC)
     for s in (np.zeros(2), np.array([1.0, 0.5])):
-        assert rwa_stressed(state, pf, s, SPEC) == 50.0
+        assert cap.rwa(s) == 50.0
     # incremental basis with constant RWA reproduces r0 at s = 0
-    assert cet1_ratio(state, pf, np.zeros(2), SPEC) == pytest.approx(
-        state.r0, abs=1e-15)
+    assert cap.ratio(np.zeros(2)) == pytest.approx(state.r0, abs=1e-15)
 
 
 def test_linear_mode_matches_hand_arithmetic():
@@ -96,10 +114,11 @@ def test_linear_mode_matches_hand_arithmetic():
     # one exposure, alpha = 1000: PD rise of dp adds 1000 * dp to RWA
     state = CapitalState(cet1_0=6.0, rwa_0=50.0, rwa_mode=RwaMode.LINEAR,
                          alpha=np.array([1000.0]))
-    assert rwa_stressed(state, pf, np.zeros(2), SPEC) == pytest.approx(50.0)
+    cap = CreditCapitalModel(pf, state, SPEC)
+    assert cap.rwa(np.zeros(2)) == pytest.approx(50.0)
     s = np.array([1.0, 0.0])
     dp = pf.stressed_pd(s)[0] - 0.02
-    assert rwa_stressed(state, pf, s, SPEC) == pytest.approx(50.0 + 1000.0 * dp)
+    assert cap.rwa(s) == pytest.approx(50.0 + 1000.0 * dp)
 
 
 def test_linear_alpha_first_order_tangency():
@@ -110,12 +129,14 @@ def test_linear_alpha_first_order_tangency():
     alpha = calibrate_linear_alpha(pf, SPEC)
     base_irb = float(pf.ead @ risk_weight(pf.pd0, pf.lgd0, pf.rho,
                                           pf.maturity, SPEC))
-    irb = CapitalState(cet1_0=6.0, rwa_0=base_irb, rwa_mode=RwaMode.IRB_FULL)
+    irb = CreditCapitalModel(
+        pf, CapitalState(cet1_0=6.0, rwa_0=base_irb, rwa_mode=RwaMode.IRB_FULL),
+        SPEC)
     # freeze LGD loadings so only the PD channel moves the IRB RWA
     gaps = []
     for scale in (1.0, 0.5, 0.25, 0.125):
         s = scale * np.array([0.4, 0.3])
-        full = rwa_stressed(irb, pf, s, SPEC)
+        full = irb.rwa(s)
         lin = base_irb + float(alpha @ (pf.stressed_pd(s) - pf.pd0))
         dpd = np.linalg.norm(pf.stressed_pd(s) - pf.pd0)
         gaps.append(abs(full - lin) / dpd)
@@ -165,8 +186,10 @@ def test_credit_capital_model_interface():
     s0 = np.zeros(2)
     assert cap.ratio(s0) == pytest.approx(cap.r0, abs=1e-14)
     assert not cap.breach(s0)
-    metrics = cap.scenario_metrics(np.array([1.0, 0.5]))
-    assert set(metrics) == {"loss_quantile", "cet1", "rwa", "ratio", "breach"}
+    s = np.array([1.0, 0.5])
+    assert cap.ratio(s) == cap.cet1(s) / cap.rwa(s)
+    assert cap.cet1(s) == cap.state.cet1_0 - (cap.loss_quantile(s)
+                                              - cap.loss_quantile(s0))
     S = np.vstack([s0, [1.0, 0.5]])
     many = cap.ratio_many(S)
     assert many[0] == pytest.approx(cap.ratio(s0))
@@ -265,8 +288,12 @@ def test_ratio_grad_on_the_rwa_floor():
     s = np.array([0.7, -0.4, 0.9])
     assert cap.rwa(s) == floor
     grad = cap.ratio_grad(s)
-    d_cet1 = -loss_quantile_grad(cap.portfolio, s, SPEC)
-    assert np.allclose(grad, d_cet1 / floor, rtol=1e-12, atol=0.0)
+    # a constant-RWA model held at the floor has the same CET1 and no RWA
+    # term in its gradient
+    constant = CreditCapitalModel(
+        cap.portfolio, CapitalState(cet1_0=1.0, rwa_0=floor,
+                                    rwa_mode=RwaMode.CONSTANT), SPEC)
+    assert np.allclose(grad, constant.ratio_grad(s), rtol=1e-12, atol=0.0)
     assert np.linalg.norm(grad - _fd_grad(cap.ratio, s, 1e-5)) <= (
         1e-6 * np.linalg.norm(grad))
     # hits count once per ratio or rwa call, never from the gradient
@@ -295,9 +322,24 @@ def test_kernel_exact_equalities(rwa_mode, loss_basis, maturity_adjustment,
     for s in (zero, np.array([0.9, -0.3, 0.4])):
         assert cap.loss_quantile(s) == loss_quantile(pf, s, SPEC)
         assert cap.cet1(s) == cet1_stressed(state, pf, s, SPEC)
-        assert cap.rwa(s) == rwa_stressed(state, pf, s, SPEC)
-        assert cap.ratio(s) == cet1_ratio(state, pf, s, SPEC)
+        assert (cap.rwa(s), False) == rwa_stressed_flagged(state, pf, s, SPEC)
         if rwa_mode is RwaMode.IRB_FULL:
             assert cap.rwa(s) == float(pf.ead @ risk_weight(
                 pf.stressed_pd(s), pf.stressed_lgd(s), pf.rho, pf.maturity,
                 SPEC, maturity_adjustment))
+
+
+def test_ratio_grad_makes_one_kernel_pass(monkeypatch):
+    # the gradient differentiates its own evaluation: one stressed PD and
+    # one stressed LGD per call, no second pass for the Jacobians
+    cap = random_capital(5, rwa_mode=RwaMode.IRB_FULL, with_pnl=True)
+    calls = []
+    for name in ("stressed_pd", "stressed_lgd_and_slope"):
+        orig = getattr(Portfolio, name)
+
+        def counted(self, s, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(self, s)
+        monkeypatch.setattr(Portfolio, name, counted)
+    cap.ratio_grad(np.array([0.5, -0.2, 0.3]))
+    assert sorted(calls) == ["stressed_lgd_and_slope", "stressed_pd"]

@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from georst.cli import main
+from georst.cli import build_parser, main
 from georst.dataio import (load_alpha, load_covariance, load_history,
                            load_portfolio, load_sensitivities)
 from georst.errors import InvalidInputError
+from georst.runner import RunConfig, build_context
 
 COVARIANCE = "g,x1\n1.0,0.3\n0.3,1.0\n"
 SENSITIVITIES = ("sector_id,delta,eta,beta_x1,gamma_x1\n"
@@ -212,3 +214,37 @@ def test_cli_seed_override_changes_hash(tmp_path):
     config = write_inputs(tmp_path)
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     assert main(["validate", "--config", str(config), "--seed", "1"]) == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(language):
+    text = README.read_text()
+    start = text.index(f"```{language}\n", text.index("## Command line"))
+    return text[start + len(language) + 4:text.index("```", start + 3)]
+
+
+def test_readme_config_example_runs(tmp_path):
+    config = json.loads(readme_block("json"))
+    (tmp_path / "cov.csv").write_text(COVARIANCE)
+    (tmp_path / "portfolio.csv").write_text(PORTFOLIO)
+    (tmp_path / "sensitivities.csv").write_text(SENSITIVITIES)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(path)]) == 0
+    # the documented keys are the ones the runner reads
+    ctx = build_context(RunConfig.from_file(path))
+    assert ctx.constraints.g_min == config["constraints"]["g_min"]
+    assert ctx.solver_config.n_starts == config["solver"]["n_starts"]
+    assert ctx.scenario_cfg == config["scenario_set"]
+    assert ctx.capital.state.rwa_mode.value == config["capital"]["rwa_mode"]
+
+
+def test_readme_command_lines_parse():
+    lines = [line.split("#")[0].split() for line in
+             readme_block("sh").splitlines() if line.startswith("georst ")]
+    assert {args[1] for args in lines} == {
+        "design-point", "scenario-list", "contour", "mc-check", "validate"}
+    for args in lines:
+        build_parser().parse_args(args[1:])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from georst import InvalidInputError, LossQuantileSpec, loss_quantile, \
-    mc_loss_quantile
-from georst.loss import conditional_default_prob, loss_quantile_grad
+from georst import (InvalidInputError, LossQuantileSpec, RwaMode,
+                    loss_quantile, mc_loss_quantile)
+from georst.loss import conditional_default_prob
 
-from conftest import make_portfolio
+from conftest import make_credit_capital, make_portfolio
 
 
 def scipy_single_name_quantile(ead, pd, lgd, rho, q):
@@ -53,11 +53,14 @@ def test_conditional_default_prob_limits():
     assert conditional_default_prob(1e-12, 0.2, 0.999) < 1e-6
 
 
-def test_loss_quantile_grad_matches_finite_differences():
+def test_tail_loss_slope_matches_finite_differences():
+    # with constant RWA, R = (CET1_0 - L(s) + L(0)) / RWA_0, so the kernel's
+    # gradient of R is the slope of the loss quantile over -RWA_0
     pf = make_portfolio(n=6, delta=0.6, beta=(0.4,), eta=0.15, gamma=(0.08,))
     spec = LossQuantileSpec()
     s = np.array([0.8, -0.3])
-    grad = loss_quantile_grad(pf, s, spec)
+    cap = make_credit_capital(pf, rwa_mode=RwaMode.CONSTANT)
+    grad = -cap.state.rwa_0 * cap.ratio_grad(s)
     h = 1e-5
     for j in range(2):
         e = np.zeros(2)

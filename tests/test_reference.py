@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from georst import (Family, InvalidInputError, ReferenceModel, ScenarioVector,
                     estimate_covariance)
@@ -129,3 +130,17 @@ def test_estimate_covariance_ridge_rescues_degenerate_history():
     model = estimate_covariance(X)
     assert np.all(np.isfinite(model.chol))
     assert model.mahalanobis_sq(np.array([1.0, -1.0])) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-6, 1e6))
+def test_whiten_round_trip_property(d, seed, scale):
+    # a well-conditioned covariance (eigenvalues in [0.5, 0.5 + d]) keeps the
+    # round-off of the triangular solve and product near machine precision
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(a @ a.T / d + 0.5 * np.eye(d))
+    s = scale * rng.standard_normal(d)
+    back = model.unwhiten(model.whiten(s))
+    assert np.linalg.norm(back - s) <= 1e-12 * np.linalg.norm(s)

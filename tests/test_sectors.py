@@ -5,10 +5,7 @@ from georst import (CapitalState, ConstraintSet, CreditCapitalModel,
                     ExposureRecord, LossQuantileSpec, Portfolio,
                     ReferenceModel, RwaMode, SectorPortfolio, SectorRecord,
                     SolverConfig, aggregate_sectors, calibrate_linear_alpha,
-                    loss_quantile, solve_design_point)
-from georst.capital import rwa_stressed
-from georst.sectors import (calibrate_sector_linear_rw, sector_loss_quantile,
-                            sector_risk_weight, sector_risk_weight_linear)
+                    loss_quantile, risk_weight, solve_design_point)
 
 from conftest import make_sensitivities
 
@@ -37,22 +34,20 @@ def two_sector_setup():
 
 def test_loss_quantile_consistency_exact():
     sector_pf, exposure_pf = two_sector_setup()
+    sector_as_pf = sector_pf.to_portfolio()
     for s in (np.zeros(2), np.array([0.8, -0.3]), np.array([2.0, 1.0])):
-        assert sector_loss_quantile(sector_pf, s, SPEC) == loss_quantile(
+        assert loss_quantile(sector_as_pf, s, SPEC) == loss_quantile(
             exposure_pf, s, SPEC)
 
 
 def test_rwa_and_ratio_consistency_exact():
     sector_pf, exposure_pf = two_sector_setup()
     state = CapitalState(cet1_0=6.0, rwa_0=50.0)
-    sector_as_pf = sector_pf.to_portfolio()
-    for s in (np.zeros(2), np.array([1.0, 0.5])):
-        assert rwa_stressed(state, sector_as_pf, s, SPEC) == rwa_stressed(
-            state, exposure_pf, s, SPEC)
-    cap_a = CreditCapitalModel(sector_as_pf, state, SPEC)
+    cap_a = CreditCapitalModel(sector_pf.to_portfolio(), state, SPEC)
     cap_b = CreditCapitalModel(exposure_pf, state, SPEC)
-    s = np.array([1.0, 0.5])
-    assert cap_a.ratio(s) == cap_b.ratio(s)
+    for s in (np.zeros(2), np.array([1.0, 0.5])):
+        assert cap_a.rwa(s) == cap_b.rwa(s)
+        assert cap_a.ratio(s) == cap_b.ratio(s)
 
 
 @pytest.mark.parametrize("rwa_mode", list(RwaMode))
@@ -109,12 +104,42 @@ def test_aggregate_sector_pd_rises_under_stress():
 
 def test_sector_linear_risk_weight_tangent_at_baseline():
     sector_pf, _ = two_sector_setup()
-    alpha, beta_rw = calibrate_sector_linear_rw(sector_pf, SPEC)
-    full0 = sector_risk_weight(sector_pf, np.zeros(2), SPEC)
-    lin0 = sector_risk_weight_linear(alpha, beta_rw, sector_pf, np.zeros(2))
-    assert lin0 == pytest.approx(full0, abs=1e-12)
+    p = sector_pf.to_portfolio()
+
+    def full(s):
+        return risk_weight(p.stressed_pd(s), p.stressed_lgd(s), p.rho,
+                           p.maturity, SPEC, use_maturity_adjustment=False)
+
+    # alpha_k = EAD_k dRW_k/dPD_k at baseline, so the linear form is
+    # RW_k(0) + alpha_k / EAD_k (PD_k(s) - PD_k^0)
+    slope = calibrate_linear_alpha(p, SPEC, use_maturity_adjustment=False) / p.ead
+
+    def lin(s):
+        return full(np.zeros(2)) + slope * (p.stressed_pd(s) - p.pd0)
+
+    assert lin(np.zeros(2)) == pytest.approx(full(np.zeros(2)), abs=1e-12)
     # small scenarios keep the two close
     s = np.array([0.1, 0.05])
-    full = sector_risk_weight(sector_pf, s, SPEC)
-    lin = sector_risk_weight_linear(alpha, beta_rw, sector_pf, s)
-    assert lin == pytest.approx(full, rel=0.05)
+    assert lin(s) == pytest.approx(full(s), rel=0.05)
+
+
+def test_aggregate_sectors_matches_a_scan_of_the_exposures():
+    # the precomputed sector index gives the same sums, bit for bit, as
+    # scanning the exposures of each sector in order
+    sens = {k: make_sensitivities(delta=0.3 + 0.1 * j, sector_id=k)
+            for j, k in enumerate(("a", "b", "c"))}
+    exposures = tuple(
+        ExposureRecord(f"e{i}", "abcab"[i % 5], ead=1.0 + 0.37 * i,
+                       pd0=0.005 + 0.003 * i, lgd0=0.3 + 0.01 * i, rho=0.2)
+        for i in range(11))
+    pf = Portfolio(exposures, sens)
+    s = np.array([1.3, -0.4])
+    pd, lgd = pf.stressed_pd(s), pf.stressed_lgd(s)
+    aggregates = aggregate_sectors(pf, s)
+    assert [a.sector_id for a in aggregates] == ["a", "b", "c"]
+    for agg in aggregates:
+        idx = [i for i, e in enumerate(exposures) if e.sector_id == agg.sector_id]
+        w = pf.ead[idx] / pf.ead[idx].sum()
+        assert agg.pd_star == float(w @ pd[idx])
+        assert agg.lgd_star == float(w @ lgd[idx])
+        assert np.array_equal(agg.exposure_weights, w)

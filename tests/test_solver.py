@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from georst import (ConstraintSet, Family, InfeasibleError, InvalidInputError,
-                    LinearCapital, ReferenceModel, SolverConfig,
-                    conditional_anchor, grid_oracle, solve_design_point)
+                    LinearCapital, LossQuantileSpec, ReferenceModel,
+                    SolverConfig, conditional_anchor, grid_oracle, risk_weight,
+                    solve_design_point)
 
 from conftest import make_credit_capital, make_portfolio
 
@@ -175,3 +176,20 @@ def test_grid_oracle_returns_none_when_no_breach(identity_model):
     out = grid_oracle(identity_model, cap, ConstraintSet(), resolution=51,
                       x_bounds=(-3.0, 3.0), g_bounds=(0.0, 3.0))
     assert out is None
+
+
+def test_design_point_kkt_alignment(correlated_model):
+    # with only the breach constraint active, the design point y* in
+    # whitened space is a stationary point of |y|^2 on R(L y) = R*, so it
+    # points along -grad_y R = -L^T grad R(s*)
+    pf = make_portfolio(n=4, delta=0.8, eta=0.1, beta=(0.5,), gamma=(0.05,))
+    rwa_0 = float(pf.ead @ risk_weight(pf.pd0, pf.lgd0, pf.rho, pf.maturity,
+                                       LossQuantileSpec()))
+    cap = make_credit_capital(pf, rwa_0=rwa_0, cet1_0=rwa_0, depletion=0.3)
+    res = solve_design_point(correlated_model, cap, ConstraintSet(),
+                             SolverConfig(seed=0, n_starts=4))
+    assert res.active
+    assert res.s_star[0] > 1e-3     # the g floor is not binding
+    v = -correlated_model.chol.T @ cap.ratio_grad(res.s_star)
+    cos = res.y_star @ v / (np.linalg.norm(res.y_star) * np.linalg.norm(v))
+    assert cos >= 1.0 - 1e-6

@@ -7,29 +7,27 @@ from scipy.special import expit
 from georst import (ExposureRecord, InvalidInputError, Portfolio,
                     SectorSensitivities, SoftClip)
 from georst.transmission import (monotonicity_violation,
-                                 smooth_monotonicity_violation, stressed_lgd,
-                                 stressed_pd)
+                                 smooth_monotonicity_violation)
 
 from conftest import make_portfolio, make_sensitivities
 
 
 def test_stressed_pd_known_value():
     # logistic shift of pd0 = 0.01 by z = 0.5 at g = 1, x = 0
-    sens = make_sensitivities(delta=0.5, beta=(0.0,))
-    exp = ExposureRecord("e", "corp", ead=1.0, pd0=0.01, lgd0=0.5, rho=0.2)
-    pd = stressed_pd(exp, sens, np.array([1.0, 0.0]))
+    pf = make_portfolio(n=1, pd0=0.01, lgd0=0.5, delta=0.5, beta=(0.0,))
+    pd, = pf.stressed_pd(np.array([1.0, 0.0]))
     closed_form = 0.01 * math.e ** 0.5 / (1 - 0.01 + 0.01 * math.e ** 0.5)
     assert pd == pytest.approx(closed_form, abs=1e-15)
     assert pd == pytest.approx(0.016381, abs=1e-6)
 
 
 def test_stressed_pd_matches_logistic_identity():
-    sens = make_sensitivities(delta=0.4, beta=(0.7,))
-    exp = ExposureRecord("e", "corp", ead=1.0, pd0=0.03, lgd0=0.4, rho=0.1)
+    pf = make_portfolio(n=1, pd0=0.03, lgd0=0.4, rho=0.1, delta=0.4,
+                        beta=(0.7,))
     for s in ([0.0, 0.0], [1.2, -0.5], [0.3, 2.0]):
         z = 0.4 * s[0] + 0.7 * s[1]
         logit0 = math.log(0.03 / 0.97)
-        assert stressed_pd(exp, sens, np.array(s)) == pytest.approx(
+        assert pf.stressed_pd(np.array(s))[0] == pytest.approx(
             float(expit(logit0 + z)), abs=1e-15)
 
 
@@ -40,18 +38,16 @@ def test_stressed_pd_zero_scenario_is_baseline():
 
 
 def test_stressed_lgd_affine_in_core():
-    sens = make_sensitivities(eta=0.1, gamma=(0.05,))
-    exp = ExposureRecord("e", "corp", ead=1.0, pd0=0.02, lgd0=0.45, rho=0.2)
+    pf = make_portfolio(n=1, lgd0=0.45, eta=0.1, gamma=(0.05,))
     s = np.array([0.5, 1.0])
-    assert stressed_lgd(exp, sens, s) == pytest.approx(
+    assert pf.stressed_lgd(s)[0] == pytest.approx(
         0.45 + 0.05 * 1.0 + 0.1 * 0.5, abs=1e-12)
 
 
 def test_stressed_lgd_saturates_inside_unit_interval():
-    sens = make_sensitivities(eta=1.0, gamma=(1.0,))
-    exp = ExposureRecord("e", "corp", ead=1.0, pd0=0.02, lgd0=0.9, rho=0.2)
-    high = stressed_lgd(exp, sens, np.array([5.0, 5.0]))
-    low = stressed_lgd(exp, sens, np.array([0.0, -10.0]))
+    pf = make_portfolio(n=1, lgd0=0.9, eta=1.0, gamma=(1.0,))
+    high, = pf.stressed_lgd(np.array([5.0, 5.0]))
+    low, = pf.stressed_lgd(np.array([0.0, -10.0]))
     assert 0.0 < low < 1.0
     assert 0.0 < high < 1.0
     assert high > 0.97
@@ -89,9 +85,11 @@ def test_softclip_invalid_config():
 
 
 def test_pd_jacobian_matches_finite_differences():
+    # the capital kernel's chain rule: d PD / d s = pd (1 - pd) [delta | beta]
     pf = make_portfolio(n=4, delta=0.6, beta=(0.8,))
     s = np.array([0.7, -0.4])
-    jac = pf.stressed_pd_jac(s)
+    pd = pf.stressed_pd(s)
+    jac = (pd * (1.0 - pd))[:, None] * pf.pd_loadings
     h = 1e-5
     for j in range(2):
         e = np.zeros(2)
@@ -103,7 +101,10 @@ def test_pd_jacobian_matches_finite_differences():
 def test_lgd_jacobian_matches_finite_differences():
     pf = make_portfolio(n=4, eta=0.2, gamma=(0.15,))
     for s in (np.array([0.7, -0.4]), np.array([3.0, 2.0])):
-        jac = pf.stressed_lgd_jac(s)
+        # d LGD / d s = softclip slope times [eta | gamma]
+        lgd, slope = pf.stressed_lgd_and_slope(s)
+        assert np.array_equal(lgd, pf.stressed_lgd(s))
+        jac = slope[:, None] * pf.lgd_loadings
         h = 1e-5
         for j in range(2):
             e = np.zeros(2)
