@@ -212,6 +212,13 @@ class CreditCapitalModel:
     the same evaluation. The module functions (``risk_weight``,
     ``loss.loss_quantile``, ``cet1_stressed``, ``rwa_stressed_flagged``) use
     the same arithmetic, so their values equal the model's bit for bit.
+
+    The kernel keeps its most recent evaluation, keyed on the scenario's
+    bytes: a call with a value-equal scenario (the solver's value then
+    gradient, a feasibility check then the reported ratio) reuses it
+    instead of a second pass. This assumes, as the baseline loss and the
+    per-exposure constants computed in ``__init__`` already do, that the
+    portfolio and the capital state are not changed after construction.
     """
 
     def __init__(self, portfolio: Portfolio, state: CapitalState,
@@ -227,6 +234,7 @@ class CreditCapitalModel:
         self._shift = np.sqrt(portfolio.rho) * ndtri(self.spec.q)
         self._sqrt_1mrho = np.sqrt(1.0 - portfolio.rho)
         self._baseline_loss = self._loss_terms(np.zeros(portfolio.d))[-1]
+        self._last: tuple[bytes, _Point] | None = None
         self.rwa_floor_hits = 0
 
     @property
@@ -255,6 +263,9 @@ class CreditCapitalModel:
     def _evaluate(self, s) -> _Point:
         pf, state = self.portfolio, self.state
         arr = as_scenario_array(s, pf.d)
+        key = arr.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss = self._loss_terms(arr)
         cet1 = state.cet1_0 - (loss - self._baseline_loss
                                if state.loss_basis is LossBasis.INCREMENTAL
@@ -274,8 +285,10 @@ class CreditCapitalModel:
             raw = float(pf.ead @ np.maximum(rw, 0.0))
         floor = RWA_FLOOR_FRACTION * state.rwa_0
         clamped = raw < floor
-        return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
-                      rw, ma, floor if clamped else raw, clamped)
+        point = _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
+                       rw, ma, floor if clamped else raw, clamped)
+        self._last = (key, point)
+        return point
 
     def loss_quantile(self, s) -> float:
         return self._evaluate(s).loss

@@ -34,6 +34,30 @@ DEFAULTS = {
     "n_sims": 200000,
 }
 
+# The keys each config section may hold: exactly the ones the runner reads.
+# Top level holds "seed" and these sections; any other key is an error, so a
+# misspelt key cannot silently fall back to its default.
+CONFIG_KEYS = {
+    "reference": {"family", "nu", "covariance", "history"},
+    "portfolio": {"kind", "path", "sensitivities", "sign_constraints"},
+    "loss": {"q", "n_sims"},
+    "capital": {"cet1_0", "rwa_0", "depletion", "r_star", "rwa_mode",
+                "alpha_path", "pnl_noncredit", "loss_basis",
+                "maturity_adjustment"},
+    "constraints": {"g_min", "g_max", "x_min", "x_max",
+                    "enforce_monotonicity"},
+    "solver": {"n_starts", "seed"},
+    "scenario_set": {"target", "eta", "epsilon", "g_grid", "pool", "list",
+                     "top_k"},
+}
+
+
+def _reject_unknown(keys, known, where: str):
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise InvalidInputError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+
 
 @dataclass
 class RunConfig:
@@ -57,6 +81,7 @@ class RunConfig:
         sec = self.raw.get(name, {})
         if not isinstance(sec, dict):
             raise InvalidInputError(f"config section {name!r} must be an object")
+        _reject_unknown(sec, CONFIG_KEYS[name], f"config section {name!r}")
         return sec
 
     def hash(self) -> str:
@@ -88,6 +113,9 @@ class RunContext:
 
 
 def build_context(config: RunConfig) -> RunContext:
+    if not isinstance(config.raw, dict):
+        raise InvalidInputError("config must be a JSON object")
+    _reject_unknown(config.raw, {"seed", *CONFIG_KEYS}, "the config's top level")
     seed = int(config.raw.get("seed", 0))
 
     ref = config.section("reference")

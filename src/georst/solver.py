@@ -208,9 +208,17 @@ def _g_cap(model: ReferenceModel, constraints: ConstraintSet) -> float:
 def _frontier_warm_start(model: ReferenceModel, capital,
                          constraints: ConstraintSet, g_j: float,
                          t_cap: float = 4096.0) -> np.ndarray:
-    """Bisect along a stress ray at fixed g for a near-frontier start."""
+    """A near-frontier start on a stress ray at fixed g.
+
+    Doubles t until point(t) breaches, then shrinks the bracket [lo, hi]
+    (lo does not breach, hi does) by Illinois regula falsi on
+    f(t) = R(point(t)) - r_star, bisecting when the secant point leaves the
+    bracket, to the width 40 halvings of the last doubling step reach.
+    Returns point(hi), which breaches.
+    """
     d = model.d
     v = np.sqrt(np.diag(model.sigma)[1:])
+    r_star = capital.r_star
 
     def point(t):
         s = np.empty(d)
@@ -218,23 +226,40 @@ def _frontier_warm_start(model: ReferenceModel, capital,
         s[1:] = t * v
         return constraints.clip(s)
 
-    def breach(t):
-        return breaches(capital.ratio(point(t)), capital.r_star)
+    def ratio(t):
+        return capital.ratio(point(t))
 
-    if breach(0.0):
+    lo, r_lo = 0.0, ratio(0.0)
+    if breaches(r_lo, r_star):
         return point(0.0)
-    t = 1.0
-    while t <= t_cap and not breach(t):
-        t *= 2.0
-    if t > t_cap:
-        return point(0.0)
-    lo, hi = t / 2.0, t
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if breach(mid):
-            hi = mid
+    hi, r_hi = 1.0, ratio(1.0)
+    while not breaches(r_hi, r_star):
+        lo, r_lo = hi, r_hi
+        hi *= 2.0
+        if hi > t_cap:
+            return point(0.0)
+        r_hi = ratio(hi)
+    width = hi * 2.0 ** -41
+    f_lo, f_hi = r_lo - r_star, r_hi - r_star
+    kept = 0  # +1 / -1 when the last step kept lo / hi
+    while hi - lo > width:
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo <= t <= hi:
+            t = 0.5 * (lo + hi)
+        # a step of at least width / 2 from each end closes the bracket
+        # when the root sits at one end, where regula falsi stalls
+        t = min(max(t, lo + 0.5 * width), hi - 0.5 * width)
+        r = ratio(t)
+        if breaches(r, r_star):
+            hi, f_hi = t, r - r_star
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
         else:
-            lo = mid
+            lo, f_lo = t, r - r_star
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
     return point(hi)
 
 

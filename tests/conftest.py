@@ -40,3 +40,16 @@ def small_portfolio():
 def make_credit_capital(portfolio, cet1_0=6.0, rwa_0=50.0, **state_kwargs):
     state = CapitalState(cet1_0=cet1_0, rwa_0=rwa_0, **state_kwargs)
     return CreditCapitalModel(portfolio, state, LossQuantileSpec())
+
+
+class CountingCapital:
+    """Capital map wrapper that counts R(s) evaluations."""
+
+    def __init__(self, inner, ratio=None):
+        self.r0, self.r_star = inner.r0, inner.r_star
+        self._ratio = inner.ratio if ratio is None else ratio
+        self.calls = 0
+
+    def ratio(self, s):
+        self.calls += 1
+        return self._ratio(s)

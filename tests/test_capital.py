@@ -341,5 +341,47 @@ def test_ratio_grad_makes_one_kernel_pass(monkeypatch):
             calls.append(_name)
             return _orig(self, s)
         monkeypatch.setattr(Portfolio, name, counted)
-    cap.ratio_grad(np.array([0.5, -0.2, 0.3]))
+    s = np.array([0.5, -0.2, 0.3])
+    # the gradient after the ratio at the same point reuses its evaluation
+    cap.ratio(s)
+    cap.ratio_grad(s)
     assert sorted(calls) == ["stressed_lgd_and_slope", "stressed_pd"]
+    cap.ratio_grad(np.array([0.5, -0.2, 0.4]))
+    assert sorted(calls) == ["stressed_lgd_and_slope"] * 2 + ["stressed_pd"] * 2
+
+
+@pytest.mark.parametrize("rwa_mode,loss_basis", itertools.product(RwaMode,
+                                                                  LossBasis))
+def test_kernel_memo_hit_equals_a_fresh_model(rwa_mode, loss_basis):
+    def fresh():
+        return random_capital(7, rwa_mode, loss_basis, with_pnl=True)
+
+    cap = fresh()
+    for s in (np.array([0.9, -0.3, 0.4]), np.zeros(3),
+              np.array([0.9, -0.3, 0.4])):
+        cap.ratio(s)
+        # every quantity below is a memo hit on cap
+        assert cap.ratio(s) == fresh().ratio(s)
+        assert cap.cet1(s) == fresh().cet1(s)
+        assert cap.rwa(s) == fresh().rwa(s)
+        assert cap.loss_quantile(s) == fresh().loss_quantile(s)
+        assert np.array_equal(cap.ratio_grad(s), fresh().ratio_grad(s))
+
+
+def test_kernel_memo_sees_a_scenario_mutated_in_place():
+    cap = random_capital(3)
+    s = np.array([0.5, -0.2, 0.3])
+    before = cap.ratio(s)
+    s[1] = 1.5
+    assert cap.ratio(s) == random_capital(3).ratio(s.copy())
+    assert cap.ratio(s) != before
+
+
+def test_kernel_memo_counts_every_floor_hit():
+    cap = random_capital(4, cet1_0=1.0, rwa_0=1e7)
+    s = np.array([0.7, -0.4, 0.9])
+    cap.ratio(s)
+    cap.ratio(s)
+    assert cap.rwa_floor_hits == 2
+    cap.rwa(s)
+    assert cap.rwa_floor_hits == 3

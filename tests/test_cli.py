@@ -1,14 +1,18 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from georst.cli import build_parser, main
 from georst.dataio import (load_alpha, load_covariance, load_history,
                            load_portfolio, load_sensitivities)
 from georst.errors import InvalidInputError
-from georst.runner import RunConfig, build_context
+from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
+                           run_scenario_list)
 
 COVARIANCE = "g,x1\n1.0,0.3\n0.3,1.0\n"
 SENSITIVITIES = ("sector_id,delta,eta,beta_x1,gamma_x1\n"
@@ -241,6 +245,32 @@ def test_readme_config_example_runs(tmp_path):
     assert ctx.capital.state.rwa_mode.value == config["capital"]["rwa_mode"]
 
 
+def test_unknown_config_keys_are_rejected(tmp_path, capsys):
+    # misspelt keys used to run silently on the defaults
+    config = write_inputs(tmp_path, solver={"g_min": 0.5},
+                          scenario_sets={"pool_size": 60})
+    assert main(["validate", "--config", str(config)]) == 2
+    assert "'scenario_sets' in the config's top level" in capsys.readouterr().err
+    base = json.loads(write_inputs(tmp_path).read_text())
+    for section in CONFIG_KEYS:
+        bad = dict(base, **{section: {**base.get(section, {}), "bogus": 1}})
+        config.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(config)]) == 2
+        assert (f"'bogus' in config section '{section}'"
+                in capsys.readouterr().err)
+
+
+GENERATE = README.parent / "benchmark" / "generate.py"
+
+
+@pytest.mark.parametrize("workload", ["design-large-n", "scenario-list-sector"])
+def test_generated_benchmark_configs_validate(tmp_path, workload):
+    subprocess.run([sys.executable, str(GENERATE), "--workload", workload,
+                    "--seed", "0", "--out", str(tmp_path), "--toy"],
+                   check=True, capture_output=True)
+    assert main(["validate", "--config", str(tmp_path / "run.json")]) == 0
+
+
 def test_readme_command_lines_parse():
     lines = [line.split("#")[0].split() for line in
              readme_block("sh").splitlines() if line.startswith("georst ")]
@@ -248,3 +278,18 @@ def test_readme_command_lines_parse():
         "design-point", "scenario-list", "contour", "mc-check", "validate"}
     for args in lines:
         build_parser().parse_args(args[1:])
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_scenario_list_report_is_a_function_of_the_seed(tmp_path_factory,
+                                                        seed):
+    config = write_inputs(tmp_path_factory.mktemp("seed"), seed=seed,
+                          scenario_set={"pool": 30, "list": 3})
+    ctx = build_context(RunConfig.from_file(config))
+    first = run_scenario_list(ctx)[0]
+    # the same context a second time, its capital model already used, and a
+    # fresh context give the same bytes
+    assert run_scenario_list(ctx)[0] == first
+    assert run_scenario_list(
+        build_context(RunConfig.from_file(config)))[0] == first

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from georst import (ConstraintSet, InvalidInputError, LinearCapital,
+from georst import (ConstraintSet, Family, InvalidInputError, LinearCapital,
                     Membership, NearOptimalSpec, NeighbourhoodSpec,
+                    ReferenceModel,
                     SolverConfig, TargetSet, build_pool, conditional_anchor,
                     driver_decomposition, hit_and_run, local_sample,
                     reduce_farthest_point, solve_design_point)
 from georst.scenario_sets import (CandidatePool, PoolEntry,
                                   _farthest_point_indices, default_g_grid)
+
+from conftest import CountingCapital
 
 
 @pytest.fixture
@@ -28,19 +32,6 @@ def test_neighbourhood_membership(half_plane):
     assert not mem(np.array([5.0, 5.0]))    # breach but outside the ball
     # boundary of the ball is inclusive
     assert mem(res.s_star + np.array([1.0, 0.0]))
-
-
-class CountingCapital:
-    """Capital map wrapper that counts R(s) evaluations."""
-
-    def __init__(self, inner, ratio=None):
-        self.r0, self.r_star = inner.r0, inner.r_star
-        self._ratio = inner.ratio if ratio is None else ratio
-        self.calls = 0
-
-    def ratio(self, s):
-        self.calls += 1
-        return self._ratio(s)
 
 
 @pytest.mark.parametrize("target,spec", [
@@ -69,6 +60,40 @@ def test_membership_tests_geometry_before_ratio(half_plane, target, spec):
             inside += geometry(s)
     assert 0 < inside < axis.size ** 2
     assert counting.calls == inside
+
+
+@pytest.fixture(scope="module")
+def correlated_half_planes():
+    """A Gaussian and a Student-t model with the same covariance, each with
+    the design point of one half-plane breach set."""
+    cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
+    out = []
+    for family, nu in ((Family.GAUSSIAN, None), (Family.STUDENT_T, 5.0)):
+        model = ReferenceModel.from_covariance(
+            np.array([[1.0, 0.5], [0.5, 1.0]]), family=family, nu=nu)
+        res = solve_design_point(model, cap, ConstraintSet(),
+                                 SolverConfig(seed=0, n_starts=4))
+        out.append((model, cap, res.s_star))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, 1),
+       offset=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       levels=st.lists(st.floats(0.0, 20.0, exclude_min=True), min_size=2,
+                       max_size=2))
+def test_membership_is_monotone_in_its_level(correlated_half_planes, case,
+                                             offset, levels):
+    # N_eps is contained in N_eps' and S_eta in S_eta' whenever
+    # eps <= eps' and eta <= eta'
+    model, cap, s_star = correlated_half_planes[case]
+    s = s_star + np.array(offset)
+    small, large = sorted(levels)
+    for target, spec in ((TargetSet.NEAR_OPTIMAL, NearOptimalSpec),
+                         (TargetSet.NEIGHBOURHOOD, NeighbourhoodSpec)):
+        inner, outer = (Membership(target, model, cap, s_star, spec(level))
+                        for level in (small, large))
+        assert not inner(s) or outer(s)
 
 
 def test_near_optimal_membership(half_plane):

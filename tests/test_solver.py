@@ -5,8 +5,10 @@ from georst import (ConstraintSet, Family, InfeasibleError, InvalidInputError,
                     LinearCapital, LossQuantileSpec, ReferenceModel,
                     SolverConfig, conditional_anchor, grid_oracle, risk_weight,
                     solve_design_point)
+from georst.capital import breaches
+from georst.solver import _frontier_warm_start
 
-from conftest import make_credit_capital, make_portfolio
+from conftest import CountingCapital, make_credit_capital, make_portfolio
 
 
 def test_half_plane_closed_form(identity_model):
@@ -193,3 +195,50 @@ def test_design_point_kkt_alignment(correlated_model):
     v = -correlated_model.chol.T @ cap.ratio_grad(res.s_star)
     cos = res.y_star @ v / (np.linalg.norm(res.y_star) * np.linalg.norm(v))
     assert cos >= 1.0 - 1e-6
+
+
+def bisection_warm_start(model, capital, constraints, g_j, t_cap=4096.0):
+    """The reference: double t until point(t) breaches, then 40 halvings of
+    the bracket from the last t that does not breach. Returns point(hi) and
+    the final bracket width in t."""
+    v = np.sqrt(np.diag(model.sigma)[1:])
+
+    def point(t):
+        return constraints.clip(np.concatenate([[g_j], t * v]))
+
+    def breach(t):
+        return breaches(capital.ratio(point(t)), capital.r_star)
+
+    assert not breach(0.0)
+    lo, hi = 0.0, 1.0
+    while not breach(hi):
+        lo, hi = hi, 2.0 * hi
+        assert hi <= t_cap
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if breach(mid):
+            hi = mid
+        else:
+            lo = mid
+    return point(hi), hi - lo
+
+
+@pytest.mark.parametrize("kind", ["linear", "credit"])
+def test_frontier_warm_start_root_find(correlated_model, kind):
+    if kind == "linear":
+        cap = LinearCapital(weights=np.array([0.4, 1.0]), level=3.0)
+    else:
+        pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
+                            gamma=(0.08,), pd0=0.015, lgd0=0.4)
+        cap = make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
+    cons = ConstraintSet()
+    for g_j in (1e-6, 0.5, 1.2, 2.0):
+        counting = CountingCapital(cap)
+        s = _frontier_warm_start(correlated_model, counting, cons, g_j)
+        # the start breaches, sits as close to the frontier as 40 halvings
+        # put it, and costs a third of their R(s) calls or less
+        assert s[0] == g_j
+        assert breaches(cap.ratio(s), cap.r_star)
+        ref, width = bisection_warm_start(correlated_model, cap, cons, g_j)
+        assert abs(s[1] - ref[1]) <= width
+        assert counting.calls <= 15
