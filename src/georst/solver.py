@@ -426,51 +426,68 @@ def conditional_anchor(model: ReferenceModel, capital,
     Returns the anchor scenario (g_j, x*(g_j)), or None when no feasible x
     exists at this geopolitical intensity (the anchor is skipped). A returned
     anchor has g == g_j exactly and R <= r_star, so it passes the breach test
-    of ``Membership``.
+    of ``Membership``. Any g_j in [g_min, g_max] is admissible, with no upper
+    end when g_max is unset.
+
+    One SLSQP solve from the frontier warm start at g_j gives the anchor
+    when its result is feasible. Only when it is not does the multi-start
+    schedule run: max(6, n_starts // 4) - 1 random starts at g_j, drawn with
+    seed + 1, keeping the feasible result with the lowest m^2.
     """
     if config is None:
         config = SolverConfig()
-    g_cap = _g_cap(model, constraints)
-    if not (constraints.g_min <= g_j <= max(g_cap, constraints.g_min)):
+    g_max = np.inf if constraints.g_max is None else constraints.g_max
+    if not (np.isfinite(g_j) and constraints.g_min <= g_j <= g_max):
         raise InvalidInputError(f"g_j={g_j} outside the admissible range")
-    d = model.d
     cons = _build_constraints(model, capital, constraints, config,
                               monotonicity_fn=monotonicity_fn, g_fixed=g_j)
+
+    def solve(s0):
+        return _anchor_from(model, capital, constraints, cons, s0, g_j,
+                            config, monotonicity_fn)
+
+    anchor = solve(_frontier_warm_start(model, capital, constraints, g_j))
+    if anchor is not None:
+        return anchor
+
+    d = model.d
     rng = np.random.default_rng(config.seed + 1)
-    n_starts = max(6, config.n_starts // 4)
-    starts = []
-    warm = _frontier_warm_start(model, capital, constraints, g_j)
-    starts.append(model.whiten(warm))
     stds = np.sqrt(np.diag(model.sigma)[1:])
     radii = (1.0, 2.0, 3.0)
-    for i in range(n_starts - 1):
+    best: tuple[float, np.ndarray] | None = None
+    for i in range(max(6, config.n_starts // 4) - 1):
         u = rng.standard_normal(d - 1)
         u /= max(np.linalg.norm(u), 1e-12)
-        s = np.empty(d)
-        s[0] = g_j
-        s[1:] = radii[i % len(radii)] * u * stds
-        starts.append(model.whiten(constraints.clip(s)))
+        s0 = np.empty(d)
+        s0[0] = g_j
+        s0[1:] = radii[i % len(radii)] * u * stds
+        s = solve(constraints.clip(s0))
+        if s is None:
+            continue
+        m2 = model.mahalanobis_sq(s)
+        if best is None or m2 < best[0]:
+            best = (m2, s)
+    return None if best is None else best[1]
 
-    best: tuple[float, np.ndarray] | None = None
-    for y0 in starts:
-        res = _solve_from(y0, cons, config)
-        for y in (_polish_to_frontier(model, capital, res.x, config), res.x):
-            s = model.unwhiten(y)
-            if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
-                continue
-            s[0] = g_j  # snap away residual solver tolerance
-            s = _breach_at_fixed_g(model, capital, s)
-            if s is None or not _feasible(model, capital, constraints, s,
-                                          monotonicity_fn,
-                                          tol=config.tol_constraint):
-                continue
-            m2 = model.mahalanobis_sq(s)
-            if best is None or m2 < best[0]:
-                best = (m2, s)
-            break
-    if best is None:
-        return None
-    return best[1]
+
+def _anchor_from(model: ReferenceModel, capital, constraints: ConstraintSet,
+                 cons: list[dict], s0: np.ndarray, g_j: float,
+                 config: SolverConfig, monotonicity_fn) -> np.ndarray | None:
+    """One fixed-g solve from s0: SLSQP, then the polished iterate or, failing
+    that, the raw one, snapped to g_j and moved into the breach set. Returns
+    the first of the two that is feasible, or None."""
+    res = _solve_from(model.whiten(s0), cons, config)
+    for y in (_polish_to_frontier(model, capital, res.x, config), res.x):
+        s = model.unwhiten(y)
+        if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
+            continue
+        s[0] = g_j  # snap away residual solver tolerance
+        s = _breach_at_fixed_g(model, capital, s)
+        if s is not None and _feasible(model, capital, constraints, s,
+                                       monotonicity_fn,
+                                       tol=config.tol_constraint):
+            return s
+    return None
 
 
 def _breach_at_fixed_g(model: ReferenceModel, capital,

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,3 +57,15 @@ class CountingCapital:
     def ratio(self, s):
         self.calls += 1
         return self._ratio(s)
+
+
+GENERATE = Path(__file__).resolve().parent.parent / "benchmark" / "generate.py"
+
+
+def generate_toy_inputs(workload, out):
+    """Write a benchmark workload's self-test-size inputs (seed 0) to out and
+    return the path of their config file."""
+    subprocess.run([sys.executable, str(GENERATE), "--workload", workload,
+                    "--seed", "0", "--out", str(out), "--toy"],
+                   check=True, capture_output=True)
+    return out / "run.json"

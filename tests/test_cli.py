@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from georst.cli import build_parser, main
 from georst.dataio import (load_alpha, load_covariance, load_history,
-                           load_portfolio, load_sensitivities)
+                           load_portfolio, load_sector_portfolio,
+                           load_sensitivities)
 from georst.errors import InvalidInputError
 from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
                            run_scenario_list)
+from georst.solver import _g_cap, conditional_anchor
+
+from conftest import generate_toy_inputs
 
 COVARIANCE = "g,x1\n1.0,0.3\n0.3,1.0\n"
 SENSITIVITIES = ("sector_id,delta,eta,beta_x1,gamma_x1\n"
@@ -111,6 +113,58 @@ def test_load_alpha_requires_all_exposures(tmp_path):
                           + "".join(f"e{i},{10.0 * i}\n" for i in range(8)))
     alpha = load_alpha(alpha_path, pf)
     assert alpha == pytest.approx([10.0 * i for i in range(8)])
+
+
+def test_load_sensitivities_rejects_a_repeated_sector(tmp_path):
+    # the second row for corp used to replace the first silently
+    p = tmp_path / "sens.csv"
+    p.write_text(SENSITIVITIES + "corp,0.5,0.12,0.8,0.08\n")
+    with pytest.raises(InvalidInputError, match="sens.csv.*'corp'"):
+        load_sensitivities(p, ("g", "x1"))
+
+
+def test_load_portfolio_rejects_a_repeated_exposure(tmp_path):
+    sens_path = tmp_path / "sens.csv"
+    sens_path.write_text(SENSITIVITIES)
+    sens = load_sensitivities(sens_path, ("g", "x1"))
+    p = tmp_path / "pf.csv"
+    p.write_text(PORTFOLIO + "e3,corp,2.0,0.015,0.4,0.2,2.5\n")
+    with pytest.raises(InvalidInputError, match="pf.csv.*'e3'"):
+        load_portfolio(p, sens)
+
+
+def test_load_sector_portfolio_rejects_a_repeated_sector(tmp_path):
+    sens_path = tmp_path / "sens.csv"
+    sens_path.write_text(SENSITIVITIES)
+    sens = load_sensitivities(sens_path, ("g", "x1"))
+    p = tmp_path / "sectors.csv"
+    p.write_text("sector_id,ead,pd0,lgd0,rho,maturity\n"
+                 "corp,4.0,0.015,0.4,0.2,2.5\n"
+                 "corp,4.0,0.015,0.4,0.2,2.5\n")
+    with pytest.raises(InvalidInputError, match="sectors.csv.*'corp'"):
+        load_sector_portfolio(p, sens)
+    # one row per sector loads
+    p.write_text("sector_id,ead,pd0,lgd0,rho,maturity\n"
+                 "corp,8.0,0.015,0.4,0.2,2.5\n")
+    assert len(load_sector_portfolio(p, sens).records) == 1
+
+
+def test_load_alpha_rejects_a_repeated_exposure(tmp_path, capsys):
+    config = write_inputs(tmp_path)
+    pf = load_portfolio(tmp_path / "portfolio.csv",
+                        load_sensitivities(tmp_path / "sens.csv", ("g", "x1")))
+    alpha_path = tmp_path / "alpha.csv"
+    alpha_path.write_text("exposure_id,alpha\n"
+                          + "".join(f"e{i},{10.0 * i}\n" for i in range(8))
+                          + "e0,5.0\n")
+    with pytest.raises(InvalidInputError, match="alpha.csv.*'e0'"):
+        load_alpha(alpha_path, pf)
+    # and through the runner, exit code 2
+    raw = json.loads(config.read_text())
+    raw["capital"].update(rwa_mode="linear", alpha_path="alpha.csv")
+    config.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert "duplicate exposure_id 'e0'" in capsys.readouterr().err
 
 
 def test_cli_validate_smoke(tmp_path, capsys):
@@ -260,15 +314,27 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
-GENERATE = README.parent / "benchmark" / "generate.py"
-
-
 @pytest.mark.parametrize("workload", ["design-large-n", "scenario-list-sector"])
 def test_generated_benchmark_configs_validate(tmp_path, workload):
-    subprocess.run([sys.executable, str(GENERATE), "--workload", workload,
-                    "--seed", "0", "--out", str(tmp_path), "--toy"],
-                   check=True, capture_output=True)
-    assert main(["validate", "--config", str(tmp_path / "run.json")]) == 0
+    config = generate_toy_inputs(workload, tmp_path)
+    assert main(["validate", "--config", str(config)]) == 0
+
+
+def test_anchor_beyond_the_default_grid_end(tmp_path):
+    # the design point has g* = 2.592, beyond the default grid's end
+    # Phi^-1(0.999) sigma_g = 2.475; g_max is unset, so 2.6 is admissible
+    config = generate_toy_inputs("scenario-list-sector", tmp_path)
+    raw = json.loads(config.read_text())
+    raw["scenario_set"]["g_grid"] = [1.0, 2.6]
+    config.write_text(json.dumps(raw))
+    assert main(["scenario-list", "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 0
+    ctx = build_context(RunConfig.from_file(config))
+    assert _g_cap(ctx.model, ctx.constraints) < 2.6
+    anchor = conditional_anchor(ctx.model, ctx.capital, ctx.constraints, 2.6,
+                                config=ctx.solver_config)
+    assert anchor[0] == 2.6
+    assert ctx.capital.ratio(anchor) <= ctx.capital.r_star
 
 
 def test_readme_command_lines_parse():

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from georst import (ConstraintSet, Family, InfeasibleError, InvalidInputError,
                     LinearCapital, LossQuantileSpec, ReferenceModel,
                     SolverConfig, conditional_anchor, grid_oracle, risk_weight,
                     solve_design_point)
+from georst import solver
 from georst.capital import breaches
-from georst.solver import _frontier_warm_start
+from georst.runner import RunConfig, build_context
+from georst.scenario_sets import default_g_grid
+from georst.solver import (_breach_at_fixed_g, _build_constraints, _feasible,
+                           _frontier_warm_start, _polish_to_frontier,
+                           _solve_from)
 
-from conftest import CountingCapital, make_credit_capital, make_portfolio
+from conftest import (CountingCapital, generate_toy_inputs,
+                      make_credit_capital, make_portfolio)
 
 
 def test_half_plane_closed_form(identity_model):
@@ -242,3 +249,179 @@ def test_frontier_warm_start_root_find(correlated_model, kind):
         ref, width = bisection_warm_start(correlated_model, cap, cons, g_j)
         assert abs(s[1] - ref[1]) <= width
         assert counting.calls <= 15
+
+
+def credit_fixture():
+    pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
+                        gamma=(0.08,), pd0=0.015, lgd0=0.4)
+    return make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
+
+
+def multi_start_anchor(model, capital, constraints, g_j, config,
+                       monotonicity_fn=None, warm_start=True):
+    """The reference: the frontier warm start (unless warm_start is False)
+    and max(6, n_starts // 4) - 1 random starts at g_j, every one solved,
+    the feasible result with the lowest m^2 kept."""
+    d = model.d
+    cons = _build_constraints(model, capital, constraints, config,
+                              monotonicity_fn=monotonicity_fn, g_fixed=g_j)
+    rng = np.random.default_rng(config.seed + 1)
+    starts = [model.whiten(_frontier_warm_start(model, capital, constraints,
+                                                g_j))]
+    stds = np.sqrt(np.diag(model.sigma)[1:])
+    radii = (1.0, 2.0, 3.0)
+    for i in range(max(6, config.n_starts // 4) - 1):
+        u = rng.standard_normal(d - 1)
+        u /= max(np.linalg.norm(u), 1e-12)
+        s = np.empty(d)
+        s[0] = g_j
+        s[1:] = radii[i % len(radii)] * u * stds
+        starts.append(model.whiten(constraints.clip(s)))
+    best = None
+    for y0 in starts[0 if warm_start else 1:]:
+        res = _solve_from(y0, cons, config)
+        for y in (_polish_to_frontier(model, capital, res.x, config), res.x):
+            s = model.unwhiten(y)
+            if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
+                continue
+            s[0] = g_j
+            s = _breach_at_fixed_g(model, capital, s)
+            if s is None or not _feasible(model, capital, constraints, s,
+                                          monotonicity_fn,
+                                          tol=config.tol_constraint):
+                continue
+            m2 = model.mahalanobis_sq(s)
+            if best is None or m2 < best[0]:
+                best = (m2, s)
+            break
+    return None if best is None else best[1]
+
+
+@pytest.fixture(params=["credit", "design-large-n", "scenario-list-sector"])
+def anchor_setup(request, correlated_model, tmp_path):
+    """(model, capital, constraints, solver config, monotonicity_fn)."""
+    if request.param == "credit":
+        return (correlated_model, credit_fixture(), ConstraintSet(),
+                SolverConfig(seed=0), None)
+    ctx = build_context(RunConfig.from_file(
+        generate_toy_inputs(request.param, tmp_path)))
+    return (ctx.model, ctx.capital, ctx.constraints, ctx.solver_config,
+            ctx.monotonicity_fn)
+
+
+def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
+    model, cap, cons, config, mono = anchor_setup
+    for g_j in default_g_grid(model, cons):
+        g_j = float(g_j)
+        oracle = multi_start_anchor(model, cap, cons, g_j, config, mono)
+        anchor = conditional_anchor(model, cap, cons, g_j, config=config,
+                                    monotonicity_fn=mono)
+        assert anchor[0] == g_j
+        assert cap.ratio(anchor) <= cap.r_star
+        assert (model.mahalanobis_sq(anchor)
+                <= model.mahalanobis_sq(oracle) * (1.0 + 1e-9))
+
+
+@pytest.fixture
+def counted_minimize(monkeypatch):
+    """Counts the SLSQP solves the solver module starts."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize", counting)
+    return calls
+
+
+def test_feasible_warm_start_solve_is_the_only_solve(correlated_model,
+                                                     counted_minimize):
+    cap = credit_fixture()
+    cons = ConstraintSet()
+    for g_j in default_g_grid(correlated_model, cons):
+        counted_minimize.clear()
+        anchor = conditional_anchor(correlated_model, cap, cons, float(g_j),
+                                    config=SolverConfig(seed=0))
+        assert anchor is not None
+        assert len(counted_minimize) == 1
+
+
+def test_anchor_fallback_is_the_multi_start_solve(correlated_model,
+                                                  counted_minimize,
+                                                  monkeypatch):
+    cap = credit_fixture()
+    cons = ConstraintSet()
+    config = SolverConfig(seed=0)
+    grid = [float(g) for g in default_g_grid(correlated_model, cons)]
+    expected = [multi_start_anchor(correlated_model, cap, cons, g_j, config,
+                                   warm_start=False) for g_j in grid]
+    # every candidate of the first solve (the warm start's) is infeasible
+    feasible = solver._feasible
+    monkeypatch.setattr(solver, "_feasible", lambda *args, **kwargs: (
+        len(counted_minimize) > 1 and feasible(*args, **kwargs)))
+    for g_j, want in zip(grid, expected):
+        counted_minimize.clear()
+        anchor = conditional_anchor(correlated_model, cap, cons, g_j,
+                                    config=config)
+        assert len(counted_minimize) == max(6, config.n_starts // 4)
+        assert anchor.tobytes() == want.tobytes()
+
+
+def test_conditional_anchor_rejects_g_above_g_max(identity_model):
+    cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
+    cons = ConstraintSet(g_max=2.0)
+    assert conditional_anchor(identity_model, cap, cons, 2.0) is not None
+    for g_j in (2.5, np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            conditional_anchor(identity_model, cap, cons, g_j)
+
+
+def hlrf_design_point(model, capital, max_iter=200):
+    """The reference: the Hasofer-Lind/Rackwitz-Fiessler iteration
+    y <- (a . y - G(y)) / |a|^2 a, a = grad G(y), on G(y) = R(L y) - r_star
+    in whitened space from y = 0, halving the step toward the new iterate
+    while |G| grows. The fixed point is then scaled outward until it
+    breaches."""
+    L = model.chol
+
+    def G(y):
+        return capital.ratio(L @ y) - capital.r_star
+
+    y = np.zeros(model.d)
+    g_y = G(y)
+    for _ in range(max_iter):
+        a = L.T @ capital.ratio_grad(L @ y)
+        target = (a @ y - g_y) / (a @ a) * a
+        lam = 1.0
+        while True:
+            cand = y + lam * (target - y)
+            g_c = G(cand)
+            if abs(g_c) <= max(abs(g_y), 1e-15) or lam < 1e-3:
+                break
+            lam *= 0.5
+        moved = np.linalg.norm(cand - y)
+        y, g_y = cand, g_c
+        if moved < 1e-12 * (1.0 + np.linalg.norm(y)):
+            break
+    else:
+        raise AssertionError("HL-RF did not converge")
+    for k in range(60):
+        if breaches(capital.ratio(L @ y), capital.r_star):
+            return L @ y
+        y = y * (1.0 + 2.0 ** (k - 52))
+    raise AssertionError("HL-RF point does not reach the breach set")
+
+
+def test_design_point_matches_hlrf(correlated_model):
+    cap = credit_fixture()
+    s_hlrf = hlrf_design_point(correlated_model, cap)
+    # the unconstrained FORM point satisfies the default constraints, so
+    # the solver's constrained optimum can be no farther away
+    assert s_hlrf[0] > ConstraintSet().g_min
+    res = solve_design_point(correlated_model, cap, ConstraintSet(),
+                             SolverConfig(seed=0))
+    assert breaches(cap.ratio(res.s_star), cap.r_star)
+    assert breaches(cap.ratio(s_hlrf), cap.r_star)
+    assert (res.mahalanobis_sq
+            <= correlated_model.mahalanobis_sq(s_hlrf) * (1.0 + 1e-9))
