@@ -20,8 +20,7 @@ from .scenario_sets import (Membership, NearOptimalSpec, NeighbourhoodSpec,
 from .sectors import SectorPortfolio, SectorRecord, aggregate_sectors
 from .solver import (ConstraintSet, DesignPointResult, SolverConfig,
                      conditional_anchor, grid_oracle, solve_design_point)
-from .transmission import (ExposureRecord, Portfolio, SectorSensitivities,
-                           SoftClip)
+from .transmission import Portfolio, SectorSensitivities, SoftClip
 
 __all__ = [
     "__version__",
@@ -38,5 +37,5 @@ __all__ = [
     "SectorPortfolio", "SectorRecord", "aggregate_sectors",
     "ConstraintSet", "DesignPointResult", "SolverConfig",
     "conditional_anchor", "grid_oracle", "solve_design_point",
-    "ExposureRecord", "Portfolio", "SectorSensitivities", "SoftClip",
+    "Portfolio", "SectorSensitivities", "SoftClip",
 ]

@@ -10,26 +10,55 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .sectors import SectorPortfolio, SectorRecord
-from .transmission import ExposureRecord, Portfolio, SectorSensitivities
+from .transmission import CREDIT_COLUMNS, Portfolio, SectorSensitivities
 
 
-def _read_rows(path, expected_columns=None) -> tuple[list[str], list[dict]]:
+def _read_columns(path, expected) -> dict[str, tuple[str, ...]]:
+    """The expected columns of a CSV file with a header row, as cell tuples.
+
+    Blank lines are skipped. A row whose cell count differs from the
+    header's is an error naming the file and its line.
+    """
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"input file not found: {path}")
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise InvalidInputError(f"{path}: missing header row")
-        header = [h.strip() for h in reader.fieldnames]
-        if expected_columns is not None:
-            missing = [c for c in expected_columns if c not in header]
-            if missing:
-                raise InvalidInputError(f"{path}: missing columns {missing}")
-        rows = [{k.strip(): v for k, v in row.items()} for row in reader]
+        header = [h.strip() for h in header]
+        missing = [c for c in expected if c not in header]
+        if missing:
+            raise InvalidInputError(f"{path}: missing columns {missing}")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise InvalidInputError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"the header has {len(header)}")
+            rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
-    return header, rows
+    columns = list(zip(*rows))
+    return {c: columns[header.index(c)] for c in expected}
+
+
+def _ids(columns, name: str) -> list[str]:
+    return [v.strip() for v in columns[name]]
+
+
+def _float_columns(path, ids, columns, names) -> list[np.ndarray]:
+    """The named columns converted to float, one pass each. When one fails,
+    the first bad cell in row order is named, with its row's id."""
+    try:
+        return [np.fromiter(map(float, columns[c]), float, len(ids))
+                for c in names]
+    except ValueError:
+        for k, row_label in enumerate(ids):
+            for c in names:
+                _to_float(path, row_label, c, columns[c][k])
+        raise
 
 
 def _reject_repeats(path, column: str, ids) -> None:
@@ -96,77 +125,51 @@ def load_sensitivities(path, factor_names) -> dict[str, SectorSensitivities]:
     """Sensitivities file: sector_id, delta, eta, then beta_<f> and gamma_<f>
     columns for each macro-financial factor, in covariance order."""
     x_names = list(factor_names)[1:]
-    beta_cols = [f"beta_{n}" for n in x_names]
-    gamma_cols = [f"gamma_{n}" for n in x_names]
-    _, rows = _read_rows(path, ["sector_id", "delta", "eta"] + beta_cols + gamma_cols)
-    _reject_repeats(path, "sector_id", (row["sector_id"].strip() for row in rows))
-    sectors = {}
-    for row in rows:
-        sid = row["sector_id"].strip()
-        sectors[sid] = SectorSensitivities(
-            sector_id=sid,
-            delta=_to_float(path, sid, "delta", row["delta"]),
-            eta=_to_float(path, sid, "eta", row["eta"]),
-            beta=np.array([_to_float(path, sid, c, row[c]) for c in beta_cols]),
-            gamma=np.array([_to_float(path, sid, c, row[c]) for c in gamma_cols]),
-        )
-    return sectors
+    names = (["delta", "eta"] + [f"beta_{n}" for n in x_names]
+             + [f"gamma_{n}" for n in x_names])
+    columns = _read_columns(path, ["sector_id"] + names)
+    ids = _ids(columns, "sector_id")
+    _reject_repeats(path, "sector_id", ids)
+    values = np.column_stack(_float_columns(path, ids, columns, names))
+    m = len(x_names)
+    return {sid: SectorSensitivities(sector_id=sid, delta=float(v[0]),
+                                     eta=float(v[1]), beta=v[2:2 + m],
+                                     gamma=v[2 + m:])
+            for sid, v in zip(ids, values)}
 
 
 def load_portfolio(path, sensitivities: dict[str, SectorSensitivities],
                    sign_constraints: bool = True) -> Portfolio:
     """Exposure file: exposure_id, sector_id, ead, pd0, lgd0, rho, maturity."""
-    cols = ["exposure_id", "sector_id", "ead", "pd0", "lgd0", "rho", "maturity"]
-    _, rows = _read_rows(path, cols)
-    exposures = []
-    for row in rows:
-        eid = row["exposure_id"].strip()
-        exposures.append(ExposureRecord(
-            exposure_id=eid,
-            sector_id=row["sector_id"].strip(),
-            ead=_to_float(path, eid, "ead", row["ead"]),
-            pd0=_to_float(path, eid, "pd0", row["pd0"]),
-            lgd0=_to_float(path, eid, "lgd0", row["lgd0"]),
-            rho=_to_float(path, eid, "rho", row["rho"]),
-            maturity=_to_float(path, eid, "maturity", row["maturity"]),
-        ))
-    _reject_repeats(path, "exposure_id", (e.exposure_id for e in exposures))
-    return Portfolio(exposures=exposures, sectors=sensitivities,
-                     sign_constraints=sign_constraints)
+    columns = _read_columns(path, ["exposure_id", "sector_id", *CREDIT_COLUMNS])
+    ids = _ids(columns, "exposure_id")
+    values = _float_columns(path, ids, columns, CREDIT_COLUMNS)
+    _reject_repeats(path, "exposure_id", ids)
+    return Portfolio(ids, _ids(columns, "sector_id"), *values,
+                     sectors=sensitivities, sign_constraints=sign_constraints)
 
 
 def load_sector_portfolio(path, sensitivities: dict[str, SectorSensitivities],
                           sign_constraints: bool = True) -> SectorPortfolio:
     """Sector file: sector_id, ead, pd0, lgd0, rho, maturity."""
-    cols = ["sector_id", "ead", "pd0", "lgd0", "rho", "maturity"]
-    _, rows = _read_rows(path, cols)
-    records = []
-    for row in rows:
-        sid = row["sector_id"].strip()
-        records.append(SectorRecord(
-            sector_id=sid,
-            ead=_to_float(path, sid, "ead", row["ead"]),
-            pd0=_to_float(path, sid, "pd0", row["pd0"]),
-            lgd0=_to_float(path, sid, "lgd0", row["lgd0"]),
-            rho=_to_float(path, sid, "rho", row["rho"]),
-            maturity=_to_float(path, sid, "maturity", row["maturity"]),
-        ))
-    _reject_repeats(path, "sector_id", (r.sector_id for r in records))
+    columns = _read_columns(path, ["sector_id", *CREDIT_COLUMNS])
+    ids = _ids(columns, "sector_id")
+    values = _float_columns(path, ids, columns, CREDIT_COLUMNS)
+    _reject_repeats(path, "sector_id", ids)
+    records = [SectorRecord(*row)
+               for row in zip(ids, *(v.tolist() for v in values))]
     return SectorPortfolio(records=records, sensitivities=sensitivities,
                            sign_constraints=sign_constraints)
 
 
 def load_alpha(path, portfolio: Portfolio) -> np.ndarray:
     """Alpha file for the linear RWA mode: exposure_id, alpha."""
-    _, rows = _read_rows(path, ["exposure_id", "alpha"])
-    _reject_repeats(path, "exposure_id",
-                    (row["exposure_id"].strip() for row in rows))
-    by_id = {row["exposure_id"].strip():
-             _to_float(path, row["exposure_id"], "alpha", row["alpha"])
-             for row in rows}
-    out = np.empty(portfolio.n)
-    for i, e in enumerate(portfolio.exposures):
-        if e.exposure_id not in by_id:
-            raise InvalidInputError(f"{path}: missing alpha for {e.exposure_id}")
-        out[i] = by_id[e.exposure_id]
-    return out
+    columns = _read_columns(path, ["exposure_id", "alpha"])
+    ids = _ids(columns, "exposure_id")
+    _reject_repeats(path, "exposure_id", ids)
+    alpha, = _float_columns(path, ids, columns, ["alpha"])
+    row_of = dict(zip(ids, range(len(ids))))
+    missing = [e for e in portfolio.exposure_id if e not in row_of]
+    if missing:
+        raise InvalidInputError(f"{path}: missing alpha for {missing[0]}")
+    return alpha[[row_of[e] for e in portfolio.exposure_id]]

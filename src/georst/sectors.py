@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .transmission import ExposureRecord, Portfolio, SectorSensitivities
+from .transmission import CREDIT_COLUMNS, Portfolio, SectorSensitivities
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,6 @@ def aggregate_sectors(portfolio: Portfolio, s) -> list[SectorAggregate]:
     lgd = portfolio.stressed_lgd(s)
     out = []
     for sector_id, idx in portfolio.sector_rows.items():
-        if idx.size == 0:
-            raise InvalidInputError(f"sector {sector_id} has no exposures")
         ead = portfolio.ead[idx]
         w = ead / ead.sum()
         out.append(SectorAggregate(
@@ -69,11 +66,10 @@ class SectorPortfolio:
     def to_portfolio(self) -> Portfolio:
         """One pseudo-exposure per sector; reuses the exposure-level engine
         bit-for-bit."""
-        exposures = [
-            ExposureRecord(exposure_id=r.sector_id, sector_id=r.sector_id,
-                           ead=r.ead, pd0=r.pd0, lgd0=r.lgd0, rho=r.rho,
-                           maturity=r.maturity)
-            for r in self.records
-        ]
-        return Portfolio(exposures=exposures, sectors=dict(self.sensitivities),
-                         sign_constraints=self.sign_constraints)
+        ids = [r.sector_id for r in self.records]
+        return Portfolio(
+            ids, ids,
+            *(np.array([getattr(r, c) for r in self.records])
+              for c in CREDIT_COLUMNS),
+            sectors=dict(self.sensitivities),
+            sign_constraints=self.sign_constraints)

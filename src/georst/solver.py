@@ -19,6 +19,10 @@ from .reference import ReferenceModel
 from .special_functions import normal_quantile
 
 G_MIN_DEFAULT = 1e-6
+FD_STEP = 1e-5          # central-difference step, whitened units
+TOL_CONSTRAINT = 1e-8   # monotonicity only; the breach has no slack
+DEDUP_RADIUS = 1e-3     # whitened distance between distinct local optima
+MAX_INNER_ITER = 200    # SLSQP iterations per start
 
 
 @dataclass
@@ -79,21 +83,14 @@ class ConstraintSet:
 
 @dataclass
 class SolverConfig:
-    """Multi-start and tolerance settings for the design-point solve."""
+    """Multi-start settings for the design-point solve."""
 
     n_starts: int = 32
     seed: int = 0
-    fd_step: float = 1e-5          # central-difference step, whitened units
-    tol_constraint: float = 1e-8   # monotonicity only; the breach has no slack
-    dedup_radius: float = 1e-3     # whitened distance
-    max_inner_iter: int = 200
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise InvalidInputError("n_starts must be >= 1")
-        for name in ("fd_step", "tol_constraint", "dedup_radius"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be positive")
 
 
 @dataclass
@@ -130,7 +127,7 @@ def _fd_grad(fun, y: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
-def _breach_margin(model: ReferenceModel, capital, config: SolverConfig):
+def _breach_margin(model: ReferenceModel, capital):
     """The scaled breach margin c(y) = (r_star - R(L y)) / scale, c >= 0 on
     the breach set, and its gradient in y: analytic when the capital map has
     ``ratio_grad``, central differences otherwise."""
@@ -142,16 +139,16 @@ def _breach_margin(model: ReferenceModel, capital, config: SolverConfig):
 
     ratio_grad = getattr(capital, "ratio_grad", None)
     if ratio_grad is None:
-        return margin, lambda y: _fd_grad(margin, y, config.fd_step)
+        return margin, lambda y: _fd_grad(margin, y, FD_STEP)
     return margin, lambda y: -(ratio_grad(L @ y) @ L) / scale
 
 
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
-                       config: SolverConfig, monotonicity_fn=None,
+                       monotonicity_fn=None,
                        g_fixed: float | None = None) -> list[dict]:
     L = model.chol
     d = model.d
-    breach_fun, breach_jac = _breach_margin(model, capital, config)
+    breach_fun, breach_jac = _breach_margin(model, capital)
     cons = [{"type": "ineq", "fun": breach_fun, "jac": breach_jac}]
     row_g = L[0, :]
     if g_fixed is None:
@@ -194,7 +191,7 @@ def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSe
         cons.append({
             "type": "ineq",
             "fun": mono_fun,
-            "jac": lambda y: _fd_grad(mono_fun, y, config.fd_step),
+            "jac": lambda y: _fd_grad(mono_fun, y, FD_STEP),
         })
     return cons
 
@@ -286,14 +283,14 @@ def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
     return starts
 
 
-def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
-                        config: SolverConfig) -> np.ndarray:
+def _polish_to_frontier(model: ReferenceModel, capital,
+                        y: np.ndarray) -> np.ndarray:
     """Push a near-frontier iterate exactly onto the feasible side.
 
     Moves along the constraint normal until the ratio crosses r_star, then
     keeps a strictly feasible point on the bracket.
     """
-    c, c_grad = _breach_margin(model, capital, config)
+    c, c_grad = _breach_margin(model, capital)
     c0 = c(y)
     if c0 >= 0.0:
         return y
@@ -318,34 +315,34 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     return y
 
 
-def _solve_from(y0: np.ndarray, cons: list[dict], config: SolverConfig):
+def _solve_from(y0: np.ndarray, cons: list[dict]):
     return minimize(
         lambda y: 0.5 * float(y @ y),
         y0,
         jac=lambda y: y,
         method="SLSQP",
         constraints=cons,
-        options={"maxiter": config.max_inner_iter, "ftol": 1e-14},
+        options={"maxiter": MAX_INNER_ITER, "ftol": 1e-14},
     )
 
 
 def _feasible(model: ReferenceModel, capital, constraints: ConstraintSet,
-              s: np.ndarray, monotonicity_fn=None, tol: float = 1e-8) -> bool:
+              s: np.ndarray, monotonicity_fn=None) -> bool:
     if not breaches(capital.ratio(s), capital.r_star):
         return False
     if not constraints.satisfied(s, tol=1e-8):
         return False
     if monotonicity_fn is not None and constraints.enforce_monotonicity:
-        if monotonicity_fn(s) > tol:
+        if monotonicity_fn(s) > TOL_CONSTRAINT:
             return False
     return True
 
 
-def _dedup(optima: list[LocalOptimum], radius: float) -> list[LocalOptimum]:
+def _dedup(optima: list[LocalOptimum]) -> list[LocalOptimum]:
     kept: list[LocalOptimum] = []
     for opt in sorted(optima, key=lambda o: (round(o.mahalanobis_sq, 9),
                                              tuple(o.y))):
-        if all(np.linalg.norm(opt.y - k.y) > radius for k in kept):
+        if all(np.linalg.norm(opt.y - k.y) > DEDUP_RADIUS for k in kept):
             kept.append(opt)
     return kept
 
@@ -368,7 +365,7 @@ def solve_design_point(model: ReferenceModel, capital,
         config = SolverConfig()
     rng = np.random.default_rng(config.seed)
     starts = _generate_starts(model, capital, constraints, config, rng)
-    cons = _build_constraints(model, capital, constraints, config,
+    cons = _build_constraints(model, capital, constraints,
                               monotonicity_fn=monotonicity_fn)
 
     probe_breach = any(
@@ -379,11 +376,10 @@ def solve_design_point(model: ReferenceModel, capital,
     optima: list[LocalOptimum] = []
     best_infeasible: tuple[float, np.ndarray] | None = None
     for idx, y0 in enumerate(starts):
-        res = _solve_from(y0, cons, config)
-        y = _polish_to_frontier(model, capital, res.x, config)
+        res = _solve_from(y0, cons)
+        y = _polish_to_frontier(model, capital, res.x)
         s = model.unwhiten(y)
-        if _feasible(model, capital, constraints, s, monotonicity_fn,
-                     tol=config.tol_constraint):
+        if _feasible(model, capital, constraints, s, monotonicity_fn):
             optima.append(LocalOptimum(
                 s=s, y=y, mahalanobis_sq=float(y @ y),
                 ratio=capital.ratio(s), start_index=idx))
@@ -401,7 +397,7 @@ def solve_design_point(model: ReferenceModel, capital,
         err.best_iterate = None if best_infeasible is None else best_infeasible[1]
         raise err
 
-    deduped = _dedup(optima, config.dedup_radius)
+    deduped = _dedup(optima)
     best = deduped[0]
     ratio = capital.ratio(best.s)
     active = abs(ratio - capital.r_star) <= 1e-6 * capital.r0
@@ -439,12 +435,12 @@ def conditional_anchor(model: ReferenceModel, capital,
     g_max = np.inf if constraints.g_max is None else constraints.g_max
     if not (np.isfinite(g_j) and constraints.g_min <= g_j <= g_max):
         raise InvalidInputError(f"g_j={g_j} outside the admissible range")
-    cons = _build_constraints(model, capital, constraints, config,
+    cons = _build_constraints(model, capital, constraints,
                               monotonicity_fn=monotonicity_fn, g_fixed=g_j)
 
     def solve(s0):
         return _anchor_from(model, capital, constraints, cons, s0, g_j,
-                            config, monotonicity_fn)
+                            monotonicity_fn)
 
     anchor = solve(_frontier_warm_start(model, capital, constraints, g_j))
     if anchor is not None:
@@ -472,20 +468,19 @@ def conditional_anchor(model: ReferenceModel, capital,
 
 def _anchor_from(model: ReferenceModel, capital, constraints: ConstraintSet,
                  cons: list[dict], s0: np.ndarray, g_j: float,
-                 config: SolverConfig, monotonicity_fn) -> np.ndarray | None:
+                 monotonicity_fn) -> np.ndarray | None:
     """One fixed-g solve from s0: SLSQP, then the polished iterate or, failing
     that, the raw one, snapped to g_j and moved into the breach set. Returns
     the first of the two that is feasible, or None."""
-    res = _solve_from(model.whiten(s0), cons, config)
-    for y in (_polish_to_frontier(model, capital, res.x, config), res.x):
+    res = _solve_from(model.whiten(s0), cons)
+    for y in (_polish_to_frontier(model, capital, res.x), res.x):
         s = model.unwhiten(y)
         if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
             continue
         s[0] = g_j  # snap away residual solver tolerance
         s = _breach_at_fixed_g(model, capital, s)
         if s is not None and _feasible(model, capital, constraints, s,
-                                       monotonicity_fn,
-                                       tol=config.tol_constraint):
+                                       monotonicity_fn):
             return s
     return None
 

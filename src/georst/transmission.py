@@ -9,7 +9,7 @@ a smooth saturation keeping it inside (0, 1) without kinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -85,81 +85,86 @@ class SectorSensitivities:
             raise InvalidInputError("sensitivities must be finite")
 
 
-@dataclass(frozen=True)
-class ExposureRecord:
-    """A single credit exposure."""
+_SOFTCLIP = SoftClip()
 
-    exposure_id: str
-    sector_id: str
-    ead: float
-    pd0: float
-    lgd0: float
-    rho: float
-    maturity: float = 2.5
-
-    def __post_init__(self):
-        if not self.ead > 0:
-            raise InvalidInputError(f"{self.exposure_id}: EAD must be positive")
-        for name, v in (("pd0", self.pd0), ("lgd0", self.lgd0), ("rho", self.rho)):
-            if not (0.0 < v < 1.0):
-                raise InvalidInputError(
-                    f"{self.exposure_id}: {name}={v} must lie strictly in (0, 1)")
-        if not self.maturity > 0:
-            raise InvalidInputError(f"{self.exposure_id}: maturity must be positive")
+# the per-exposure numeric columns of a Portfolio, in input-file order
+CREDIT_COLUMNS = ("ead", "pd0", "lgd0", "rho", "maturity")
 
 
 @dataclass
 class Portfolio:
-    """Exposures plus the sector sensitivity map, with vectorized evaluation."""
+    """Exposure columns plus the sector sensitivity map, with vectorized
+    evaluation. Row i of every column is one exposure, and every sector of
+    ``sectors`` must hold at least one."""
 
-    exposures: list[ExposureRecord]
+    exposure_id: list[str]
+    sector_id: list[str]
+    ead: np.ndarray
+    pd0: np.ndarray
+    lgd0: np.ndarray
+    rho: np.ndarray
+    maturity: np.ndarray
     sectors: dict[str, SectorSensitivities]
     sign_constraints: bool = True
-    softclip: SoftClip = field(default_factory=SoftClip)
 
     def __post_init__(self):
-        if not self.exposures:
+        n = len(self.exposure_id)
+        if n == 0:
             raise InvalidInputError("portfolio has no exposures")
-        for e in self.exposures:
-            if e.sector_id not in self.sectors:
-                raise InvalidInputError(
-                    f"exposure {e.exposure_id} references unknown sector {e.sector_id}")
+        columns = [self.sector_id] + [getattr(self, c) for c in CREDIT_COLUMNS]
+        if any(len(column) != n for column in columns):
+            raise InvalidInputError("portfolio columns differ in length")
+        names = list(self.sectors)
+        position = {sector_id: k for k, sector_id in enumerate(names)}
+        index = np.fromiter((position.get(s, -1) for s in self.sector_id),
+                            dtype=np.intp, count=n)
+        # the first row that fails a check is named, with that check's message
+        checks = {
+            "{id}: EAD must be positive": self.ead > 0,
+            "{id}: pd0={pd0} must lie strictly in (0, 1)":
+                (self.pd0 > 0) & (self.pd0 < 1),
+            "{id}: lgd0={lgd0} must lie strictly in (0, 1)":
+                (self.lgd0 > 0) & (self.lgd0 < 1),
+            "{id}: rho={rho} must lie strictly in (0, 1)":
+                (self.rho > 0) & (self.rho < 1),
+            "{id}: maturity must be positive": self.maturity > 0,
+            "exposure {id} references unknown sector {sector}": index >= 0,
+        }
+        ok = np.logical_and.reduce(list(checks.values()))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            message = next(m for m, passed in checks.items() if not passed[i])
+            raise InvalidInputError(message.format(
+                id=self.exposure_id[i], sector=self.sector_id[i],
+                **{c: float(getattr(self, c)[i]) for c in CREDIT_COLUMNS}))
         if self.sign_constraints:
             for sens in self.sectors.values():
                 if sens.delta < 0 or sens.eta < 0:
                     raise InvalidInputError(
                         f"sector {sens.sector_id}: delta and eta must be >= 0 "
                         "under sign constraints")
-        n_x = {s.beta.size for s in self.sectors.values()}
-        if len(n_x) != 1:
+        if len({s.beta.size for s in self.sectors.values()}) != 1:
             raise InvalidInputError("sector loading vectors have inconsistent lengths")
-        self._build_arrays()
-
-    def _build_arrays(self):
-        n = len(self.exposures)
-        self.ead = np.array([e.ead for e in self.exposures])
-        self.pd0 = np.array([e.pd0 for e in self.exposures])
-        self.lgd0 = np.array([e.lgd0 for e in self.exposures])
-        self.rho = np.array([e.rho for e in self.exposures])
-        self.maturity = np.array([e.maturity for e in self.exposures])
-        sens = [self.sectors[e.sector_id] for e in self.exposures]
-        self.delta = np.array([s.delta for s in sens])
-        self.eta = np.array([s.eta for s in sens])
-        self.beta = np.vstack([s.beta for s in sens]).reshape(n, -1)
-        self.gamma = np.vstack([s.gamma for s in sens]).reshape(n, -1)
+        counts = np.bincount(index, minlength=len(names))
+        if not counts.all():
+            raise InvalidInputError(
+                f"sector {names[int(np.argmin(counts))]} has no exposures")
+        table = self.sectors.values()
+        self.delta = np.array([s.delta for s in table])[index]
+        self.eta = np.array([s.eta for s in table])[index]
+        self.beta = np.array([s.beta for s in table])[index]
+        self.gamma = np.array([s.gamma for s in table])[index]
         self.logit_pd0 = np.log(self.pd0 / (1.0 - self.pd0))
         # d PD_i / d s = pd_i (1 - pd_i) pd_loadings[i], with s = (g, x)
         self.pd_loadings = np.column_stack([self.delta, self.beta])
         self.lgd_loadings = np.column_stack([self.eta, self.gamma])
-        rows = {sector_id: [] for sector_id in self.sectors}
-        for i, e in enumerate(self.exposures):
-            rows[e.sector_id].append(i)
-        self.sector_rows = {sector_id: np.array(r, dtype=np.intp)
-                            for sector_id, r in rows.items()}
+        # a stable sort keeps each sector's rows ascending
+        rows = np.split(np.argsort(index, kind="stable"), np.cumsum(counts)[:-1])
+        self.sector_rows = dict(zip(names, rows))
 
     @property
     def n(self) -> int:
-        return len(self.exposures)
+        return self.ead.size
 
     @property
     def d(self) -> int:
@@ -183,7 +188,7 @@ class Portfolio:
         """Stressed LGD and the soft-clip slope at its affine pre-image
         lgd0 + gamma x + eta g, so d LGD_i / d s = slope_i lgd_loadings[i]."""
         arr = as_scenario_array(s, self.d)
-        return self.softclip.value_and_slope(
+        return _SOFTCLIP.value_and_slope(
             self.lgd0 + self.gamma @ arr[1:] + self.eta * arr[0])
 
 

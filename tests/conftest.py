@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from georst import (CapitalState, CreditCapitalModel, ExposureRecord,
-                    LossQuantileSpec, Portfolio, ReferenceModel,
-                    SectorSensitivities)
+from georst import (CapitalState, CreditCapitalModel, LossQuantileSpec,
+                    Portfolio, ReferenceModel, SectorSensitivities)
 
 
 @pytest.fixture
@@ -27,13 +26,21 @@ def make_sensitivities(delta=0.5, eta=0.1, beta=(0.3,), gamma=(0.05,),
                                gamma=np.array(gamma, dtype=float))
 
 
+def portfolio_from_rows(rows, sectors, sign_constraints=True):
+    """A Portfolio of (exposure_id, sector_id, ead, pd0, lgd0, rho[, maturity])
+    rows, turned into its columns; maturity defaults to 2.5."""
+    ids, sector_ids, *values = zip(*(tuple(r) + (2.5,) * (7 - len(r))
+                                     for r in rows))
+    return Portfolio(list(ids), list(sector_ids),
+                     *(np.array(v, dtype=float) for v in values),
+                     sectors=sectors, sign_constraints=sign_constraints)
+
+
 def make_portfolio(n=5, ead=1.0, pd0=0.02, lgd0=0.45, rho=0.2, **sens_kwargs):
     sens = make_sensitivities(**sens_kwargs)
-    exposures = tuple(
-        ExposureRecord(f"e{i}", sens.sector_id, ead=ead, pd0=pd0, lgd0=lgd0,
-                       rho=rho)
-        for i in range(n))
-    return Portfolio(exposures, {sens.sector_id: sens})
+    return portfolio_from_rows(
+        [(f"e{i}", sens.sector_id, ead, pd0, lgd0, rho) for i in range(n)],
+        {sens.sector_id: sens})
 
 
 @pytest.fixture

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from georst import (CapitalState, CreditCapitalModel, ExposureRecord,
-                    InvalidInputError, LinearCapital, LossBasis,
-                    LossQuantileSpec, Portfolio, RwaMode, SectorSensitivities,
+from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
+                    LinearCapital, LossBasis, LossQuantileSpec, Portfolio,
+                    RwaMode, SectorSensitivities,
                     calibrate_linear_alpha, loss_quantile, risk_weight)
 from georst.capital import (MA_PD_FLOOR, cet1_stressed,
                             maturity_adjustment_factor,
                             risk_weight_pd_derivative, rwa_stressed_flagged)
 from georst.solver import _fd_grad
 
-from conftest import make_credit_capital, make_portfolio
+from conftest import make_credit_capital, make_portfolio, portfolio_from_rows
 
 SPEC = LossQuantileSpec(q=0.999)
 
@@ -240,14 +240,11 @@ def random_capital(seed, rwa_mode=RwaMode.IRB_FULL,
                                beta=rng.normal(0.0, 0.4, d - 1),
                                gamma=rng.normal(0.0, 0.03, d - 1))
         for k in ("a", "b")}
-    exposures = [
-        ExposureRecord(f"e{i}", "ab"[i % 2], ead=rng.lognormal(),
-                       pd0=rng.uniform(0.003, 0.05),
-                       lgd0=rng.uniform(0.25, 0.55),
-                       rho=rng.uniform(0.05, 0.25),
-                       maturity=rng.uniform(1.0, 5.0))
-        for i in range(n)]
-    pf = Portfolio(exposures, sectors)
+    pf = portfolio_from_rows(
+        [(f"e{i}", "ab"[i % 2], rng.lognormal(), rng.uniform(0.003, 0.05),
+          rng.uniform(0.25, 0.55), rng.uniform(0.05, 0.25),
+          rng.uniform(1.0, 5.0))
+         for i in range(n)], sectors)
     if rwa_0 is None:
         rwa_0 = float(pf.ead @ risk_weight(pf.pd0, pf.lgd0, pf.rho,
                                            pf.maturity, SPEC,

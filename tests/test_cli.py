@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -149,6 +150,108 @@ def test_load_sector_portfolio_rejects_a_repeated_sector(tmp_path):
     assert len(load_sector_portfolio(p, sens).records) == 1
 
 
+SECTOR_PORTFOLIO = ("sector_id,ead,pd0,lgd0,rho,maturity\n"
+                    "corp,8.0,0.015,0.4,0.2,2.5\n")
+ALPHA = "exposure_id,alpha\n" + "".join(f"e{i},{10.0 * i}\n" for i in range(8))
+
+
+@pytest.mark.parametrize("loader", ["portfolio", "sensitivities",
+                                    "sector_portfolio", "alpha"])
+def test_loaders_reject_a_ragged_row(tmp_path, loader):
+    # a row with an extra cell or a missing cell used to end in an
+    # AttributeError on csv.DictReader's None key or None cell
+    sens_path = tmp_path / "sens.csv"
+    sens_path.write_text(SENSITIVITIES)
+    sens = load_sensitivities(sens_path, ("g", "x1"))
+    pf_path = tmp_path / "pf.csv"
+    pf_path.write_text(PORTFOLIO)
+    pf = load_portfolio(pf_path, sens)
+    text, load = {
+        "portfolio": (PORTFOLIO, lambda p: load_portfolio(p, sens)),
+        "sensitivities": (SENSITIVITIES,
+                          lambda p: load_sensitivities(p, ("g", "x1"))),
+        "sector_portfolio": (SECTOR_PORTFOLIO,
+                             lambda p: load_sector_portfolio(p, sens)),
+        "alpha": (ALPHA, lambda p: load_alpha(p, pf)),
+    }[loader]
+    header, first, *rest = text.splitlines()
+    path = tmp_path / "ragged.csv"
+    for bad in (first + ",0.5", first.split(",")[0]):
+        # a blank line counts in the line number and is skipped
+        path.write_text("\n".join([header, "", bad, *rest]) + "\n")
+        with pytest.raises(InvalidInputError,
+                           match=r"ragged\.csv: line 3 has \d+ cells, the header"):
+            load(path)
+
+
+def test_load_portfolio_names_the_first_bad_cell_in_file_order(tmp_path):
+    sens_path = tmp_path / "sens.csv"
+    sens_path.write_text(SENSITIVITIES)
+    sens = load_sensitivities(sens_path, ("g", "x1"))
+    p = tmp_path / "pf.csv"
+    p.write_text("exposure_id,sector_id,ead,pd0,lgd0,rho,maturity\n"
+                 "e0,corp,1.0,0.02,0.4,0.2,2.5\n"
+                 "e1,corp,1.0,0.02,0.4,x,2.5\n"
+                 "e2,corp,y,0.02,0.4,0.2,2.5\n")
+    with pytest.raises(InvalidInputError, match="e1: column 'rho'"):
+        load_portfolio(p, sens)
+    p.write_text("exposure_id,sector_id,ead,pd0,lgd0,rho,maturity\n"
+                 "e0,corp,1.0,0.02,0.4,0.2,2.5\n"
+                 "e1,corp,1.0,0.02,0.4,0.0,2.5\n"
+                 "e2,corp,-1.0,0.02,0.4,0.2,2.5\n")
+    with pytest.raises(InvalidInputError, match="e1: rho=0.0"):
+        load_portfolio(p, sens)
+
+
+def dictreader_rows(path):
+    with open(path, newline="") as fh:
+        return [{k.strip(): v for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("inputs", ["cli", "design-large-n",
+                                    "scenario-list-sector"])
+def test_portfolio_columns_match_a_per_cell_parse(tmp_path, inputs):
+    # the oracle: csv.DictReader and float() per cell, row by row
+    config = (write_inputs(tmp_path) if inputs == "cli"
+              else generate_toy_inputs(inputs, tmp_path))
+    ctx = build_context(RunConfig.from_file(config))
+    pf = ctx.portfolio
+    paths = json.loads(config.read_text())["portfolio"]
+    sens = {row["sector_id"].strip(): row
+            for row in dictreader_rows(tmp_path / paths["sensitivities"])}
+    rows = dictreader_rows(tmp_path / paths["path"])
+    sector = [sens[row["sector_id"].strip()] for row in rows]
+    x_names = ctx.model.factor_names[1:]
+
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    for c in ("ead", "pd0", "lgd0", "rho", "maturity"):
+        assert getattr(pf, c).tobytes() == bits([float(r[c]) for r in rows])
+    for name, g_name, loadings in (("beta", "delta", pf.pd_loadings),
+                                   ("gamma", "eta", pf.lgd_loadings)):
+        per_row = [[float(s[f"{name}_{f}"]) for f in x_names] for s in sector]
+        assert getattr(pf, name).tobytes() == bits(per_row)
+        assert loadings.tobytes() == bits(
+            [[float(s[g_name])] + r for s, r in zip(sector, per_row)])
+    assert list(pf.sector_rows) == list(sens)
+    for sector_id, idx in pf.sector_rows.items():
+        assert idx.dtype == np.intp
+        assert idx.tolist() == [i for i, row in enumerate(rows)
+                                if row["sector_id"].strip() == sector_id]
+
+
+def test_validate_rejects_a_sector_without_exposures(tmp_path, capsys):
+    # it used to pass validate, and design-point failed in aggregate_sectors
+    # only after the solve
+    config = write_inputs(tmp_path)
+    (tmp_path / "sens.csv").write_text(SENSITIVITIES
+                                       + "unused,0.5,0.1,0.3,0.05\n")
+    assert main(["validate", "--config", str(config)]) == 2
+    assert "sector unused has no exposures" in capsys.readouterr().err
+
+
 def test_load_alpha_rejects_a_repeated_exposure(tmp_path, capsys):
     config = write_inputs(tmp_path)
     pf = load_portfolio(tmp_path / "portfolio.csv",
@@ -207,11 +310,12 @@ def test_cli_missing_config_is_invalid_input(tmp_path, capsys):
 
 def test_cli_bad_portfolio_is_invalid_input(tmp_path, capsys):
     config = write_inputs(tmp_path)
-    (tmp_path / "portfolio.csv").write_text(
-        "exposure_id,sector_id,ead,pd0,lgd0,rho,maturity\n"
-        "e0,corp,1.0,2.0,0.4,0.2,2.5\n")
-    rc = main(["validate", "--config", str(config)])
-    assert rc == 2
+    for row in ("e0,corp,1.0,2.0,0.4,0.2,2.5", "e0,corp,1.0,0.02,0.4,0.2,2.5,1",
+                "e0"):
+        (tmp_path / "portfolio.csv").write_text(
+            "exposure_id,sector_id,ead,pd0,lgd0,rho,maturity\n" + row + "\n")
+        rc = main(["validate", "--config", str(config)])
+        assert rc == 2
 
 
 def test_cli_infeasible_exit_code(tmp_path, capsys):

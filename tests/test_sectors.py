@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from georst import (CapitalState, ConstraintSet, CreditCapitalModel,
-                    ExposureRecord, LossQuantileSpec, Portfolio,
-                    ReferenceModel, RwaMode, SectorPortfolio, SectorRecord,
-                    SolverConfig, aggregate_sectors, calibrate_linear_alpha,
-                    loss_quantile, risk_weight, solve_design_point)
+                    LossQuantileSpec, ReferenceModel, RwaMode,
+                    SectorPortfolio, SectorRecord, SolverConfig,
+                    aggregate_sectors, calibrate_linear_alpha, loss_quantile,
+                    risk_weight, solve_design_point)
 
-from conftest import make_sensitivities
+from conftest import make_sensitivities, portfolio_from_rows
 
 SPEC = LossQuantileSpec()
 
@@ -24,11 +24,9 @@ def two_sector_setup():
         SectorRecord("retail", ead=40.0, pd0=0.01, lgd0=0.35, rho=0.15),
     ]
     sector_pf = SectorPortfolio(records, sens)
-    exposures = tuple(
-        ExposureRecord(r.sector_id, r.sector_id, ead=r.ead, pd0=r.pd0,
-                       lgd0=r.lgd0, rho=r.rho, maturity=r.maturity)
-        for r in records)
-    exposure_pf = Portfolio(exposures, sens)
+    exposure_pf = portfolio_from_rows(
+        [(r.sector_id, r.sector_id, r.ead, r.pd0, r.lgd0, r.rho, r.maturity)
+         for r in records], sens)
     return sector_pf, exposure_pf
 
 
@@ -81,11 +79,8 @@ def test_design_point_consistency():
 
 def test_aggregate_sectors_ead_weighting():
     sens = {"corp": make_sensitivities(sector_id="corp")}
-    exposures = (
-        ExposureRecord("a", "corp", ead=30.0, pd0=0.01, lgd0=0.3, rho=0.2),
-        ExposureRecord("b", "corp", ead=70.0, pd0=0.03, lgd0=0.5, rho=0.2),
-    )
-    pf = Portfolio(exposures, sens)
+    pf = portfolio_from_rows([("a", "corp", 30.0, 0.01, 0.3, 0.2),
+                              ("b", "corp", 70.0, 0.03, 0.5, 0.2)], sens)
     agg, = aggregate_sectors(pf, np.zeros(2))
     assert agg.weight_total == 100.0
     assert agg.pd_star == pytest.approx(0.3 * 0.01 + 0.7 * 0.03)
@@ -128,17 +123,15 @@ def test_aggregate_sectors_matches_a_scan_of_the_exposures():
     # scanning the exposures of each sector in order
     sens = {k: make_sensitivities(delta=0.3 + 0.1 * j, sector_id=k)
             for j, k in enumerate(("a", "b", "c"))}
-    exposures = tuple(
-        ExposureRecord(f"e{i}", "abcab"[i % 5], ead=1.0 + 0.37 * i,
-                       pd0=0.005 + 0.003 * i, lgd0=0.3 + 0.01 * i, rho=0.2)
-        for i in range(11))
-    pf = Portfolio(exposures, sens)
+    rows = [(f"e{i}", "abcab"[i % 5], 1.0 + 0.37 * i, 0.005 + 0.003 * i,
+             0.3 + 0.01 * i, 0.2) for i in range(11)]
+    pf = portfolio_from_rows(rows, sens)
     s = np.array([1.3, -0.4])
     pd, lgd = pf.stressed_pd(s), pf.stressed_lgd(s)
     aggregates = aggregate_sectors(pf, s)
     assert [a.sector_id for a in aggregates] == ["a", "b", "c"]
     for agg in aggregates:
-        idx = [i for i, e in enumerate(exposures) if e.sector_id == agg.sector_id]
+        idx = [i for i, row in enumerate(rows) if row[1] == agg.sector_id]
         w = pf.ead[idx] / pf.ead[idx].sum()
         assert agg.pd_star == float(w @ pd[idx])
         assert agg.lgd_star == float(w @ lgd[idx])

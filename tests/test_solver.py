@@ -263,7 +263,7 @@ def multi_start_anchor(model, capital, constraints, g_j, config,
     and max(6, n_starts // 4) - 1 random starts at g_j, every one solved,
     the feasible result with the lowest m^2 kept."""
     d = model.d
-    cons = _build_constraints(model, capital, constraints, config,
+    cons = _build_constraints(model, capital, constraints,
                               monotonicity_fn=monotonicity_fn, g_fixed=g_j)
     rng = np.random.default_rng(config.seed + 1)
     starts = [model.whiten(_frontier_warm_start(model, capital, constraints,
@@ -279,16 +279,15 @@ def multi_start_anchor(model, capital, constraints, g_j, config,
         starts.append(model.whiten(constraints.clip(s)))
     best = None
     for y0 in starts[0 if warm_start else 1:]:
-        res = _solve_from(y0, cons, config)
-        for y in (_polish_to_frontier(model, capital, res.x, config), res.x):
+        res = _solve_from(y0, cons)
+        for y in (_polish_to_frontier(model, capital, res.x), res.x):
             s = model.unwhiten(y)
             if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
                 continue
             s[0] = g_j
             s = _breach_at_fixed_g(model, capital, s)
             if s is None or not _feasible(model, capital, constraints, s,
-                                          monotonicity_fn,
-                                          tol=config.tol_constraint):
+                                          monotonicity_fn):
                 continue
             m2 = model.mahalanobis_sq(s)
             if best is None or m2 < best[0]:

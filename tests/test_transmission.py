@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from georst import (ExposureRecord, InvalidInputError, Portfolio,
-                    SectorSensitivities, SoftClip)
+from georst import InvalidInputError, SectorSensitivities, SoftClip
 from georst.transmission import (monotonicity_violation,
                                  smooth_monotonicity_violation)
 
-from conftest import make_portfolio, make_sensitivities
+from conftest import make_portfolio, make_sensitivities, portfolio_from_rows
 
 
 def test_stressed_pd_known_value():
@@ -116,28 +115,45 @@ def test_lgd_jacobian_matches_finite_differences():
 def test_sign_constraints_reject_negative_g_loadings():
     sens = SectorSensitivities("corp", delta=-0.1, eta=0.0,
                                beta=np.array([0.0]), gamma=np.array([0.0]))
-    exp = ExposureRecord("e", "corp", ead=1.0, pd0=0.02, lgd0=0.4, rho=0.2)
+    row = ("e", "corp", 1.0, 0.02, 0.4, 0.2)
     with pytest.raises(InvalidInputError):
-        Portfolio((exp,), {"corp": sens})
+        portfolio_from_rows([row], {"corp": sens})
     # allowed when sign constraints are off
-    pf = Portfolio((exp,), {"corp": sens}, sign_constraints=False)
+    pf = portfolio_from_rows([row], {"corp": sens}, sign_constraints=False)
     assert pf.n == 1
 
 
 def test_exposure_validation():
-    with pytest.raises(InvalidInputError):
-        ExposureRecord("e", "corp", ead=0.0, pd0=0.02, lgd0=0.4, rho=0.2)
-    with pytest.raises(InvalidInputError):
-        ExposureRecord("e", "corp", ead=1.0, pd0=1.0, lgd0=0.4, rho=0.2)
-    with pytest.raises(InvalidInputError):
-        ExposureRecord("e", "corp", ead=1.0, pd0=0.02, lgd0=0.4, rho=0.0)
+    sens = {"corp": make_sensitivities()}
+    for row, message in [
+            (("e", "corp", 0.0, 0.02, 0.4, 0.2), "e: EAD must be positive"),
+            (("e", "corp", 1.0, 1.0, 0.4, 0.2), r"e: pd0=1\.0 must lie strictly"),
+            (("e", "corp", 1.0, 0.02, 0.4, 0.0), r"e: rho=0\.0 must lie strictly")]:
+        with pytest.raises(InvalidInputError, match=message):
+            portfolio_from_rows([row], sens)
 
 
 def test_portfolio_rejects_unknown_sector():
     sens = make_sensitivities()
-    exp = ExposureRecord("e", "other", ead=1.0, pd0=0.02, lgd0=0.4, rho=0.2)
-    with pytest.raises(InvalidInputError):
-        Portfolio((exp,), {"corp": sens})
+    row = ("e", "other", 1.0, 0.02, 0.4, 0.2)
+    with pytest.raises(InvalidInputError,
+                       match="exposure e references unknown sector other"):
+        portfolio_from_rows([row], {"corp": sens})
+
+
+@pytest.mark.parametrize("rows, message", [
+    # two bad rows in different columns: the first row is named, not the
+    # first column
+    ([("e0", "corp", 1.0, 0.02, 0.4, 0.2), ("e1", "corp", 1.0, 0.02, 1.2, 0.2),
+      ("e2", "corp", -1.0, 0.02, 0.4, 0.2)], r"e1: lgd0=1\.2 must lie"),
+    ([("e0", "other", 1.0, 0.02, 0.4, 0.2), ("e1", "corp", 1.0, 0.02, 0.4, 0.0)],
+     "exposure e0 references unknown sector other"),
+    ([("e0", "corp", 1.0, 0.02, 0.4, 0.2), ("e1", "corp", 1.0, 0.02, 0.4, 0.2, 0.0),
+      ("e2", "corp", 1.0, 0.0, 0.4, 0.2)], "e1: maturity must be positive"),
+])
+def test_portfolio_names_the_first_bad_row(rows, message):
+    with pytest.raises(InvalidInputError, match=message):
+        portfolio_from_rows(rows, {"corp": make_sensitivities()})
 
 
 def test_monotonicity_violation_detects_improvement():
