@@ -2,8 +2,10 @@
 
 ``CreditCapitalModel`` bundles a portfolio and a capital state into the
 capital-function abstraction the solver and samplers consume: anything with
-``ratio(s)``, ``r0`` and ``r_star`` works, so synthetic maps are injectable.
-A map that also has ``ratio_grad(s)`` gives the solver its analytic gradient;
+``ratio(s)``, ``r0`` and ``r_star`` works for the solver, so synthetic maps
+are injectable. ``Membership`` and ``grid_oracle`` also need ``ratio_many(S)``
+over a block S (N, d), whose row i must equal ``ratio(S[i])`` bit for bit. A
+map that also has ``ratio_grad(s)`` gives the solver its analytic gradient;
 without it the solver falls back to central differences.
 """
 
@@ -19,7 +21,7 @@ from scipy.special import ndtr, ndtri
 from .errors import InvalidInputError
 from .loss import (LossQuantileSpec, clip_pd, conditional_default_prob,
                    tail_pd_derivative)
-from .reference import as_scenario_array
+from .reference import as_scenario_array, as_scenario_block
 from .transmission import Portfolio
 
 RWA_FLOOR_FRACTION = 1e-6
@@ -27,6 +29,10 @@ RWA_FLOOR_FRACTION = 1e-6
 # pole of 1 / (1 - 1.5 b), at PD ~ 2.93e-6; b is evaluated at PD no lower
 # than the Basel II corporate PD floor of 0.03 %.
 MA_PD_FLOOR = 3e-4
+# ratio_many evaluates its block in chunks of at most this many (row,
+# exposure) terms, so a kernel pass holds about a dozen (chunk, n) arrays
+# of 0.5 MiB each
+BLOCK_ELEMENTS = 1 << 16
 
 
 def breaches(ratio, r_star):
@@ -170,7 +176,7 @@ def rwa_stressed_flagged(state: CapitalState, portfolio: Portfolio, s,
                          spec: LossQuantileSpec) -> tuple[float, bool]:
     """RWA plus a flag marking activation of the floor clamp."""
     point = CreditCapitalModel(portfolio, state, spec)._evaluate(s)
-    return point.rwa, point.clamped
+    return float(point.rwa), bool(point.clamped)
 
 
 def cet1_stressed(state: CapitalState, portfolio: Portfolio, s,
@@ -184,7 +190,8 @@ def cet1_stressed(state: CapitalState, portfolio: Portfolio, s,
 
 
 class _Point(NamedTuple):
-    """One kernel evaluation: per-exposure terms and the capital totals."""
+    """One kernel evaluation: per-exposure terms (n,) and the capital totals
+    of one scenario, or terms (N, n) and totals (N,) of a block."""
 
     pd_raw: np.ndarray  # stressed PD
     pd: np.ndarray      # stressed PD, clipped into the domain of Phi^-1
@@ -193,30 +200,34 @@ class _Point(NamedTuple):
     zp: np.ndarray      # Phi^-1(pd)
     arg: np.ndarray     # (zp + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho)
     tail: np.ndarray    # conditional default probability Phi(arg)
-    loss: float
-    cet1: float
+    loss: np.ndarray
+    cet1: np.ndarray
     rw: np.ndarray | None   # unclamped IRB risk weights (IRB mode only)
     ma: np.ndarray | None   # maturity adjustment (IRB mode with it only)
-    rwa: float
-    clamped: bool       # RWA held at the floor
+    rwa: np.ndarray
+    clamped: np.ndarray     # RWA held at the floor
 
 
 class CreditCapitalModel:
     """Capital-function view of a portfolio: s -> R(s), its gradient and the
     breach test.
 
-    One kernel evaluates a scenario: the stressed PD and LGD once,
-    Phi^-1(PD) once, and one conditional default probability that feeds
-    both the loss quantile and the IRB risk weight. Phi^-1(q), sqrt(rho) and
-    sqrt(1 - rho) are computed once per model. ``ratio_grad`` differentiates
-    the same evaluation. The module functions (``risk_weight``,
+    One kernel evaluates a scenario (d,) or a block of scenarios (N, d): the
+    stressed PD and LGD once, Phi^-1(PD) once, and one conditional default
+    probability that feeds both the loss quantile and the IRB risk weight.
+    Phi^-1(q), sqrt(rho) and sqrt(1 - rho) are computed once per model.
+    Every sum in the kernel runs along the last axis alone (pairwise
+    ``np.sum(a * b, axis=-1)``, never a BLAS dot or gemv, whose summation
+    order can depend on the number of rows), so ``ratio_many(S)[i]`` equals
+    ``ratio(S[i])`` bit for bit. ``ratio_grad`` differentiates the same
+    evaluation. The module functions (``risk_weight``,
     ``loss.loss_quantile``, ``cet1_stressed``, ``rwa_stressed_flagged``) use
     the same arithmetic, so their values equal the model's bit for bit.
 
-    The kernel keeps its most recent evaluation, keyed on the scenario's
-    bytes: a call with a value-equal scenario (the solver's value then
-    gradient, a feasibility check then the reported ratio) reuses it
-    instead of a second pass. This assumes, as the baseline loss and the
+    The kernel keeps its most recent single-scenario evaluation, keyed on
+    the scenario's bytes: a call with a value-equal scenario (the solver's
+    value then gradient, a feasibility check then the reported ratio) reuses
+    it instead of a second pass. This assumes, as the baseline loss and the
     per-exposure constants computed in ``__init__`` already do, that the
     portfolio and the capital state are not changed after construction.
     """
@@ -258,53 +269,57 @@ class CreditCapitalModel:
         arg = (zp + self._shift) / self._sqrt_1mrho
         tail = ndtr(arg)
         return (pd_raw, pd, lgd, lgd_slope, zp, arg, tail,
-                float(np.sum(pf.ead * lgd * tail)))
+                np.sum(pf.ead * lgd * tail, axis=-1))
 
-    def _evaluate(self, s) -> _Point:
+    def _kernel(self, arr) -> _Point:
+        """Evaluate a validated scenario (d,) or block of scenarios (N, d)."""
         pf, state = self.portfolio, self.state
-        arr = as_scenario_array(s, pf.d)
-        key = arr.tobytes()
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
         pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss = self._loss_terms(arr)
         cet1 = state.cet1_0 - (loss - self._baseline_loss
                                if state.loss_basis is LossBasis.INCREMENTAL
                                else loss)
         if state.pnl_noncredit is not None:
-            cet1 += float(state.pnl_noncredit @ arr)
+            cet1 = cet1 + np.sum(state.pnl_noncredit * arr, axis=-1)
         rw = ma = None
         if state.rwa_mode is RwaMode.CONSTANT:
-            raw = state.rwa_0
+            raw = np.full_like(loss, state.rwa_0)
         elif state.rwa_mode is RwaMode.LINEAR:
-            raw = state.rwa_0 + float(state.alpha @ (pd_raw - pf.pd0))
+            raw = state.rwa_0 + np.sum(state.alpha * (pd_raw - pf.pd0), axis=-1)
         else:
             rw = lgd * (tail - pd)
             if state.maturity_adjustment:
                 ma = maturity_adjustment_factor(pd, pf.maturity)
                 rw = rw * ma
-            raw = float(pf.ead @ np.maximum(rw, 0.0))
+            raw = np.sum(pf.ead * np.maximum(rw, 0.0), axis=-1)
         floor = RWA_FLOOR_FRACTION * state.rwa_0
-        clamped = raw < floor
-        point = _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
-                       rw, ma, floor if clamped else raw, clamped)
+        return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
+                      rw, ma, np.maximum(raw, floor), raw < floor)
+
+    def _evaluate(self, s) -> _Point:
+        """The kernel at one scenario, through the last-point memo."""
+        arr = as_scenario_array(s, self.portfolio.d)
+        key = arr.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        point = self._kernel(arr)
         self._last = (key, point)
         return point
 
     def loss_quantile(self, s) -> float:
-        return self._evaluate(s).loss
+        return float(self._evaluate(s).loss)
 
     def cet1(self, s) -> float:
-        return self._evaluate(s).cet1
+        return float(self._evaluate(s).cet1)
 
     def rwa(self, s) -> float:
         point = self._evaluate(s)
-        self.rwa_floor_hits += point.clamped
-        return point.rwa
+        self.rwa_floor_hits += bool(point.clamped)
+        return float(point.rwa)
 
     def ratio(self, s) -> float:
         point = self._evaluate(s)
-        self.rwa_floor_hits += point.clamped
-        return point.cet1 / point.rwa
+        self.rwa_floor_hits += bool(point.clamped)
+        return float(point.cet1 / point.rwa)
 
     def ratio_grad(self, s) -> np.ndarray:
         """Analytic gradient of R(s) = CET1(s) / RWA(s).
@@ -321,8 +336,8 @@ class CreditCapitalModel:
         pd_slope = p.pd_raw * (1.0 - p.pd_raw)
 
         def chain(w_pd, w_lgd):
-            return ((w_pd * pd_slope) @ pf.pd_loadings
-                    + (w_lgd * p.lgd_slope) @ pf.lgd_loadings)
+            return (pf.pd_loadings @ (w_pd * pd_slope)
+                    + pf.lgd_loadings @ (w_lgd * p.lgd_slope))
 
         dtail = tail_pd_derivative(p.zp, p.arg, self._sqrt_1mrho)
         d_cet1 = -chain(pf.ead * p.lgd * dtail, pf.ead * p.tail)
@@ -331,7 +346,7 @@ class CreditCapitalModel:
         if p.clamped or state.rwa_mode is RwaMode.CONSTANT:
             return d_cet1 / p.rwa
         if state.rwa_mode is RwaMode.LINEAR:
-            d_rwa = (state.alpha * pd_slope) @ pf.pd_loadings
+            d_rwa = pf.pd_loadings @ (state.alpha * pd_slope)
         else:
             w = pf.ead * (p.rw > 0.0)
             d_rw_dlgd = (p.tail - p.pd) * (1.0 if p.ma is None else p.ma)
@@ -340,9 +355,19 @@ class CreditCapitalModel:
             d_rwa = chain(w * d_rw_dpd, w * d_rw_dlgd)
         return (d_cet1 * p.rwa - p.cet1 * d_rwa) / p.rwa ** 2
 
-    def ratio_many(self, S: np.ndarray) -> np.ndarray:
-        S = np.asarray(S, dtype=float)
-        return np.array([self.ratio(row) for row in S])
+    def ratio_many(self, S) -> np.ndarray:
+        """R(s) of each row of a block S (N, d): one kernel pass per chunk of
+        at most BLOCK_ELEMENTS per-exposure terms, with ``ratio_many(S)[i]
+        == ratio(S[i])`` bit for bit. Each row held at the RWA floor counts
+        one floor hit. The single-scenario memo is neither read nor set."""
+        S = as_scenario_block(S, self.d)
+        out = np.empty(S.shape[0])
+        step = max(1, BLOCK_ELEMENTS // self.portfolio.n)
+        for lo in range(0, S.shape[0], step):
+            point = self._kernel(S[lo:lo + step])
+            self.rwa_floor_hits += int(np.count_nonzero(point.clamped))
+            out[lo:lo + step] = point.cet1 / point.rwa
+        return out
 
     def breach(self, s) -> bool:
         return breaches(self.ratio(s), self.r_star)
@@ -367,14 +392,16 @@ class LinearCapital:
         return self.weights.size
 
     def ratio(self, s) -> float:
-        return self.r0 - self.slope * float(self.weights @ np.asarray(s, dtype=float))
+        return float(self.ratio_many(s))
 
     def ratio_grad(self, s) -> np.ndarray:
         return -self.slope * self.weights
 
-    def ratio_many(self, S: np.ndarray) -> np.ndarray:
+    def ratio_many(self, S) -> np.ndarray:
+        """R(s) of s (d,) or of each row of S (N, d); a sum along the last
+        axis, so row i equals ratio(S[i]) bit for bit."""
         S = np.asarray(S, dtype=float)
-        return self.r0 - self.slope * (S @ self.weights)
+        return self.r0 - self.slope * np.sum(S * self.weights, axis=-1)
 
     def breach(self, s) -> bool:
         return breaches(self.ratio(s), self.r_star)

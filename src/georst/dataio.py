@@ -13,11 +13,12 @@ from .sectors import SectorPortfolio, SectorRecord
 from .transmission import CREDIT_COLUMNS, Portfolio, SectorSensitivities
 
 
-def _read_columns(path, expected) -> dict[str, tuple[str, ...]]:
-    """The expected columns of a CSV file with a header row, as cell tuples.
+def _read_rows(path, expected=()) -> tuple[list[str], list[list[str]]]:
+    """The stripped header row of a CSV file and its data rows.
 
-    Blank lines are skipped. A row whose cell count differs from the
-    header's is an error naming the file and its line.
+    The header must hold every name in ``expected``. Blank lines are
+    skipped. A row whose cell count differs from the header's is an error
+    naming the file and its line.
     """
     path = Path(path)
     if not path.exists():
@@ -40,8 +41,23 @@ def _read_columns(path, expected) -> dict[str, tuple[str, ...]]:
             rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
+    return header, rows
+
+
+def _read_columns(path, expected) -> dict[str, tuple[str, ...]]:
+    """The expected columns of a CSV file with a header row, as cell tuples."""
+    header, rows = _read_rows(path, expected)
     columns = list(zip(*rows))
     return {c: columns[header.index(c)] for c in expected}
+
+
+def _read_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A header of factor names over rows of numbers, as a matrix."""
+    header, rows = _read_rows(path)
+    names = tuple(header)
+    data = [[_to_float(path, f"row {i + 1}", name, v)
+             for name, v in zip(names, row)] for i, row in enumerate(rows)]
+    return np.array(data, dtype=float), names
 
 
 def _ids(columns, name: str) -> list[str]:
@@ -83,18 +99,7 @@ def _to_float(path, row_label: str, name: str, value) -> float:
 def load_covariance(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Covariance file: header of factor names (geopolitical factor first),
     then d rows of d entries."""
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInputError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file") from None
-        data = [[_to_float(path, f"row {i + 1}", names[j] if j < len(names) else j, v)
-                 for j, v in enumerate(row)] for i, row in enumerate(reader) if row]
-    sigma = np.array(data, dtype=float)
+    sigma, names = _read_matrix(path)
     d = len(names)
     if sigma.shape != (d, d):
         raise InvalidInputError(
@@ -104,21 +109,7 @@ def load_covariance(path) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def load_history(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """History file: header of factor names, then T observation rows."""
-    path = Path(path)
-    if not path.exists():
-        raise InvalidInputError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file") from None
-        data = [[_to_float(path, f"row {i + 1}", j, v) for j, v in enumerate(row)]
-                for i, row in enumerate(reader) if row]
-    X = np.array(data, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(names):
-        raise InvalidInputError(f"{path}: ragged or mismatched history rows")
-    return X, names
+    return _read_matrix(path)
 
 
 def load_sensitivities(path, factor_names) -> dict[str, SectorSensitivities]:

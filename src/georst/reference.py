@@ -71,6 +71,18 @@ def as_scenario_array(s, d: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_scenario_block(S, d: int) -> np.ndarray:
+    """Coerce an array-like of scenarios, one per row, to a validated
+    C-contiguous (N, d) array."""
+    arr = np.ascontiguousarray(S, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise InvalidInputError(
+            f"scenario block must have shape (N, {d}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("scenario coordinates must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class PlausibilityScore:
     """Mahalanobis severity and its probabilistic calibration."""
@@ -170,10 +182,11 @@ class ReferenceModel:
         m2 = self.mahalanobis_sq(s)
         return self.neg_log_density_from_m2(m2)
 
-    def neg_log_density_from_m2(self, m2: float) -> float:
+    def neg_log_density_from_m2(self, m2):
+        """The neg-log-density at squared distance m2; elementwise on arrays."""
         if self.family is Family.GAUSSIAN:
             return 0.5 * m2
-        return 0.5 * (self.nu + self.d) * math.log1p(m2 / self.nu)
+        return 0.5 * (self.nu + self.d) * np.log1p(np.divide(m2, self.nu))
 
     def tail_probability(self, m2: float) -> float:
         """P(d_Sigma^2(S) >= m2) under the reference distribution."""

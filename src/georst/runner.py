@@ -373,21 +373,20 @@ def emit_contours(ctx: RunContext, resolution: int,
     m_eps = Membership(TargetSet.NEAR_OPTIMAL, ctx.model, ctx.capital,
                        result.s_star,
                        NearOptimalSpec(epsilon=float(cfg.get("epsilon", 1.0))))
-    lines = ["g,x,m2,ratio,breach,in_S_eta,in_N_eps"]
     g_axis = np.linspace(g_bounds[0], g_bounds[1], resolution)
     x_axis = np.linspace(x_bounds[0], x_bounds[1], resolution)
-    for g in g_axis:
-        for x in x_axis:
-            s = np.array([g, x])
-            m2 = ctx.model.mahalanobis_sq(s)
-            ratio = ctx.capital.ratio(s)
-            breach = breaches(ratio, ctx.capital.r_star)
-            lines.append(",".join([
-                repr(float(g)), repr(float(x)), repr(m2), repr(ratio),
-                "1" if breach else "0",
-                "1" if m_eta(s) else "0",
-                "1" if m_eps(s) else "0",
-            ]))
+    G, X = np.meshgrid(g_axis, x_axis, indexing="ij")
+    S = np.column_stack([G.ravel(), X.ravel()])
+    ratio = ctx.capital.ratio_many(S)
+    columns = zip(S.tolist(), ratio.tolist(),
+                  breaches(ratio, ctx.capital.r_star), m_eta.many(S),
+                  m_eps.many(S))
+    lines = ["g,x,m2,ratio,breach,in_S_eta,in_N_eps"]
+    for (g, x), r, breach, in_eta, in_eps in columns:
+        lines.append(",".join([
+            repr(g), repr(x), repr(ctx.model.mahalanobis_sq(np.array([g, x]))),
+            repr(r), "1" if breach else "0", "1" if in_eta else "0",
+            "1" if in_eps else "0"]))
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .capital import breaches
 from .errors import InfeasibleError, InvalidInputError
@@ -77,6 +78,13 @@ class Membership:
         nld(s) <= nld* + epsilon/2 + rtol * (epsilon/2 + |nld(s)| + |nld*|)
 
     with m^2 the squared Mahalanobis norm and nld the neg-log-density.
+
+    :meth:`many` tests a block of scenarios and calling the oracle on one
+    scenario is ``many`` on one row, so the two always agree. Whitening
+    uses the inverse Cholesky factor through ``einsum`` and the squared
+    norm sums along the row, so each row's result is independent of the
+    block it sits in; the breach test calls the capital map's
+    ``ratio_many``.
     """
 
     def __init__(self, target: TargetSet, model: ReferenceModel, capital,
@@ -86,35 +94,57 @@ class Membership:
         self.capital = capital
         self.s_star = as_scenario_array(s_star, model.d)
         self.spec = spec
-        self._m2_star = model.mahalanobis_sq(self.s_star)
         if self.target is TargetSet.NEIGHBOURHOOD:
             if not isinstance(spec, NeighbourhoodSpec):
                 raise InvalidInputError("neighbourhood target needs a NeighbourhoodSpec")
-        else:
-            if not isinstance(spec, NearOptimalSpec):
-                raise InvalidInputError("near-optimal target needs a NearOptimalSpec")
-            self._nld_star = model.neg_log_density_from_m2(self._m2_star)
+        elif not isinstance(spec, NearOptimalSpec):
+            raise InvalidInputError("near-optimal target needs a NearOptimalSpec")
+        self._chol_inv = solve_triangular(model.chol, np.eye(model.d),
+                                          lower=True)
+        self._m2_star = self._m2(self.s_star[None, :])[0]
+        self._nld_star = model.neg_log_density_from_m2(self._m2_star)
 
     def __call__(self, s) -> bool:
         arr = np.asarray(s, dtype=float)
-        if arr.shape != (self.model.d,) or not np.all(np.isfinite(arr)):
-            return False
-        return (self._geometry(arr)
-                and breaches(self.capital.ratio(arr), self.capital.r_star))
+        return arr.shape == (self.model.d,) and bool(self.many(arr[None, :])[0])
 
-    def _geometry(self, arr: np.ndarray) -> bool:
-        """The set's geometric tests, checked before the costly R(s)."""
-        if self.target is TargetSet.NEAR_OPTIMAL and not arr[0] > 0.0:
-            return False
-        m2 = self.model.mahalanobis_sq(arr)
+    def many(self, S) -> np.ndarray:
+        """Membership of each row of a block S (N, d), as a boolean (N,).
+
+        Rows with a non-finite coordinate are not members. The geometric
+        tests run on the rest, and R(s) (one ``ratio_many`` call) only on
+        the rows that pass them.
+        """
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 2 or S.shape[1] != self.model.d:
+            raise InvalidInputError(
+                f"scenario block must have shape (N, {self.model.d}), "
+                f"got {S.shape}")
+        inside = np.isfinite(S).all(axis=1)
+        rows = np.flatnonzero(inside)
+        inside[rows] = self._geometry(S[rows])
+        rows = rows[inside[rows]]
+        if rows.size:
+            inside[rows] = breaches(self.capital.ratio_many(S[rows]),
+                                    self.capital.r_star)
+        return inside
+
+    def _m2(self, S: np.ndarray) -> np.ndarray:
+        """Squared Mahalanobis norm of each row of S (N, d)."""
+        Y = np.einsum("...k,jk->...j", S, self._chol_inv)
+        return np.sum(Y * Y, axis=-1)
+
+    def _geometry(self, S: np.ndarray) -> np.ndarray:
+        """The set's geometric tests on finite rows, before the costly R(s)."""
+        m2 = self._m2(S)
         if self.target is TargetSet.NEIGHBOURHOOD:
             eta = self.spec.radius_eta
             slack = MEMBERSHIP_RTOL * (eta + m2 + self._m2_star)
-            return self.model.mahalanobis_sq(arr - self.s_star) <= eta + slack
+            return self._m2(S - self.s_star) <= eta + slack
         nld = self.model.neg_log_density_from_m2(m2)
         half_eps = 0.5 * self.spec.epsilon
-        slack = MEMBERSHIP_RTOL * (half_eps + abs(nld) + abs(self._nld_star))
-        return nld <= self._nld_star + half_eps + slack
+        slack = MEMBERSHIP_RTOL * (half_eps + np.abs(nld) + abs(self._nld_star))
+        return (S[:, 0] > 0.0) & (nld <= self._nld_star + half_eps + slack)
 
 
 @dataclass
@@ -147,7 +177,9 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
                  seed: int, membership) -> LocalSampleResult:
     """Uniform sphere-shell perturbations around an anchor in whitened space.
 
-    Flags a thin region (acceptance below 1%) so the caller can switch to
+    Draws all n candidates first, then tests them with one
+    ``membership.many`` call and keeps the members in draw order. Flags a
+    thin region (acceptance below 1%) so the caller can switch to
     hit-and-run. Deterministic for a fixed seed.
     """
     anchor = as_scenario_array(anchor, model.d)
@@ -158,14 +190,14 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
         raise InvalidInputError("radius interval must satisfy 0 <= lo <= hi")
     rng = np.random.default_rng(seed)
     y_anchor = model.whiten(anchor)
-    accepted = []
+    candidates = []
     for _ in range(n):
         u = rng.standard_normal(model.d)
         u /= max(np.linalg.norm(u), 1e-12)
         r = rng.uniform(r_lo, r_hi)
-        s = model.unwhiten(y_anchor + r * u)
-        if membership(s):
-            accepted.append(s)
+        candidates.append(model.unwhiten(y_anchor + r * u))
+    inside = membership.many(np.reshape(candidates, (n, model.d)))
+    accepted = [s for s, ok in zip(candidates, inside) if ok]
     rate = len(accepted) / n if n > 0 else 0.0
     return LocalSampleResult(accepted=accepted, acceptance_rate=rate,
                              thin_region=rate < THIN_REGION_RATE)
@@ -385,9 +417,10 @@ def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
     if P > 1:
         if len(pool) == 0:
             raise InvalidInputError("empty pool cannot fill a list with P > 1")
-        Y = model.whiten_many(pool.scenarios)
-        idx = _farthest_point_indices(Y, model.whiten(s_star), P - 1)
-        picks.extend(pool.scenarios[i] for i in idx)
+        scenarios = pool.scenarios
+        idx = _farthest_point_indices(model.whiten_many(scenarios),
+                                      model.whiten(s_star), P - 1)
+        picks.extend(scenarios[i] for i in idx)
     entries = []
     for s in picks:
         score = model.plausibility(s)

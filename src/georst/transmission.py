@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import InvalidInputError
-from .reference import as_scenario_array
+from .reference import as_scenario_array, as_scenario_block
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,15 @@ class Portfolio:
         if not counts.all():
             raise InvalidInputError(
                 f"sector {names[int(np.argmin(counts))]} has no exposures")
+        # one column per exposure, gathered from its sector's [delta | beta]
+        # and [eta | gamma]: d PD_i / d s = pd_i (1 - pd_i) pd_loadings[:, i]
+        # and d LGD_i / d s = slope_i lgd_loadings[:, i], with s = (g, x)
         table = self.sectors.values()
-        self.delta = np.array([s.delta for s in table])[index]
-        self.eta = np.array([s.eta for s in table])[index]
-        self.beta = np.array([s.beta for s in table])[index]
-        self.gamma = np.array([s.gamma for s in table])[index]
+        self.pd_loadings = np.ascontiguousarray(np.column_stack(
+            [[s.delta for s in table], [s.beta for s in table]])[index].T)
+        self.lgd_loadings = np.ascontiguousarray(np.column_stack(
+            [[s.eta for s in table], [s.gamma for s in table]])[index].T)
         self.logit_pd0 = np.log(self.pd0 / (1.0 - self.pd0))
-        # d PD_i / d s = pd_i (1 - pd_i) pd_loadings[i], with s = (g, x)
-        self.pd_loadings = np.column_stack([self.delta, self.beta])
-        self.lgd_loadings = np.column_stack([self.eta, self.gamma])
         # a stable sort keeps each sector's rows ascending
         rows = np.split(np.argsort(index, kind="stable"), np.cumsum(counts)[:-1])
         self.sector_rows = dict(zip(names, rows))
@@ -168,17 +168,16 @@ class Portfolio:
 
     @property
     def d(self) -> int:
-        return 1 + self.beta.shape[1]
+        return self.pd_loadings.shape[0]
 
     @property
     def total_ead(self) -> float:
         return float(self.ead.sum())
 
     def stressed_pd(self, s) -> np.ndarray:
-        """Per-exposure stressed PD under scenario s, strictly in (0, 1)."""
-        arr = as_scenario_array(s, self.d)
-        z = self.beta @ arr[1:] + self.delta * arr[0]
-        return expit(self.logit_pd0 + z)
+        """Per-exposure stressed PD, strictly in (0, 1), under scenario s
+        (d,), or under each row of a block s (N, d) as an (N, n) array."""
+        return expit(self._affine(s, self.logit_pd0, self.pd_loadings))
 
     def stressed_lgd(self, s) -> np.ndarray:
         """Per-exposure stressed LGD under scenario s, softly saturated to (0, 1)."""
@@ -186,10 +185,20 @@ class Portfolio:
 
     def stressed_lgd_and_slope(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Stressed LGD and the soft-clip slope at its affine pre-image
-        lgd0 + gamma x + eta g, so d LGD_i / d s = slope_i lgd_loadings[i]."""
-        arr = as_scenario_array(s, self.d)
+        lgd0 + gamma x + eta g, so d LGD_i / d s = slope_i lgd_loadings[:, i].
+        Like :meth:`stressed_pd`, over s (d,) or each row of s (N, d)."""
         return _SOFTCLIP.value_and_slope(
-            self.lgd0 + self.gamma @ arr[1:] + self.eta * arr[0])
+            self._affine(s, self.lgd0, self.lgd_loadings))
+
+    def _affine(self, s, base, loadings):
+        """base + sum_k s[..., k] loadings[k] for a scenario (d,) or a block
+        (N, d), validated. ``einsum`` sums over k in order for each output
+        element, so row i of a block equals the result for s[i] bit for
+        bit; a BLAS product ``s @ loadings`` may sum in an order that
+        depends on the number of rows."""
+        arr = (as_scenario_block(s, self.d) if np.ndim(s) == 2
+               else as_scenario_array(s, self.d))
+        return base + np.einsum("...k,kj->...j", arr, loadings)
 
 
 def monotonicity_violation(portfolio: Portfolio, s) -> float:

@@ -54,7 +54,8 @@ def make_credit_capital(portfolio, cet1_0=6.0, rwa_0=50.0, **state_kwargs):
 
 
 class CountingCapital:
-    """Capital map wrapper that counts R(s) evaluations."""
+    """Capital map wrapper that counts R(s) evaluations, one per scenario
+    of a ``ratio_many`` block too."""
 
     def __init__(self, inner, ratio=None):
         self.r0, self.r_star = inner.r0, inner.r_star
@@ -64,6 +65,9 @@ class CountingCapital:
     def ratio(self, s):
         self.calls += 1
         return self._ratio(s)
+
+    def ratio_many(self, S):
+        return np.array([self.ratio(s) for s in S])
 
 
 GENERATE = Path(__file__).resolve().parent.parent / "benchmark" / "generate.py"

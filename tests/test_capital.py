@@ -9,7 +9,7 @@ from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
                     LinearCapital, LossBasis, LossQuantileSpec, Portfolio,
                     RwaMode, SectorSensitivities,
                     calibrate_linear_alpha, loss_quantile, risk_weight)
-from georst.capital import (MA_PD_FLOOR, cet1_stressed,
+from georst.capital import (BLOCK_ELEMENTS, MA_PD_FLOOR, cet1_stressed,
                             maturity_adjustment_factor,
                             risk_weight_pd_derivative, rwa_stressed_flagged)
 from georst.solver import _fd_grad
@@ -321,9 +321,9 @@ def test_kernel_exact_equalities(rwa_mode, loss_basis, maturity_adjustment,
         assert cap.cet1(s) == cet1_stressed(state, pf, s, SPEC)
         assert (cap.rwa(s), False) == rwa_stressed_flagged(state, pf, s, SPEC)
         if rwa_mode is RwaMode.IRB_FULL:
-            assert cap.rwa(s) == float(pf.ead @ risk_weight(
+            assert cap.rwa(s) == float(np.sum(pf.ead * risk_weight(
                 pf.stressed_pd(s), pf.stressed_lgd(s), pf.rho, pf.maturity,
-                SPEC, maturity_adjustment))
+                SPEC, maturity_adjustment)))
 
 
 def test_ratio_grad_makes_one_kernel_pass(monkeypatch):
@@ -382,3 +382,68 @@ def test_kernel_memo_counts_every_floor_hit():
     assert cap.rwa_floor_hits == 2
     cap.rwa(s)
     assert cap.rwa_floor_hits == 3
+
+
+# -- the block kernel: ratio_many over (N, d) ---------------------------------
+
+def block_and_rows(seed, case, n, floor, S):
+    """ratio_many(S) on one model and ratio(S[i]) row by row on a second,
+    equal model, with each model's RWA-floor hits. With ``floor`` the RWA
+    floor (1e-6 rwa_0) sits at the IRB RWA of s = 0, so in IRB mode rows
+    more benign than s = 0 clamp and more stressed rows do not."""
+    rwa_mode, loss_basis, maturity_adjustment, with_pnl = case
+    kwargs = dict(rwa_mode=rwa_mode, loss_basis=loss_basis,
+                  maturity_adjustment=maturity_adjustment,
+                  with_pnl=with_pnl, n=n)
+    if floor:
+        kwargs["rwa_0"] = 1e6 * random_capital(seed, **kwargs).state.rwa_0
+    block, rows = random_capital(seed, **kwargs), random_capital(seed, **kwargs)
+    many = block.ratio_many(S)
+    one = np.array([rows.ratio(s) for s in S])
+    return many, one, block.rwa_floor_hits, rows.rwa_floor_hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       case=st.sampled_from(KERNEL_CASES),
+       n=st.sampled_from([6, 700]),
+       floor=st.booleans(),
+       n_rows=st.integers(1, 200))
+def test_ratio_many_equals_ratio_bit_for_bit(seed, case, n, floor, n_rows):
+    # with n = 700 a chunk holds BLOCK_ELEMENTS // 700 = 93 rows, so longer
+    # blocks span chunks
+    S = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n_rows, 3))
+    many, one, block_hits, row_hits = block_and_rows(seed, case, n, floor, S)
+    assert many.tobytes() == one.tobytes()
+    assert block_hits == row_hits
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_ratio_many_across_chunks_and_the_rwa_floor(case):
+    n = 700
+    step = BLOCK_ELEMENTS // n
+    rng = np.random.default_rng(21)
+    # 2 full chunks and a short one; g of either sign straddles the floor
+    S = rng.uniform(-2.0, 2.0, size=(2 * step + 5, 3))
+    S[1] = 0.0
+    many, one, block_hits, row_hits = block_and_rows(21, case, n, True, S)
+    assert many.tobytes() == one.tobytes()
+    assert block_hits == row_hits
+    rwa_mode = case[0]
+    if rwa_mode is RwaMode.IRB_FULL:
+        # each clamped row counts once; some rows clamp and some do not
+        assert 0 < block_hits < S.shape[0]
+    else:
+        assert block_hits == 0
+
+
+def test_ratio_many_of_one_row_and_of_none():
+    cap = random_capital(5, with_pnl=True)
+    s = np.array([0.4, -0.1, 0.7])
+    assert cap.ratio_many(s[None, :]).tobytes() == np.array(
+        [cap.ratio(s)]).tobytes()
+    assert cap.ratio_many(np.empty((0, 3))).shape == (0,)
+    with pytest.raises(InvalidInputError):
+        cap.ratio_many(s)
+    with pytest.raises(InvalidInputError):
+        cap.ratio_many(np.array([[0.4, np.nan, 0.7]]))

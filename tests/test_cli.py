@@ -11,8 +11,12 @@ from georst.dataio import (load_alpha, load_covariance, load_history,
                            load_portfolio, load_sector_portfolio,
                            load_sensitivities)
 from georst.errors import InvalidInputError
+from georst.capital import breaches
 from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
-                           run_scenario_list)
+                           emit_contours, run_scenario_list)
+from georst.scenario_sets import (Membership, NearOptimalSpec,
+                                  NeighbourhoodSpec, TargetSet)
+from georst.solver import solve_design_point
 from georst.solver import _g_cap, conditional_anchor
 
 from conftest import generate_toy_inputs
@@ -66,6 +70,20 @@ def test_load_history(tmp_path):
     X, names = load_history(p)
     assert X.shape == (3, 2)
     assert names == ("g", "x1")
+
+
+@pytest.mark.parametrize("loader", [load_covariance, load_history])
+def test_matrix_loaders_reject_a_ragged_row(tmp_path, loader):
+    # a short or long row used to fail in np.array with numpy's
+    # "inhomogeneous shape" error, naming neither file nor line
+    path = tmp_path / "ragged.csv"
+    for text, line, cells in (("g,x1\n1.0,0.3\n0.3\n", 3, 1),
+                              ("g,x1\n1.0,0.3,0.1\n0.3,1.0\n", 2, 3)):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError,
+                           match=rf"ragged\.csv: line {line} has {cells} "
+                                 "cells, the header has 2"):
+            loader(path)
 
 
 def test_load_sensitivities_and_portfolio(tmp_path):
@@ -232,8 +250,9 @@ def test_portfolio_columns_match_a_per_cell_parse(tmp_path, inputs):
     for name, g_name, loadings in (("beta", "delta", pf.pd_loadings),
                                    ("gamma", "eta", pf.lgd_loadings)):
         per_row = [[float(s[f"{name}_{f}"]) for f in x_names] for s in sector]
-        assert getattr(pf, name).tobytes() == bits(per_row)
-        assert loadings.tobytes() == bits(
+        # one C-contiguous (d, n) array, a column per exposure
+        assert loadings.flags.c_contiguous
+        assert loadings.T.tobytes() == bits(
             [[float(s[g_name])] + r for s, r in zip(sector, per_row)])
     assert list(pf.sector_rows) == list(sens)
     for sector_id, idx in pf.sector_rows.items():
@@ -340,6 +359,38 @@ def test_cli_contour_columns_and_grid(tmp_path):
     first = lines[1].split(",")
     assert len(first) == 7
     assert first[4] in {"0", "1"}
+
+
+def contours_per_point(ctx, resolution):
+    """emit_contours' CSV from one ratio and two Membership calls per grid
+    point, as it was built before the block kernel."""
+    res = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
+                             ctx.solver_config,
+                             monotonicity_fn=ctx.monotonicity_fn)
+    m_eta = Membership(TargetSet.NEIGHBOURHOOD, ctx.model, ctx.capital,
+                       res.s_star, NeighbourhoodSpec(radius_eta=1.0))
+    m_eps = Membership(TargetSet.NEAR_OPTIMAL, ctx.model, ctx.capital,
+                       res.s_star, NearOptimalSpec(epsilon=1.0))
+    lines = ["g,x,m2,ratio,breach,in_S_eta,in_N_eps"]
+    for g in np.linspace(0.0, 4.0, resolution):
+        for x in np.linspace(-4.0, 4.0, resolution):
+            s = np.array([g, x])
+            ratio = ctx.capital.ratio(s)
+            lines.append(",".join([
+                repr(float(g)), repr(float(x)),
+                repr(ctx.model.mahalanobis_sq(s)), repr(ratio),
+                "1" if breaches(ratio, ctx.capital.r_star) else "0",
+                "1" if m_eta(s) else "0", "1" if m_eps(s) else "0"]))
+    return "\n".join(lines) + "\n"
+
+
+def test_contours_equal_a_per_point_loop(tmp_path):
+    ctx = build_context(RunConfig.from_file(write_inputs(tmp_path)))
+    text = emit_contours(ctx, 41)
+    assert text == contours_per_point(ctx, 41)
+    # the grid crosses the breach frontier and both sets' boundaries
+    for column in zip(*(line.split(",")[4:] for line in text.splitlines()[1:])):
+        assert set(column) == {"0", "1"}
 
 
 def test_cli_mc_check(tmp_path):

@@ -11,7 +11,7 @@ from georst import (ConstraintSet, Family, InvalidInputError, LinearCapital,
 from georst.scenario_sets import (CandidatePool, PoolEntry,
                                   _farthest_point_indices, default_g_grid)
 
-from conftest import CountingCapital
+from conftest import CountingCapital, make_credit_capital, make_portfolio
 
 
 @pytest.fixture
@@ -96,6 +96,44 @@ def test_membership_is_monotone_in_its_level(correlated_half_planes, case,
         assert not inner(s) or outer(s)
 
 
+NON_FINITE_ROWS = [[np.nan, 0.0], [np.inf, 1.0], [0.5, -np.inf]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, 1),
+       offsets=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                 max_size=2), min_size=1, max_size=40))
+def test_membership_many_equals_the_oracle_row_by_row(correlated_half_planes,
+                                                      case, offsets):
+    # both families, both targets; non-finite rows are not members
+    model, cap, s_star = correlated_half_planes[case]
+    S = np.vstack([s_star + np.array(offsets), NON_FINITE_ROWS])
+    for target, spec in ((TargetSet.NEAR_OPTIMAL, NearOptimalSpec(2.0)),
+                         (TargetSet.NEIGHBOURHOOD, NeighbourhoodSpec(1.0))):
+        mem = Membership(target, model, cap, s_star, spec)
+        many = mem.many(S)
+        assert many.dtype == bool
+        assert many.tolist() == [mem(s) for s in S]
+        assert not many[-len(NON_FINITE_ROWS):].any()
+    # the squared norm behind both tests: each row's value, bit for bit,
+    # does not depend on the block it sits in
+    finite = S[:-len(NON_FINITE_ROWS)]
+    assert mem._m2(finite).tobytes() == np.concatenate(
+        [mem._m2(row[None, :]) for row in finite]).tobytes()
+
+
+def test_membership_many_rejects_a_misshapen_block(half_plane):
+    model, cap, res = half_plane
+    mem = Membership(TargetSet.NEIGHBOURHOOD, model, cap, res.s_star,
+                     NeighbourhoodSpec(radius_eta=1.0))
+    assert mem.many(np.empty((0, 2))).shape == (0,)
+    assert not mem(np.array([2.0, 2.0, 0.0]))
+    with pytest.raises(InvalidInputError):
+        mem.many(res.s_star)
+    with pytest.raises(InvalidInputError):
+        mem.many(np.zeros((3, 3)))
+
+
 def test_near_optimal_membership(half_plane):
     model, cap, res = half_plane
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
@@ -135,6 +173,45 @@ def test_local_sample_accepts_only_members(half_plane):
     assert all(mem(s) for s in out.accepted)
     # roughly half of a centered ball around a frontier point is a breach
     assert 0.2 < out.acceptance_rate < 0.8
+
+
+def per_draw_local_sample(model, anchor, radius_interval, n, seed,
+                          membership):
+    """The accepted draws of local_sample as one membership call per draw,
+    in draw order: the sampler before it tested its draws as one block."""
+    rng = np.random.default_rng(seed)
+    y_anchor = model.whiten(anchor)
+    accepted = []
+    for _ in range(n):
+        u = rng.standard_normal(model.d)
+        u /= max(np.linalg.norm(u), 1e-12)
+        r = rng.uniform(*radius_interval)
+        s = model.unwhiten(y_anchor + r * u)
+        if membership(s):
+            accepted.append(s)
+    return accepted
+
+
+@pytest.mark.parametrize("target,spec,radius", [
+    (TargetSet.NEIGHBOURHOOD, NeighbourhoodSpec(radius_eta=1.0), 1.0),
+    (TargetSet.NEAR_OPTIMAL, NearOptimalSpec(epsilon=1.0), 0.4)])
+def test_local_sample_matches_the_per_draw_loop(correlated_model, target,
+                                                spec, radius):
+    pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
+                        gamma=(0.08,), pd0=0.015, lgd0=0.4)
+    cap = make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
+    res = solve_design_point(correlated_model, cap, ConstraintSet(),
+                             SolverConfig(seed=0))
+    mem = Membership(target, correlated_model, cap, res.s_star, spec)
+    for seed in (0, 1):
+        out = local_sample(correlated_model, res.s_star, (0.0, radius), 300,
+                           seed=seed, membership=mem)
+        want = per_draw_local_sample(correlated_model, res.s_star,
+                                     (0.0, radius), 300, seed, mem)
+        assert 0 < len(want) < 300
+        assert len(out.accepted) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(out.accepted, want))
+        assert out.acceptance_rate == len(want) / 300
 
 
 def test_local_sample_flags_thin_region(half_plane):
@@ -312,6 +389,14 @@ def test_membership_boundary_inclusive_off_round_design_point(identity_model):
         assert near(s)
         m2 = identity_model.mahalanobis_sq(s)
         assert not near(s * np.sqrt((m2 + 1e-9) / m2))
+    # the same points as one block give the same answers
+    steps = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6]])
+    S = np.vstack([s_star + steps, s_star + np.sqrt(1.0 + 1e-9) * steps])
+    assert ball.many(S).tolist() == [True] * 4 + [False] * 4
+    S = s_star + steps[:2]
+    m2 = np.array([identity_model.mahalanobis_sq(s) for s in S])
+    S = np.vstack([S, S * np.sqrt((m2 + 1e-9) / m2)[:, None]])
+    assert near.many(S).tolist() == [True] * 2 + [False] * 2
 
 
 def test_conditional_anchors_pass_the_breach_test(half_plane):

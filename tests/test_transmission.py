@@ -88,7 +88,7 @@ def test_pd_jacobian_matches_finite_differences():
     pf = make_portfolio(n=4, delta=0.6, beta=(0.8,))
     s = np.array([0.7, -0.4])
     pd = pf.stressed_pd(s)
-    jac = (pd * (1.0 - pd))[:, None] * pf.pd_loadings
+    jac = (pd * (1.0 - pd))[:, None] * pf.pd_loadings.T
     h = 1e-5
     for j in range(2):
         e = np.zeros(2)
@@ -103,7 +103,7 @@ def test_lgd_jacobian_matches_finite_differences():
         # d LGD / d s = softclip slope times [eta | gamma]
         lgd, slope = pf.stressed_lgd_and_slope(s)
         assert np.array_equal(lgd, pf.stressed_lgd(s))
-        jac = slope[:, None] * pf.lgd_loadings
+        jac = slope[:, None] * pf.lgd_loadings.T
         h = 1e-5
         for j in range(2):
             e = np.zeros(2)
