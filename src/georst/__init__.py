@@ -13,7 +13,7 @@ from .errors import (GeorstError, InfeasibleError, InvalidInputError,
                      NonConvergenceError)
 from .loss import LossQuantileSpec, loss_quantile, mc_loss_quantile
 from .reference import (Family, PlausibilityScore, ReferenceModel,
-                        ScenarioVector, estimate_covariance)
+                        estimate_covariance)
 from .scenario_sets import (Membership, NearOptimalSpec, NeighbourhoodSpec,
                             TargetSet, build_pool, driver_decomposition,
                             hit_and_run, local_sample, reduce_farthest_point)
@@ -29,8 +29,7 @@ __all__ = [
     "GeorstError", "InfeasibleError", "InvalidInputError",
     "NonConvergenceError",
     "LossQuantileSpec", "loss_quantile", "mc_loss_quantile",
-    "Family", "PlausibilityScore", "ReferenceModel", "ScenarioVector",
-    "estimate_covariance",
+    "Family", "PlausibilityScore", "ReferenceModel", "estimate_covariance",
     "Membership", "NearOptimalSpec", "NeighbourhoodSpec", "TargetSet",
     "build_pool", "driver_decomposition", "hit_and_run", "local_sample",
     "reduce_farthest_point",

@@ -17,46 +17,78 @@ from .dataio import (load_alpha, load_covariance, load_history,
 from .errors import InvalidInputError
 from .loss import LossQuantileSpec, mc_loss_quantile, loss_quantile
 from .reference import Family, ReferenceModel, estimate_covariance
-from .scenario_sets import (Membership, NearOptimalSpec, NeighbourhoodSpec,
-                            TargetSet, build_pool, reduce_farthest_point)
+from .scenario_sets import (DEFAULT_LIST_SIZE, DEFAULT_POOL_SIZE,
+                            DEFAULT_TOP_K, Membership, NearOptimalSpec,
+                            NeighbourhoodSpec, TargetSet, build_pool,
+                            reduce_farthest_point)
 from .sectors import aggregate_sectors
-from .solver import ConstraintSet, SolverConfig, solve_design_point
+from .solver import (G_MIN_DEFAULT, ConstraintSet, SolverConfig,
+                     solve_design_point)
 from .transmission import smooth_monotonicity_violation
 
 DEFAULTS = {
-    "q": 0.999,
-    "depletion": 0.03,
-    "g_min": 1e-6,
-    "pool_size": 2000,
-    "list_size": 8,
-    "top_k": 3,
-    "n_starts": 32,
+    "q": LossQuantileSpec.q,
+    "depletion": CapitalState.depletion,
+    "g_min": G_MIN_DEFAULT,
+    "pool_size": DEFAULT_POOL_SIZE,
+    "list_size": DEFAULT_LIST_SIZE,
+    "top_k": DEFAULT_TOP_K,
     "n_sims": 200000,
 }
 
-# The keys each config section may hold: exactly the ones the runner reads.
-# Top level holds "seed" and these sections; any other key is an error, so a
-# misspelt key cannot silently fall back to its default.
+# The keys each config section may hold, exactly the ones the runner reads,
+# and the JSON type of each value. Top level holds "seed" and these sections;
+# any other key is an error, so a misspelt key cannot silently fall back to
+# its default, and so is a value of another type ("false" is not false).
 CONFIG_KEYS = {
-    "reference": {"family", "nu", "covariance", "history"},
-    "portfolio": {"kind", "path", "sensitivities", "sign_constraints"},
-    "loss": {"q", "n_sims"},
-    "capital": {"cet1_0", "rwa_0", "depletion", "r_star", "rwa_mode",
-                "alpha_path", "pnl_noncredit", "loss_basis",
-                "maturity_adjustment"},
-    "constraints": {"g_min", "g_max", "x_min", "x_max",
-                    "enforce_monotonicity"},
-    "solver": {"n_starts", "seed"},
-    "scenario_set": {"target", "eta", "epsilon", "g_grid", "pool", "list",
-                     "top_k"},
+    "reference": {"family": "string", "nu": "number", "covariance": "string",
+                  "history": "string"},
+    "portfolio": {"kind": "string", "path": "string",
+                  "sensitivities": "string", "sign_constraints": "boolean"},
+    "loss": {"q": "number", "n_sims": "integer"},
+    "capital": {"cet1_0": "number", "rwa_0": "number", "depletion": "number",
+                "r_star": "number", "rwa_mode": "string",
+                "alpha_path": "string", "pnl_noncredit": "numbers",
+                "loss_basis": "string", "maturity_adjustment": "boolean"},
+    "constraints": {"g_min": "number", "g_max": "number", "x_min": "bounds",
+                    "x_max": "bounds", "enforce_monotonicity": "boolean"},
+    "solver": {"n_starts": "integer", "seed": "integer"},
+    "scenario_set": {"target": "string", "eta": "number",
+                     "epsilon": "number", "g_grid": "numbers",
+                     "pool": "integer", "list": "integer", "top_k": "integer"},
 }
 
 
-def _reject_unknown(keys, known, where: str):
-    unknown = sorted(set(keys) - known)
+# each JSON type's Python types, and how an error message names it
+JSON_TYPES = {
+    "object": (dict, "an object"), "string": (str, "a string"),
+    "boolean": (bool, "true or false"), "integer": (int, "an integer"),
+    "number": ((int, float), "a number"),
+    "numbers": (list, "a list of numbers"),
+    "bounds": ((int, float, list), "a number or a list of numbers"),
+}
+
+
+def _is_a(kind: str, v) -> bool:
+    """Whether a value parsed from JSON has the JSON type ``kind``."""
+    if isinstance(v, bool):  # an int in Python, but JSON true is no number
+        return kind == "boolean"
+    if isinstance(v, list) and not all(_is_a("number", e) for e in v):
+        return False
+    return isinstance(v, JSON_TYPES[kind][0])
+
+
+def _check_keys(values: dict, types: dict, where: str):
+    """Reject a key not in ``types`` or a value not of its type."""
+    unknown = sorted(set(values).difference(types))
     if unknown:
         raise InvalidInputError(
             f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+    for key, value in values.items():
+        if not _is_a(types[key], value):
+            raise InvalidInputError(f"{key!r} in {where} must be "
+                                    f"{JSON_TYPES[types[key]][1]}, "
+                                    f"got {json.dumps(value)}")
 
 
 @dataclass
@@ -78,11 +110,18 @@ class RunConfig:
         return cls(raw=raw, path=path)
 
     def section(self, name: str) -> dict:
-        sec = self.raw.get(name, {})
-        if not isinstance(sec, dict):
-            raise InvalidInputError(f"config section {name!r} must be an object")
-        _reject_unknown(sec, CONFIG_KEYS[name], f"config section {name!r}")
-        return sec
+        return self.raw.get(name, {})
+
+    def check(self):
+        """Reject an unknown key or a value of the wrong JSON type, naming
+        its section and key."""
+        if not isinstance(self.raw, dict):
+            raise InvalidInputError("config must be a JSON object")
+        _check_keys(self.raw, {"seed": "integer",
+                               **dict.fromkeys(CONFIG_KEYS, "object")},
+                    "the config's top level")
+        for name, types in CONFIG_KEYS.items():
+            _check_keys(self.section(name), types, f"config section {name!r}")
 
     def hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -113,10 +152,8 @@ class RunContext:
 
 
 def build_context(config: RunConfig) -> RunContext:
-    if not isinstance(config.raw, dict):
-        raise InvalidInputError("config must be a JSON object")
-    _reject_unknown(config.raw, {"seed", *CONFIG_KEYS}, "the config's top level")
-    seed = int(config.raw.get("seed", 0))
+    config.check()
+    seed = config.raw.get("seed", 0)
 
     ref = config.section("reference")
     family = Family(ref.get("family", "gaussian"))
@@ -137,7 +174,7 @@ def build_context(config: RunConfig) -> RunContext:
         raise InvalidInputError("portfolio section needs 'path' and 'sensitivities'")
     sens = load_sensitivities(config._resolve(pf["sensitivities"]),
                               model.factor_names)
-    sign_constraints = bool(pf.get("sign_constraints", True))
+    sign_constraints = pf.get("sign_constraints", True)
     kind = pf.get("kind", "exposure")
     if kind == "exposure":
         portfolio = load_portfolio(config._resolve(pf["path"]), sens,
@@ -160,16 +197,16 @@ def build_context(config: RunConfig) -> RunContext:
     for key in ("cet1_0", "rwa_0"):
         if key not in cap:
             raise InvalidInputError(f"capital section needs {key!r}")
-    rwa_mode = RwaMode(cap.get("rwa_mode", "irb_full"))
+    rwa_mode = RwaMode(cap.get("rwa_mode", CapitalState.rwa_mode))
+    maturity_adjustment = cap.get("maturity_adjustment",
+                                  CapitalState.maturity_adjustment)
     alpha = None
     if rwa_mode is RwaMode.LINEAR:
         if "alpha_path" in cap and cap["alpha_path"]:
             alpha = load_alpha(config._resolve(cap["alpha_path"]), engine_portfolio)
         else:
-            alpha = calibrate_linear_alpha(
-                engine_portfolio, loss_spec,
-                bool(cap.get("maturity_adjustment", True)))
-    pnl = cap.get("pnl_noncredit")
+            alpha = calibrate_linear_alpha(engine_portfolio, loss_spec,
+                                           maturity_adjustment)
     state = CapitalState(
         cet1_0=float(cap["cet1_0"]),
         rwa_0=float(cap["rwa_0"]),
@@ -177,29 +214,27 @@ def build_context(config: RunConfig) -> RunContext:
         r_star_override=cap.get("r_star"),
         rwa_mode=rwa_mode,
         alpha=alpha,
-        pnl_noncredit=None if pnl is None else np.asarray(pnl, dtype=float),
-        loss_basis=LossBasis(cap.get("loss_basis", "incremental")),
-        maturity_adjustment=bool(cap.get("maturity_adjustment", True)),
+        pnl_noncredit=cap.get("pnl_noncredit"),
+        loss_basis=LossBasis(cap.get("loss_basis", CapitalState.loss_basis)),
+        maturity_adjustment=maturity_adjustment,
     )
     capital = CreditCapitalModel(engine_portfolio, state, loss_spec)
 
     con = config.section("constraints")
+    for key in ("x_min", "x_max"):
+        if isinstance(con.get(key), list) and len(con[key]) != model.d - 1:
+            raise InvalidInputError(
+                f"{key!r} in config section 'constraints' must be a number "
+                f"or a list of {model.d - 1} numbers, got {json.dumps(con[key])}")
+    # the constraints and solver sections' keys are the dataclasses' fields
     constraints = ConstraintSet(
-        g_min=float(con.get("g_min", DEFAULTS["g_min"])),
-        g_max=con.get("g_max"),
-        x_min=con.get("x_min"),
-        x_max=con.get("x_max"),
-        enforce_monotonicity=bool(con.get("enforce_monotonicity", False)),
-    )
+        **{**con, "g_min": float(con.get("g_min", DEFAULTS["g_min"]))})
     mono_fn = None
     if constraints.enforce_monotonicity:
         mono_fn = lambda s: smooth_monotonicity_violation(engine_portfolio, s)
 
-    sol = config.section("solver")
-    solver_config = SolverConfig(
-        n_starts=int(sol.get("n_starts", DEFAULTS["n_starts"])),
-        seed=int(sol.get("seed", seed)),
-    )
+    solver_config = SolverConfig(**{"seed": seed,
+                                    **config.section("solver")})
 
     return RunContext(
         config=config, model=model, portfolio=engine_portfolio,
@@ -245,9 +280,9 @@ def _emit_defaults(w: ReportWriter, ctx: RunContext):
     w.kv("depletion", ctx.capital.state.depletion)
     w.kv("g_min", ctx.constraints.g_min)
     w.kv("n_starts", ctx.solver_config.n_starts)
-    w.kv("pool_size", int(ctx.scenario_cfg.get("pool", DEFAULTS["pool_size"])))
-    w.kv("list_size", int(ctx.scenario_cfg.get("list", DEFAULTS["list_size"])))
-    w.kv("top_k", int(ctx.scenario_cfg.get("top_k", DEFAULTS["top_k"])))
+    w.kv("pool_size", ctx.scenario_cfg.get("pool", DEFAULTS["pool_size"]))
+    w.kv("list_size", ctx.scenario_cfg.get("list", DEFAULTS["list_size"]))
+    w.kv("top_k", ctx.scenario_cfg.get("top_k", DEFAULTS["top_k"]))
     w.kv("rwa_mode", ctx.capital.state.rwa_mode.value)
     w.kv("loss_basis", ctx.capital.state.loss_basis.value)
     w.kv("maturity_adjustment", ctx.capital.state.maturity_adjustment)
@@ -313,13 +348,12 @@ def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, 
     pool = build_pool(ctx.model, ctx.capital, ctx.constraints,
                       ctx.solver_config, membership, result,
                       g_grid=g_grid,
-                      n_target=int(cfg.get("pool", DEFAULTS["pool_size"])),
+                      n_target=cfg.get("pool", DEFAULTS["pool_size"]),
                       seed=ctx.seed, monotonicity_fn=ctx.monotonicity_fn)
     listing = reduce_farthest_point(
         ctx.model, pool, result.s_star,
-        P=int(cfg.get("list", DEFAULTS["list_size"])),
-        capital=ctx.capital,
-        k=int(cfg.get("top_k", DEFAULTS["top_k"])))
+        P=cfg.get("list", DEFAULTS["list_size"]), capital=ctx.capital,
+        k=cfg.get("top_k", DEFAULTS["top_k"]))
 
     w = ReportWriter("scenario-list report", ctx)
     _emit_defaults(w, ctx)
@@ -366,27 +400,21 @@ def emit_contours(ctx: RunContext, resolution: int,
     result = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
                                 ctx.solver_config,
                                 monotonicity_fn=ctx.monotonicity_fn)
-    cfg = ctx.scenario_cfg
-    m_eta = Membership(TargetSet.NEIGHBOURHOOD, ctx.model, ctx.capital,
-                       result.s_star,
-                       NeighbourhoodSpec(radius_eta=float(cfg.get("eta", 1.0))))
-    m_eps = Membership(TargetSet.NEAR_OPTIMAL, ctx.model, ctx.capital,
-                       result.s_star,
-                       NearOptimalSpec(epsilon=float(cfg.get("epsilon", 1.0))))
+    m_eta = _membership_from_cfg(ctx, result.s_star, TargetSet.NEIGHBOURHOOD)
+    m_eps = _membership_from_cfg(ctx, result.s_star, TargetSet.NEAR_OPTIMAL)
     g_axis = np.linspace(g_bounds[0], g_bounds[1], resolution)
     x_axis = np.linspace(x_bounds[0], x_bounds[1], resolution)
     G, X = np.meshgrid(g_axis, x_axis, indexing="ij")
     S = np.column_stack([G.ravel(), X.ravel()])
     ratio = ctx.capital.ratio_many(S)
-    columns = zip(S.tolist(), ratio.tolist(),
-                  breaches(ratio, ctx.capital.r_star), m_eta.many(S),
-                  m_eps.many(S))
+    columns = zip(S.tolist(), ctx.model.mahalanobis_sq(S).tolist(),
+                  ratio.tolist(), breaches(ratio, ctx.capital.r_star),
+                  m_eta.many(S), m_eps.many(S))
     lines = ["g,x,m2,ratio,breach,in_S_eta,in_N_eps"]
-    for (g, x), r, breach, in_eta, in_eps in columns:
+    for (g, x), m2, r, breach, in_eta, in_eps in columns:
         lines.append(",".join([
-            repr(g), repr(x), repr(ctx.model.mahalanobis_sq(np.array([g, x]))),
-            repr(r), "1" if breach else "0", "1" if in_eta else "0",
-            "1" if in_eps else "0"]))
+            repr(g), repr(x), repr(m2), repr(r), "1" if breach else "0",
+            "1" if in_eta else "0", "1" if in_eps else "0"]))
     return "\n".join(lines) + "\n"
 
 
@@ -412,8 +440,8 @@ def run_mc_check(ctx: RunContext, scenario=None, n_sims: int | None = None) -> s
     """Analytic tail-loss quantile against the Monte Carlo oracle."""
     s = (np.zeros(ctx.model.d) if scenario is None
          else np.asarray(scenario, dtype=float))
-    n_sims = int(n_sims or ctx.config.section("loss").get("n_sims",
-                                                          DEFAULTS["n_sims"]))
+    if n_sims is None:
+        n_sims = ctx.config.section("loss").get("n_sims", DEFAULTS["n_sims"])
     analytic = loss_quantile(ctx.portfolio, s, ctx.loss_spec)
     mc = mc_loss_quantile(ctx.portfolio, s, ctx.loss_spec, n_sims=n_sims,
                           seed=ctx.seed)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .capital import breaches
 from .errors import InfeasibleError, InvalidInputError
@@ -80,11 +79,10 @@ class Membership:
     with m^2 the squared Mahalanobis norm and nld the neg-log-density.
 
     :meth:`many` tests a block of scenarios and calling the oracle on one
-    scenario is ``many`` on one row, so the two always agree. Whitening
-    uses the inverse Cholesky factor through ``einsum`` and the squared
-    norm sums along the row, so each row's result is independent of the
-    block it sits in; the breach test calls the capital map's
-    ``ratio_many``.
+    scenario is ``many`` on one row, so the two always agree. The squared
+    norms come from ``ReferenceModel.mahalanobis_sq``, whose value for a
+    row does not depend on the block it sits in; the breach test calls the
+    capital map's ``ratio_many``.
     """
 
     def __init__(self, target: TargetSet, model: ReferenceModel, capital,
@@ -99,9 +97,7 @@ class Membership:
                 raise InvalidInputError("neighbourhood target needs a NeighbourhoodSpec")
         elif not isinstance(spec, NearOptimalSpec):
             raise InvalidInputError("near-optimal target needs a NearOptimalSpec")
-        self._chol_inv = solve_triangular(model.chol, np.eye(model.d),
-                                          lower=True)
-        self._m2_star = self._m2(self.s_star[None, :])[0]
+        self._m2_star = model.mahalanobis_sq(self.s_star)
         self._nld_star = model.neg_log_density_from_m2(self._m2_star)
 
     def __call__(self, s) -> bool:
@@ -129,18 +125,13 @@ class Membership:
                                     self.capital.r_star)
         return inside
 
-    def _m2(self, S: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis norm of each row of S (N, d)."""
-        Y = np.einsum("...k,jk->...j", S, self._chol_inv)
-        return np.sum(Y * Y, axis=-1)
-
     def _geometry(self, S: np.ndarray) -> np.ndarray:
         """The set's geometric tests on finite rows, before the costly R(s)."""
-        m2 = self._m2(S)
+        m2 = self.model.mahalanobis_sq(S)
         if self.target is TargetSet.NEIGHBOURHOOD:
             eta = self.spec.radius_eta
             slack = MEMBERSHIP_RTOL * (eta + m2 + self._m2_star)
-            return self._m2(S - self.s_star) <= eta + slack
+            return self.model.mahalanobis_sq(S - self.s_star) <= eta + slack
         nld = self.model.neg_log_density_from_m2(m2)
         half_eps = 0.5 * self.spec.epsilon
         slack = MEMBERSHIP_RTOL * (half_eps + np.abs(nld) + abs(self._nld_star))
@@ -418,7 +409,7 @@ def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
         if len(pool) == 0:
             raise InvalidInputError("empty pool cannot fill a list with P > 1")
         scenarios = pool.scenarios
-        idx = _farthest_point_indices(model.whiten_many(scenarios),
+        idx = _farthest_point_indices(model.whiten(scenarios),
                                       model.whiten(s_star), P - 1)
         picks.extend(scenarios[i] for i in idx)
     entries = []

@@ -555,7 +555,7 @@ def grid_oracle(model: ReferenceModel, capital, constraints: ConstraintSet,
     feasible = breaches(ratio, capital.r_star) & (S[:, 0] >= constraints.g_min)
     if not np.any(feasible):
         return None
-    m2 = model.mahalanobis_sq_many(S[feasible])
+    m2 = model.mahalanobis_sq(S[feasible])
     idx = int(np.argmin(m2))
     cell = (g_axis[1] - g_axis[0], x_axis[1] - x_axis[0])
     return GridOracleResult(s=S[feasible][idx], mahalanobis_sq=float(m2[idx]),

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import InvalidInputError
-from .reference import as_scenario_array, as_scenario_block
+from .reference import as_scenarios
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,8 @@ class Portfolio:
         element, so row i of a block equals the result for s[i] bit for
         bit; a BLAS product ``s @ loadings`` may sum in an order that
         depends on the number of rows."""
-        arr = (as_scenario_block(s, self.d) if np.ndim(s) == 2
-               else as_scenario_array(s, self.d))
-        return base + np.einsum("...k,kj->...j", arr, loadings)
+        return base + np.einsum("...k,kj->...j", as_scenarios(s, self.d),
+                                loadings)
 
 
 def monotonicity_violation(portfolio: Portfolio, s) -> float:

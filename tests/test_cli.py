@@ -469,6 +469,51 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("section, entries", [
+    ("capital", {"maturity_adjustment": "false"}),
+    ("portfolio", {"sign_constraints": "false"}),
+    ("constraints", {"enforce_monotonicity": "false"}),
+    ("constraints", {"g_max": "3.0"}),
+    ("capital", {"r_star": "0.05"}),
+    ("reference", {"family": "student_t", "nu": "6"}),
+    ("capital", {"depletion": None}),
+    ("loss", {"q": "0.999"}),
+    ("loss", {"n_sims": 20000.0}),
+    ("solver", {"n_starts": 2.7}),
+    ("solver", {"seed": True}),
+    ("scenario_set", {"list": 2.9}),
+    ("scenario_set", {"g_grid": [1.0, "2.0"]}),
+    ("constraints", {"x_min": [-1, -2, -3]}),
+    (None, {"seed": "1"}),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else str(v))
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys,
+                                                      section, entries):
+    # each used to run with a coerced value ("false" as true, 2.7 as 2, a
+    # 3-vector bound on 2 factors) or to crash with a TypeError
+    raw = json.loads(write_inputs(tmp_path).read_text())
+    if section is None:
+        raw.update(entries)
+        where = "the config's top level"
+    else:
+        raw[section] = {**raw[section], **entries} if section in raw else entries
+        where = f"config section {section!r}"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    for command in ("validate", "design-point"):
+        assert main([command, "--config", str(config), "--out",
+                     str(tmp_path / "out")]) == 2
+        key = list(entries)[-1]
+        assert f"{key!r} in {where} must be" in capsys.readouterr().err
+
+
+def test_cli_mc_check_rejects_zero_sims(tmp_path, capsys):
+    # --sims 0 used to fall back to the config's n_sims
+    config = write_inputs(tmp_path, loss={"q": 0.999, "n_sims": 20000})
+    assert main(["mc-check", "--config", str(config), "--out",
+                 str(tmp_path / "out"), "--sims", "0"]) == 2
+    assert "n_sims=0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workload", ["design-large-n", "scenario-list-sector"])
 def test_generated_benchmark_configs_validate(tmp_path, workload):
     config = generate_toy_inputs(workload, tmp_path)

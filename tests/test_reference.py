@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from georst import (Family, InvalidInputError, ReferenceModel, ScenarioVector,
+from scipy.linalg import solve_triangular
+
+from georst import (Family, InvalidInputError, ReferenceModel,
                     estimate_covariance)
 
 
@@ -94,15 +96,6 @@ def test_plausibility_score_fields(correlated_model):
     assert score.rarity == pytest.approx(-math.log10(score.tail_probability))
 
 
-def test_scenario_vector_round_trip():
-    sv = ScenarioVector(g=0.7, x=np.array([1.0, -2.0]))
-    arr = sv.to_array()
-    assert arr == pytest.approx([0.7, 1.0, -2.0])
-    back = ScenarioVector.from_array(arr)
-    assert back.g == 0.7
-    assert back.x == pytest.approx([1.0, -2.0])
-
-
 def test_invalid_covariance_rejected():
     with pytest.raises(InvalidInputError):
         ReferenceModel.from_covariance(np.array([[1.0, 0.9], [0.2, 1.0]]))
@@ -144,3 +137,34 @@ def test_whiten_round_trip_property(d, seed, scale):
     s = scale * rng.standard_normal(d)
     back = model.unwhiten(model.whiten(s))
     assert np.linalg.norm(back - s) <= 1e-12 * np.linalg.norm(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 12), n=st.one_of(st.just(1), st.integers(0, 200)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_geometry_of_a_block_equals_its_rows(d, n, seed):
+    # one body serves a scenario and a block: each row's m^2 does not depend
+    # on the block it sits in, and whitening is the triangular solve of L s
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(a @ a.T + 1e-3 * np.eye(d))
+    S = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+    m2 = model.mahalanobis_sq(S)
+    assert m2.shape == (n,)
+    assert m2.tobytes() == np.array(
+        [model.mahalanobis_sq(s) for s in S]).tobytes()
+    chol = model.chol
+    assert model.whiten(S).tobytes() == solve_triangular(
+        chol, S.T, lower=True).T.tobytes()
+    for s in S:
+        assert model.whiten(s).tobytes() == solve_triangular(
+            chol, s, lower=True).tobytes()
+
+
+def test_geometry_takes_one_validated_shape(correlated_model):
+    assert isinstance(correlated_model.mahalanobis_sq([1.0, 1.0]), float)
+    for bad in ([1.0, 1.0, 1.0], [[1.0, np.nan]], [[[1.0, 1.0]]]):
+        with pytest.raises(InvalidInputError):
+            correlated_model.mahalanobis_sq(bad)
+        with pytest.raises(InvalidInputError):
+            correlated_model.whiten(bad)

@@ -118,8 +118,8 @@ def test_membership_many_equals_the_oracle_row_by_row(correlated_half_planes,
     # the squared norm behind both tests: each row's value, bit for bit,
     # does not depend on the block it sits in
     finite = S[:-len(NON_FINITE_ROWS)]
-    assert mem._m2(finite).tobytes() == np.concatenate(
-        [mem._m2(row[None, :]) for row in finite]).tobytes()
+    assert model.mahalanobis_sq(finite).tobytes() == np.array(
+        [model.mahalanobis_sq(row) for row in finite]).tobytes()
 
 
 def test_membership_many_rejects_a_misshapen_block(half_plane):
