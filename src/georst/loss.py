@@ -15,6 +15,7 @@ from .transmission import Portfolio
 
 _PD_FLOOR = 1e-300
 _PD_CAP = 1.0 - 1e-16
+MC_BLOCKS = 20  # independent random streams of a Monte Carlo loss run
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _empirical_quantile_index(q: float, n: int) -> int:
 
 
 def mc_loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec,
-                     n_sims: int, seed: int, n_blocks: int = 20) -> McLossResult:
+                     n_sims: int, seed: int) -> McLossResult:
     """Monte Carlo q-quantile of the latent-factor portfolio loss.
 
     Simulates the systematic factor Z per scenario draw; conditional on Z,
@@ -95,9 +96,9 @@ def mc_loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec,
     g_sq_1mrho = np.sqrt(1.0 - g_rho)
     g_loss_unit = g_ead * g_lgd
 
-    block_sizes = np.full(n_blocks, n_sims // n_blocks)
-    block_sizes[: n_sims % n_blocks] += 1
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    block_sizes = np.full(MC_BLOCKS, n_sims // MC_BLOCKS)
+    block_sizes[: n_sims % MC_BLOCKS] += 1
+    streams = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
     losses = []
     for size, ss in zip(block_sizes, streams):
         if size == 0:

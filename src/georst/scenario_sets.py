@@ -22,6 +22,8 @@ from .solver import ConstraintSet, SolverConfig, conditional_anchor, _g_cap
 
 THIN_REGION_RATE = 0.01
 STALL_WIDTH = 1e-10
+BRACKET_CAP = 64.0      # hit-and-run's longest bracket, whitened units
+N_GRID_POINTS = 8       # points of the default conditional-anchor g grid
 DEFAULT_POOL_SIZE = 2000
 DEFAULT_LIST_SIZE = 8
 DEFAULT_TOP_K = 3
@@ -195,7 +197,7 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
 
 
 def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
-                membership, bracket_cap: float = 64.0) -> list[np.ndarray]:
+                membership) -> list[np.ndarray]:
     """Membership-oracle line sampler in whitened space.
 
     Each step draws a uniform direction, brackets the membership interval
@@ -218,8 +220,8 @@ def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
     for _ in range(n_steps):
         u = rng.standard_normal(model.d)
         u /= max(np.linalg.norm(u), 1e-12)
-        t_hi = _boundary(member_at, u, +1.0, bracket_cap)
-        t_lo = _boundary(member_at, u, -1.0, bracket_cap)
+        t_hi = _boundary(member_at, u, +1.0, BRACKET_CAP)
+        t_lo = _boundary(member_at, u, -1.0, BRACKET_CAP)
         moved = False
         if t_hi - t_lo >= STALL_WIDTH:
             lo, hi = t_lo, t_hi
@@ -270,6 +272,8 @@ def build_pool(model: ReferenceModel, capital, constraints: ConstraintSet,
                seed: int = 0, monotonicity_fn=None) -> CandidatePool:
     """Anchors (multi-start optima and conditional g-grid anchors) densified
     by local sampling, with a hit-and-run fallback on thin regions."""
+    if n_target < 1:
+        raise InvalidInputError(f"pool size {n_target} must be >= 1")
     anchors: list[PoolEntry] = []
     for opt in design_result.local_optima:
         if membership(opt.s):
@@ -322,10 +326,11 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def default_g_grid(model: ReferenceModel, constraints: ConstraintSet,
-                   n_points: int = 8) -> np.ndarray:
+def default_g_grid(model: ReferenceModel,
+                   constraints: ConstraintSet) -> np.ndarray:
     """Equally spaced geopolitical intensities up to the marginal 99.9th pct."""
-    return np.linspace(constraints.g_min, _g_cap(model, constraints), n_points)
+    return np.linspace(constraints.g_min, _g_cap(model, constraints),
+                       N_GRID_POINTS)
 
 
 @dataclass
@@ -357,8 +362,8 @@ class ScenarioList:
 
 def driver_decomposition(model: ReferenceModel, s, k: int = DEFAULT_TOP_K) -> list[Driver]:
     """Top-k whitened coordinates by absolute value, with signs and labels."""
-    if k > model.d:
-        raise InvalidInputError(f"k={k} exceeds dimension {model.d}")
+    if not 1 <= k <= model.d:
+        raise InvalidInputError(f"k={k} outside 1..{model.d}")
     y = model.whiten(s)
     order = sorted(range(model.d), key=lambda j: (-abs(y[j]), j))
     return [Driver(factor=model.factor_names[j],

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from .capital import breaches
 from .errors import InfeasibleError, InvalidInputError, NonConvergenceError
@@ -20,9 +20,11 @@ from .special_functions import normal_quantile
 
 G_MIN_DEFAULT = 1e-6
 FD_STEP = 1e-5          # central-difference step, whitened units
-TOL_CONSTRAINT = 1e-8   # monotonicity only; the breach has no slack
+TOL_CONSTRAINT = 1e-8   # box and monotonicity; the breach has no slack
 DEDUP_RADIUS = 1e-3     # whitened distance between distinct local optima
 MAX_INNER_ITER = 200    # SLSQP iterations per start
+WARM_START_T_CAP = 4096.0  # longest warm-start ray, in marginal std devs
+POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
 
 
 @dataclass
@@ -66,8 +68,8 @@ class ConstraintSet:
             out[1:] = np.minimum(out[1:], hi)
         return out
 
-    def satisfied(self, s: np.ndarray, tol: float = 1e-9) -> bool:
-        d = s.size
+    def satisfied(self, s: np.ndarray) -> bool:
+        d, tol = s.size, TOL_CONSTRAINT
         if s[0] < self.g_min - tol:
             return False
         if self.g_max is not None and s[0] > self.g_max + tol:
@@ -202,51 +204,38 @@ def _g_cap(model: ReferenceModel, constraints: ConstraintSet) -> float:
     return normal_quantile(0.999) * model.marginal_std(0)
 
 
-def _frontier_warm_start(model: ReferenceModel, capital,
-                         constraints: ConstraintSet, g_j: float,
-                         t_cap: float = 4096.0) -> np.ndarray:
-    """A near-frontier start on a stress ray at fixed g.
+def _frontier_t(ratio_at, r_star: float, r_0: float, t: float,
+                t_cap: float) -> float | None:
+    """The breaching end of a bracket on the frontier R = r_star along a ray.
 
-    Doubles t until point(t) breaches, then shrinks the bracket [lo, hi]
-    (lo does not breach, hi does) by Illinois regula falsi on
-    f(t) = R(point(t)) - r_star, bisecting when the secant point leaves the
-    bracket, to the width 40 halvings of the last doubling step reach.
-    Returns point(hi), which breaches.
+    ratio_at(t) is R at distance t along the ray and r_0 = ratio_at(0),
+    which does not breach. Doubles t from the given first step until
+    ratio_at(t) breaches, or returns None once t passes t_cap. Then shrinks
+    the bracket [lo, hi] (lo does not breach, hi does) by Illinois regula
+    falsi on f(t) = ratio_at(t) - r_star, bisecting when the secant point
+    leaves the bracket, to the width max(hi 2^-41, 1e-15), or until f(hi)
+    is exactly 0. The floor stops a search at round-off scale, where f is
+    noise of a few ulps. Returns hi.
     """
-    d = model.d
-    v = np.sqrt(np.diag(model.sigma)[1:])
-    r_star = capital.r_star
-
-    def point(t):
-        s = np.empty(d)
-        s[0] = g_j
-        s[1:] = t * v
-        return constraints.clip(s)
-
-    def ratio(t):
-        return capital.ratio(point(t))
-
-    lo, r_lo = 0.0, ratio(0.0)
-    if breaches(r_lo, r_star):
-        return point(0.0)
-    hi, r_hi = 1.0, ratio(1.0)
-    while not breaches(r_hi, r_star):
-        lo, r_lo = hi, r_hi
-        hi *= 2.0
-        if hi > t_cap:
-            return point(0.0)
-        r_hi = ratio(hi)
-    width = hi * 2.0 ** -41
-    f_lo, f_hi = r_lo - r_star, r_hi - r_star
+    lo, f_lo = 0.0, r_0 - r_star
+    while True:
+        if t > t_cap:
+            return None
+        r = ratio_at(t)
+        if breaches(r, r_star):
+            break
+        lo, f_lo, t = t, r - r_star, 2.0 * t
+    hi, f_hi = t, r - r_star
+    width = max(hi * 2.0 ** -41, 1e-15)
     kept = 0  # +1 / -1 when the last step kept lo / hi
-    while hi - lo > width:
+    while hi - lo > width and f_hi != 0.0:
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo <= t <= hi:
             t = 0.5 * (lo + hi)
         # a step of at least width / 2 from each end closes the bracket
         # when the root sits at one end, where regula falsi stalls
         t = min(max(t, lo + 0.5 * width), hi - 0.5 * width)
-        r = ratio(t)
+        r = ratio_at(t)
         if breaches(r, r_star):
             hi, f_hi = t, r - r_star
             if kept == 1:
@@ -257,7 +246,31 @@ def _frontier_warm_start(model: ReferenceModel, capital,
             if kept == -1:
                 f_hi *= 0.5
             kept = -1
-    return point(hi)
+    return hi
+
+
+def _frontier_warm_start(model: ReferenceModel, capital,
+                         constraints: ConstraintSet,
+                         g_j: float) -> np.ndarray:
+    """A near-frontier start on the stress ray (g_j, t sigma_x), clipped to
+    the box: the point at the breaching end of ``_frontier_t``'s bracket
+    from t = 1, or the ray's origin when it breaches or when no t up to
+    WARM_START_T_CAP does."""
+    d = model.d
+    v = np.sqrt(np.diag(model.sigma)[1:])
+
+    def point(t):
+        s = np.empty(d)
+        s[0] = g_j
+        s[1:] = t * v
+        return constraints.clip(s)
+
+    r_0 = capital.ratio(point(0.0))
+    if breaches(r_0, capital.r_star):
+        return point(0.0)
+    t = _frontier_t(lambda t: capital.ratio(point(t)), capital.r_star, r_0,
+                    1.0, WARM_START_T_CAP)
+    return point(0.0 if t is None else t)
 
 
 def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
@@ -283,36 +296,38 @@ def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
     return starts
 
 
-def _polish_to_frontier(model: ReferenceModel, capital,
-                        y: np.ndarray) -> np.ndarray:
-    """Push a near-frontier iterate exactly onto the feasible side.
+def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
+                        g_fixed: float | None = None) -> np.ndarray | None:
+    """Move a near-frontier iterate onto the breaching side of R = r_star.
 
-    Moves along the constraint normal until the ratio crosses r_star, then
-    keeps a strictly feasible point on the bracket.
+    Returns s = L y, with s[0] set to g_fixed when given, if it breaches.
+    Otherwise searches the ray from s along the breach margin's gradient in
+    y with ``_frontier_t`` and returns the point at the breaching end of the
+    bracket, or None when the ray finds no breach. With g_fixed the
+    gradient's y_0 part is zeroed: L is lower triangular, so the ray's first
+    component is exactly 0 and s[0] stays g_fixed bit for bit.
     """
-    c, c_grad = _breach_margin(model, capital)
-    c0 = c(y)
-    if c0 >= 0.0:
-        return y
+    s = model.unwhiten(y)
+    if g_fixed is not None:
+        s[0] = g_fixed
+        y = model.whiten(s)
+    r_0 = capital.ratio(s)
+    if breaches(r_0, capital.r_star):
+        return s
+    _, c_grad = _breach_margin(model, capital)
     grad = c_grad(y)
+    if g_fixed is not None:
+        grad[0] = 0.0
     norm = np.linalg.norm(grad)
-    if norm < 1e-14:
-        return y
-    direction = grad / norm
-    t_hi = abs(c0) / norm * 4.0 + 1e-12
-    for _ in range(60):
-        if c(y + t_hi * direction) > 0.0:
-            break
-        t_hi *= 2.0
-    else:
-        return y
-    t_root = brentq(lambda t: c(y + t * direction), 0.0, t_hi, xtol=1e-15)
-    # step just past the root so the iterate is feasible, not merely on it
-    for pad in (0.0, 1e-12, 1e-10, 1e-8):
-        cand = y + (t_root + pad * (1.0 + abs(t_root))) * direction
-        if c(cand) >= 0.0:
-            return cand
-    return y
+    if not norm >= 1e-14:
+        return None
+    step = model.chol @ (grad / norm)
+    # four times the linearized distance to the frontier
+    t_0 = (r_0 - capital.r_star) / _constraint_scale(capital) / norm * 4.0
+    t_0 += 1e-12
+    t = _frontier_t(lambda t: capital.ratio(s + t * step), capital.r_star,
+                    r_0, t_0, t_0 * POLISH_GROWTH)
+    return None if t is None else s + t * step
 
 
 def _solve_from(y0: np.ndarray, cons: list[dict]):
@@ -330,7 +345,7 @@ def _feasible(model: ReferenceModel, capital, constraints: ConstraintSet,
               s: np.ndarray, monotonicity_fn=None) -> bool:
     if not breaches(capital.ratio(s), capital.r_star):
         return False
-    if not constraints.satisfied(s, tol=1e-8):
+    if not constraints.satisfied(s):
         return False
     if monotonicity_fn is not None and constraints.enforce_monotonicity:
         if monotonicity_fn(s) > TOL_CONSTRAINT:
@@ -377,8 +392,10 @@ def solve_design_point(model: ReferenceModel, capital,
     best_infeasible: tuple[float, np.ndarray] | None = None
     for idx, y0 in enumerate(starts):
         res = _solve_from(y0, cons)
-        y = _polish_to_frontier(model, capital, res.x)
-        s = model.unwhiten(y)
+        s = _polish_to_frontier(model, capital, res.x)
+        if s is None:
+            s = model.unwhiten(res.x)
+        y = model.whiten(s)
         if _feasible(model, capital, constraints, s, monotonicity_fn):
             optima.append(LocalOptimum(
                 s=s, y=y, mahalanobis_sq=float(y @ y),
@@ -469,52 +486,16 @@ def conditional_anchor(model: ReferenceModel, capital,
 def _anchor_from(model: ReferenceModel, capital, constraints: ConstraintSet,
                  cons: list[dict], s0: np.ndarray, g_j: float,
                  monotonicity_fn) -> np.ndarray | None:
-    """One fixed-g solve from s0: SLSQP, then the polished iterate or, failing
-    that, the raw one, snapped to g_j and moved into the breach set. Returns
-    the first of the two that is feasible, or None."""
+    """One fixed-g solve from s0: SLSQP, then, when the solver ends at
+    g_j to within its tolerance, the polish at g = g_j. Returns the polished
+    scenario when it is feasible, else None."""
     res = _solve_from(model.whiten(s0), cons)
-    for y in (_polish_to_frontier(model, capital, res.x), res.x):
-        s = model.unwhiten(y)
-        if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
-            continue
-        s[0] = g_j  # snap away residual solver tolerance
-        s = _breach_at_fixed_g(model, capital, s)
-        if s is not None and _feasible(model, capital, constraints, s,
-                                       monotonicity_fn):
-            return s
-    return None
-
-
-def _breach_at_fixed_g(model: ReferenceModel, capital,
-                       s: np.ndarray) -> np.ndarray | None:
-    """Return s, or s moved outward in x at its fixed g so that R <= r_star.
-
-    Snapping g back onto the grid value can leave a frontier iterate a few
-    ulps above r_star. At a conditional optimum with an active breach
-    constraint, R decreases along the x-part of grad m^2 (the KKT
-    condition), so a short step along it restores the breach without
-    touching g: the step is twice the secant estimate, quadrupled while it
-    falls short. Returns None when R does not decrease along that direction.
-    """
-    r = capital.ratio(s)
-    if breaches(r, capital.r_star):
+    if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
+        return None
+    s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)
+    if s is not None and _feasible(model, capital, constraints, s,
+                                   monotonicity_fn):
         return s
-    u = np.linalg.solve(model.sigma, s)
-    u[0] = 0.0
-    norm = np.linalg.norm(u)
-    if not norm > 0.0:
-        return None
-    u /= norm
-    h = 1e-7 * (1.0 + np.linalg.norm(s))
-    slope = (capital.ratio(s + h * u) - r) / h
-    if not slope < 0.0:
-        return None
-    t = 2.0 * (r - capital.r_star) / -slope
-    for _ in range(8):
-        cand = s + t * u
-        if breaches(capital.ratio(cand), capital.r_star):
-            return cand
-        t *= 4.0
     return None
 
 

@@ -89,6 +89,7 @@ _SOFTCLIP = SoftClip()
 
 # the per-exposure numeric columns of a Portfolio, in input-file order
 CREDIT_COLUMNS = ("ead", "pd0", "lgd0", "rho", "maturity")
+MONOTONICITY_TEMPERATURE = 1e-3  # log-sum-exp smoothing scale
 
 
 @dataclass
@@ -208,16 +209,15 @@ def monotonicity_violation(portfolio: Portfolio, s) -> float:
     return float(max(worst, 0.0))
 
 
-def smooth_monotonicity_violation(portfolio: Portfolio, s,
-                                  temperature: float = 1e-3) -> float:
+def smooth_monotonicity_violation(portfolio: Portfolio, s) -> float:
     """Log-sum-exp smoothing of :func:`monotonicity_violation`.
 
-    Upper-bounds the hard max within temperature * log(2n + 1); centered so
-    the value is ~0 when no exposure improves. Suitable as a single smooth
-    inequality constraint.
+    Upper-bounds the hard max within MONOTONICITY_TEMPERATURE * log(2n + 1);
+    centered so the value is ~0 when no exposure improves. Suitable as a
+    single smooth inequality constraint.
     """
     pd = portfolio.stressed_pd(s)
     lgd = portfolio.stressed_lgd(s)
     terms = np.concatenate([portfolio.pd0 - pd, portfolio.lgd0 - lgd, [0.0]])
-    lse = temperature * logsumexp(terms / temperature)
-    return float(lse - temperature * math.log(terms.size))
+    tau = MONOTONICITY_TEMPERATURE
+    return float(tau * logsumexp(terms / tau) - tau * math.log(terms.size))

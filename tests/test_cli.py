@@ -514,6 +514,24 @@ def test_cli_mc_check_rejects_zero_sims(tmp_path, capsys):
     assert "n_sims=0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({"pool": -3, "list": 2}, "pool size -3 must be >= 1"),
+    ({"pool": 0, "list": 2}, "pool size 0 must be >= 1"),
+    ({"top_k": -1}, "k=-1 outside 1..2"),
+    ({"top_k": 0}, "k=0 outside 1..2"),
+], ids=["pool-3", "pool0", "top_k-1", "top_k0"])
+def test_cli_scenario_list_rejects_counts_below_one(tmp_path, capsys,
+                                                    entries, message):
+    # each used to exit 0: a pool of -3 reported pool_size = -3, top_k = -1
+    # listed d - 1 drivers per row (a slice order[:-1]) and top_k = 0 none
+    config = write_inputs(tmp_path, scenario_set={
+        "target": "near-optimal", "epsilon": 1.0, "pool": 60, "list": 4,
+        **entries})
+    assert main(["scenario-list", "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workload", ["design-large-n", "scenario-list-sector"])
 def test_generated_benchmark_configs_validate(tmp_path, workload):
     config = generate_toy_inputs(workload, tmp_path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from georst import (ConstraintSet, Family, InfeasibleError, InvalidInputError,
@@ -10,7 +11,7 @@ from georst import solver
 from georst.capital import breaches
 from georst.runner import RunConfig, build_context
 from georst.scenario_sets import default_g_grid
-from georst.solver import (_breach_at_fixed_g, _build_constraints, _feasible,
+from georst.solver import (_build_constraints, _feasible, _frontier_t,
                            _frontier_warm_start, _polish_to_frontier,
                            _solve_from)
 
@@ -251,6 +252,48 @@ def test_frontier_warm_start_root_find(correlated_model, kind):
         assert counting.calls <= 15
 
 
+def test_frontier_t_stops_at_an_exact_root():
+    # R equals r_star on a whole stretch of the ray, as it does at round-off
+    # scale: regula falsi then keeps landing on hi and creeps down from it
+    # in steps of half the width, so a bracket end with f = 0 ends the search
+    calls = []
+
+    def ratio_at(t):
+        calls.append(t)
+        assert len(calls) <= 50
+        return max(1.0 - 2.0 * t, 0.0)
+
+    assert _frontier_t(ratio_at, 0.0, 1.0, 1.0, 4096.0) == 1.0
+    assert len(calls) == 1
+
+
+def test_frontier_t_stops_at_the_round_off_floor():
+    # a polish-scale ray: f is one ulp either side of a root at 3e-13, never
+    # 0; the relative width hi 2^-41 alone takes 49 calls here
+    r_star = 0.1
+    ulp = np.spacing(r_star)
+    calls = []
+
+    def ratio_at(t):
+        calls.append(t)
+        return r_star + (ulp if t < 3e-13 else -ulp)
+
+    hi = _frontier_t(ratio_at, r_star, r_star + ulp, 1e-12, 1.0)
+    assert 3e-13 <= hi <= 3e-13 + 1e-15
+    assert len(calls) <= 13
+
+
+def test_frontier_t_gives_up_past_its_cap():
+    calls = []
+
+    def ratio_at(t):
+        calls.append(t)
+        return 1.0
+
+    assert _frontier_t(ratio_at, 0.5, 1.0, 1.0, 100.0) is None
+    assert calls == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+
+
 def credit_fixture():
     pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
                         gamma=(0.08,), pd0=0.015, lgd0=0.4)
@@ -280,19 +323,15 @@ def multi_start_anchor(model, capital, constraints, g_j, config,
     best = None
     for y0 in starts[0 if warm_start else 1:]:
         res = _solve_from(y0, cons)
-        for y in (_polish_to_frontier(model, capital, res.x), res.x):
-            s = model.unwhiten(y)
-            if abs(s[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
-                continue
-            s[0] = g_j
-            s = _breach_at_fixed_g(model, capital, s)
-            if s is None or not _feasible(model, capital, constraints, s,
-                                          monotonicity_fn):
-                continue
-            m2 = model.mahalanobis_sq(s)
-            if best is None or m2 < best[0]:
-                best = (m2, s)
-            break
+        if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
+            continue
+        s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)
+        if s is None or not _feasible(model, capital, constraints, s,
+                                      monotonicity_fn):
+            continue
+        m2 = model.mahalanobis_sq(s)
+        if best is None or m2 < best[0]:
+            best = (m2, s)
     return None if best is None else best[1]
 
 
@@ -319,6 +358,42 @@ def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
         assert cap.ratio(anchor) <= cap.r_star
         assert (model.mahalanobis_sq(anchor)
                 <= model.mahalanobis_sq(oracle) * (1.0 + 1e-9))
+
+
+def test_polish_near_the_frontier_is_short(anchor_setup):
+    # iterates within 1e-12 of the frontier, on either side of it: the
+    # polish, free or at fixed g, breaches within 10 R(s) calls
+    model, cap, cons, config, mono = anchor_setup
+    counting = CountingCapital(cap)
+    counting.ratio_grad = cap.ratio_grad
+    rng = np.random.default_rng(0)
+    for g_j in default_g_grid(model, cons)[::3]:
+        s_f = conditional_anchor(model, cap, cons, float(g_j), config=config,
+                                 monotonicity_fn=mono)
+        y_f = model.whiten(s_f)
+        up = model.chol.T @ cap.ratio_grad(s_f)
+        for v in (up, rng.standard_normal(model.d)):
+            for delta in (1e-12, 1e-14, 0.0):
+                y = y_f + delta * v / np.linalg.norm(v)
+                for g_fixed in (None, s_f[0]):
+                    counting.calls = 0
+                    s = _polish_to_frontier(model, counting, y, g_fixed)
+                    assert counting.calls <= 10
+                    assert cap.ratio(s) <= cap.r_star
+                    assert g_fixed is None or s[0] == g_fixed
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       g_j=st.floats(0.0, 4.0), level=st.floats(0.1, 5.0))
+def test_fixed_g_polish_keeps_g_and_breaches(d, seed, g_j, level):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(a @ a.T + 0.1 * np.eye(d))
+    cap = LinearCapital(weights=rng.standard_normal(d), level=level)
+    s = _polish_to_frontier(model, cap, rng.standard_normal(d), g_fixed=g_j)
+    assert s[0] == g_j
+    assert cap.ratio(s) <= cap.r_star
 
 
 @pytest.fixture
