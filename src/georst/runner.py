@@ -39,7 +39,9 @@ DEFAULTS = {
 # The keys each config section may hold, exactly the ones the runner reads,
 # and the JSON type of each value. Top level holds "seed" and these sections;
 # any other key is an error, so a misspelt key cannot silently fall back to
-# its default, and so is a value of another type ("false" is not false).
+# its default, and so is a value of another type ("false" is not false). A
+# "count" is an integer >= 1, rejected here, before any R(s) call, rather
+# than after the design point and the pool are built.
 CONFIG_KEYS = {
     "reference": {"family": "string", "nu": "number", "covariance": "string",
                   "history": "string"},
@@ -55,7 +57,7 @@ CONFIG_KEYS = {
     "solver": {"n_starts": "integer", "seed": "integer"},
     "scenario_set": {"target": "string", "eta": "number",
                      "epsilon": "number", "g_grid": "numbers",
-                     "pool": "integer", "list": "integer", "top_k": "integer"},
+                     "pool": "count", "list": "count", "top_k": "count"},
 }
 
 
@@ -63,6 +65,7 @@ CONFIG_KEYS = {
 JSON_TYPES = {
     "object": (dict, "an object"), "string": (str, "a string"),
     "boolean": (bool, "true or false"), "integer": (int, "an integer"),
+    "count": (int, "an integer >= 1"),
     "number": ((int, float), "a number"),
     "numbers": (list, "a list of numbers"),
     "bounds": ((int, float, list), "a number or a list of numbers"),
@@ -74,6 +77,8 @@ def _is_a(kind: str, v) -> bool:
     if isinstance(v, bool):  # an int in Python, but JSON true is no number
         return kind == "boolean"
     if isinstance(v, list) and not all(_is_a("number", e) for e in v):
+        return False
+    if kind == "count" and isinstance(v, int) and v < 1:
         return False
     return isinstance(v, JSON_TYPES[kind][0])
 
@@ -113,8 +118,8 @@ class RunConfig:
         return self.raw.get(name, {})
 
     def check(self):
-        """Reject an unknown key or a value of the wrong JSON type, naming
-        its section and key."""
+        """Reject an unknown key, a value of the wrong JSON type or a count
+        below 1, naming its section and key."""
         if not isinstance(self.raw, dict):
             raise InvalidInputError("config must be a JSON object")
         _check_keys(self.raw, {"seed": "integer",

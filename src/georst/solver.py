@@ -8,7 +8,9 @@ multi-start; a brute-force grid oracle validates 2-D problems.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
@@ -22,6 +24,7 @@ G_MIN_DEFAULT = 1e-6
 FD_STEP = 1e-5          # central-difference step, whitened units
 TOL_CONSTRAINT = 1e-8   # box and monotonicity; the breach has no slack
 DEDUP_RADIUS = 1e-3     # whitened distance between distinct local optima
+CONFIRMATIONS = 2       # consecutive starts re-finding the best that end a solve
 MAX_INNER_ITER = 200    # SLSQP iterations per start
 WARM_START_T_CAP = 4096.0  # longest warm-start ray, in marginal std devs
 POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
@@ -113,6 +116,9 @@ class DesignPointResult:
     ratio_at_optimum: float
     active: bool
     local_optima: list[LocalOptimum] = field(default_factory=list)
+    # the starts actually run: the search stops early once CONFIRMATIONS
+    # starts in a row re-find the best optimum, so SolverConfig.n_starts
+    # is only the upper limit
     n_starts: int = 0
 
 
@@ -274,10 +280,14 @@ def _frontier_warm_start(model: ReferenceModel, capital,
 
 
 def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
-                     config: SolverConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """Half whitened-sphere draws, half g-grid conditional warm starts."""
+                     config: SolverConfig,
+                     rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Half whitened-sphere draws, then half g-grid conditional warm starts,
+    as a lazy sequence. The sphere draws are made here, up front: they cost
+    no R(s) call. Each warm start costs a frontier search, so it is built
+    only when the caller takes it."""
     d = model.d
-    starts = []
+    sphere = []
     n_sphere = config.n_starts // 2
     radii = (1.0, 2.0, 3.0, 4.0)
     for i in range(n_sphere):
@@ -285,15 +295,13 @@ def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
         u /= max(np.linalg.norm(u), 1e-12)
         y = radii[i % len(radii)] * u
         s = constraints.clip(model.unwhiten(y))
-        starts.append(model.whiten(s))
+        sphere.append(model.whiten(s))
     n_grid = config.n_starts - n_sphere
-    if n_grid > 0:
-        g_cap = _g_cap(model, constraints)
-        g_values = np.linspace(constraints.g_min, g_cap, max(n_grid, 2))[:n_grid]
-        for g_j in g_values:
-            s = _frontier_warm_start(model, capital, constraints, g_j)
-            starts.append(model.whiten(s))
-    return starts
+    g_cap = _g_cap(model, constraints)
+    g_values = np.linspace(constraints.g_min, g_cap, max(n_grid, 2))[:n_grid]
+    return chain(sphere, (
+        model.whiten(_frontier_warm_start(model, capital, constraints, g_j))
+        for g_j in g_values))
 
 
 def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
@@ -370,9 +378,15 @@ def solve_design_point(model: ReferenceModel, capital,
 
     Multi-start SLSQP in whitened coordinates, feasibility polish onto the
     breach frontier, deduplication of local optima, and a deterministic
-    lexicographic tie-break. Raises InfeasibleError when no breach exists
-    within bounds, NonConvergenceError when starts exist but none converge
-    to a feasible point.
+    lexicographic tie-break. The starts run in order, sphere draws first,
+    then g-grid warm starts, each warm start built only when reached. The
+    search stops once CONFIRMATIONS starts in a row each end feasible
+    within DEDUP_RADIUS of the best optimum so far; any other end (a new,
+    distinct best, a different optimum, an infeasible point) resets the
+    count. config.n_starts caps the starts, and the result's n_starts
+    counts those run. Raises InfeasibleError when no breach exists within
+    bounds, NonConvergenceError when starts exist but none converge to a
+    feasible point.
     """
     if constraints is None:
         constraints = ConstraintSet()
@@ -383,30 +397,41 @@ def solve_design_point(model: ReferenceModel, capital,
     cons = _build_constraints(model, capital, constraints,
                               monotonicity_fn=monotonicity_fn)
 
-    probe_breach = any(
-        breaches(capital.ratio(constraints.clip(model.unwhiten(y))),
-                 capital.r_star)
-        for y in starts)
-
+    tried: list[np.ndarray] = []
     optima: list[LocalOptimum] = []
+    incumbent: LocalOptimum | None = None
+    confirmed = 0
     best_infeasible: tuple[float, np.ndarray] | None = None
     for idx, y0 in enumerate(starts):
+        tried.append(y0)
         res = _solve_from(y0, cons)
         s = _polish_to_frontier(model, capital, res.x)
         if s is None:
             s = model.unwhiten(res.x)
         y = model.whiten(s)
-        if _feasible(model, capital, constraints, s, monotonicity_fn):
-            optima.append(LocalOptimum(
-                s=s, y=y, mahalanobis_sq=float(y @ y),
-                ratio=capital.ratio(s), start_index=idx))
-        else:
+        if not _feasible(model, capital, constraints, s, monotonicity_fn):
+            confirmed = 0
             obj = float(y @ y)
             if best_infeasible is None or obj < best_infeasible[0]:
                 best_infeasible = (obj, s)
+            continue
+        opt = LocalOptimum(s=s, y=y, mahalanobis_sq=float(y @ y),
+                           ratio=capital.ratio(s), start_index=idx)
+        optima.append(opt)
+        if (incumbent is not None
+                and np.linalg.norm(y - incumbent.y) <= DEDUP_RADIUS):
+            confirmed += 1
+        else:
+            confirmed = 0
+        if incumbent is None or opt.mahalanobis_sq < incumbent.mahalanobis_sq:
+            incumbent = opt
+        if confirmed >= CONFIRMATIONS:
+            break
 
     if not optima:
-        if not probe_breach:
+        # no start ended feasible, so none stopped the search early
+        if not any(breaches(capital.ratio(constraints.clip(model.unwhiten(y))),
+                            capital.r_star) for y in tried):
             raise InfeasibleError(
                 "no capital-breaching scenario found within the admissible bounds")
         err = NonConvergenceError(
@@ -426,7 +451,7 @@ def solve_design_point(model: ReferenceModel, capital,
         ratio_at_optimum=ratio,
         active=active,
         local_optima=deduped,
-        n_starts=len(starts),
+        n_starts=len(tried),
     )
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
-from georst import (ConstraintSet, Family, InfeasibleError, InvalidInputError,
-                    LinearCapital, LossQuantileSpec, ReferenceModel,
-                    SolverConfig, conditional_anchor, grid_oracle, risk_weight,
+from georst import (ConstraintSet, CreditCapitalModel, Family,
+                    InfeasibleError, InvalidInputError, LinearCapital,
+                    LossQuantileSpec, ReferenceModel, SolverConfig,
+                    conditional_anchor, grid_oracle, risk_weight,
                     solve_design_point)
 from georst import solver
 from georst.capital import breaches
@@ -17,6 +18,7 @@ from georst.solver import (_build_constraints, _feasible, _frontier_t,
 
 from conftest import (CountingCapital, generate_toy_inputs,
                       make_credit_capital, make_portfolio)
+from test_acceptance import random_map_suite
 
 
 def test_half_plane_closed_form(identity_model):
@@ -440,6 +442,122 @@ def test_anchor_fallback_is_the_multi_start_solve(correlated_model,
                                     config=config)
         assert len(counted_minimize) == max(6, config.n_starts // 4)
         assert anchor.tobytes() == want.tobytes()
+
+
+def test_design_point_stops_once_the_best_is_confirmed(correlated_model,
+                                                      counted_minimize,
+                                                      monkeypatch):
+    # every sphere start reaches the one optimum: the first sets it, the
+    # next CONFIRMATIONS re-find it, and no warm start is ever built
+    def no_warm_start(*args):
+        raise AssertionError("warm start built")
+
+    monkeypatch.setattr(solver, "_frontier_warm_start", no_warm_start)
+    res = solve_design_point(correlated_model, credit_fixture(),
+                             ConstraintSet(), SolverConfig(seed=0))
+    assert len(counted_minimize) == solver.CONFIRMATIONS + 1
+    assert res.n_starts == solver.CONFIRMATIONS + 1
+    assert len(res.local_optima) == 1
+
+
+def test_feasible_design_point_makes_no_breach_probe(correlated_model,
+                                                     monkeypatch):
+    # the probe evaluates R(s) at the starts, before any solve, to tell an
+    # infeasible problem from a non-converged one; a solve that finds an
+    # optimum never reads it, so its first R(s) call is inside SLSQP
+    events = []
+    ratio = CreditCapitalModel.ratio
+    solve_from = solver._solve_from
+
+    def counting_ratio(self, s):
+        events.append("ratio")
+        return ratio(self, s)
+
+    def marking_solve_from(*args):
+        events.append("slsqp")
+        return solve_from(*args)
+
+    monkeypatch.setattr(CreditCapitalModel, "ratio", counting_ratio)
+    monkeypatch.setattr(solver, "_solve_from", marking_solve_from)
+    solve_design_point(correlated_model, credit_fixture(), ConstraintSet(),
+                       SolverConfig(seed=0))
+    assert events[0] == "slsqp"
+    assert events.count("ratio") > 0
+
+
+def test_a_start_that_does_not_confirm_resets_the_count(identity_model,
+                                                        monkeypatch):
+    # scripted start ends on the half-plane w . s >= 4: A is its design
+    # point, B another breaching point, X does not breach; the second A
+    # confirms, X and B reset the count, and the last two A's stop the solve
+    a, b, x = [2.0 + 1e-9, 2.0 + 1e-9], [3.0, 3.0], [0.5, 0.5]
+    ends = iter([a, a, x, a, b, a, a])
+    monkeypatch.setattr(solver, "_solve_from", lambda y0, cons: (
+        OptimizeResult(x=np.array(next(ends)))))
+    monkeypatch.setattr(solver, "_polish_to_frontier", lambda *args: None)
+    cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
+    res = solve_design_point(identity_model, cap, ConstraintSet(),
+                             SolverConfig(seed=0))
+    assert res.n_starts == 7
+    assert res.s_star.tolist() == a
+
+
+class TwoModeCapital:
+    """R = r0 - slope max(w1 . s, w2 . s): the breach set is the union of
+    two half-planes, with one local design point on each."""
+
+    def __init__(self, w1, w2, level, r0=0.10, r_star=0.09):
+        self.r0, self.r_star, self.level = r0, r_star, level
+        self.w = np.array([w1, w2], dtype=float)
+        self.slope = (r0 - r_star) / level
+
+    def ratio(self, s):
+        return float(self.ratio_many(np.asarray(s, dtype=float)[None, :])[0])
+
+    def ratio_many(self, S):
+        # last-axis sums, not a matmul, so ratio_many(S)[i] == ratio(S[i])
+        S = np.asarray(S, dtype=float)
+        severity = np.maximum((S * self.w[0]).sum(axis=-1),
+                              (S * self.w[1]).sum(axis=-1))
+        return self.r0 - self.slope * severity
+
+
+def test_early_stop_finds_the_global_of_two_modes(correlated_model):
+    # the modes' closed forms s_i = level sigma w_i / (w_i' sigma w_i), m^2
+    # = level^2 / (w_i' sigma w_i), both with g > 0 and each outside the
+    # other half-plane; the first start lands on the worse one
+    cap = TwoModeCapital([0.2, 1.0], [1.0, -0.6], level=3.0)
+    sigma = correlated_model.sigma
+    closed = [(cap.level ** 2 / (w @ sigma @ w),
+               cap.level * sigma @ w / (w @ sigma @ w)) for w in cap.w]
+    (m2_best, s_best), (m2_other, _) = sorted(closed, key=lambda c: c[0])
+    assert m2_best < m2_other
+    res = solve_design_point(correlated_model, cap, ConstraintSet(),
+                             SolverConfig(seed=0))
+    assert res.s_star == pytest.approx(s_best, abs=1e-6)
+    assert res.mahalanobis_sq == pytest.approx(m2_best, rel=1e-9)
+    assert [o.mahalanobis_sq for o in res.local_optima] == pytest.approx(
+        [m2_best, m2_other], rel=1e-6)
+    assert res.local_optima[1].start_index == 0
+    assert res.n_starts < SolverConfig().n_starts
+
+
+def test_early_stop_is_no_worse_than_the_full_schedule(monkeypatch):
+    # 100 random smooth maps, some with two local optima: stopping early
+    # never returns a worse design point than running every start
+    model = ReferenceModel.from_covariance(np.array([[1.0, 0.2], [0.2, 1.0]]))
+    maps = [cap for seed in range(10) for cap in random_map_suite(seed=seed)]
+
+    def m2s():
+        return [solve_design_point(model, cap, ConstraintSet(),
+                                   SolverConfig(seed=0)).mahalanobis_sq
+                for cap in maps]
+
+    early = m2s()
+    monkeypatch.setattr(solver, "CONFIRMATIONS", 10 ** 9)
+    full = m2s()
+    for e, f in zip(early, full):
+        assert e <= f * (1.0 + 1e-9)
 
 
 def test_conditional_anchor_rejects_g_above_g_max(identity_model):
