@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .scenario_sets import (DEFAULT_LIST_SIZE, DEFAULT_POOL_SIZE,
                             NeighbourhoodSpec, TargetSet, build_pool,
                             reduce_farthest_point)
 from .sectors import aggregate_sectors
-from .solver import (G_MIN_DEFAULT, ConstraintSet, SolverConfig,
+from .solver import (G_MIN_DEFAULT, ConstraintSet, SolverConfig, grid_2d,
                      solve_design_point)
 from .transmission import smooth_monotonicity_violation
 
@@ -66,9 +67,9 @@ JSON_TYPES = {
     "object": (dict, "an object"), "string": (str, "a string"),
     "boolean": (bool, "true or false"), "integer": (int, "an integer"),
     "count": (int, "an integer >= 1"),
-    "number": ((int, float), "a number"),
-    "numbers": (list, "a list of numbers"),
-    "bounds": ((int, float, list), "a number or a list of numbers"),
+    "number": ((int, float), "a finite number"),
+    "numbers": (list, "a list of finite numbers"),
+    "bounds": ((int, float, list), "a finite number or a list of them"),
 }
 
 
@@ -77,6 +78,8 @@ def _is_a(kind: str, v) -> bool:
     if isinstance(v, bool):  # an int in Python, but JSON true is no number
         return kind == "boolean"
     if isinstance(v, list) and not all(_is_a("number", e) for e in v):
+        return False
+    if isinstance(v, float) and not math.isfinite(v):  # JSON NaN, Infinity
         return False
     if kind == "count" and isinstance(v, int) and v < 1:
         return False
@@ -153,7 +156,6 @@ class RunContext:
     scenario_cfg: dict
     seed: int
     portfolio_kind: str
-    monotonicity_fn: object | None = None
 
 
 def build_context(config: RunConfig) -> RunContext:
@@ -231,12 +233,14 @@ def build_context(config: RunConfig) -> RunContext:
             raise InvalidInputError(
                 f"{key!r} in config section 'constraints' must be a number "
                 f"or a list of {model.d - 1} numbers, got {json.dumps(con[key])}")
-    # the constraints and solver sections' keys are the dataclasses' fields
-    constraints = ConstraintSet(
-        **{**con, "g_min": float(con.get("g_min", DEFAULTS["g_min"]))})
-    mono_fn = None
-    if constraints.enforce_monotonicity:
-        mono_fn = lambda s: smooth_monotonicity_violation(engine_portfolio, s)
+    # the constraints section's keys are ConstraintSet's fields, except
+    # enforce_monotonicity, which sets its monotonicity function; the lambda
+    # looks smooth_monotonicity_violation up at each call
+    con = dict(con, g_min=float(con.get("g_min", DEFAULTS["g_min"])))
+    if con.pop("enforce_monotonicity", False):
+        con["monotonicity"] = (
+            lambda s: smooth_monotonicity_violation(engine_portfolio, s))
+    constraints = ConstraintSet(**con)
 
     solver_config = SolverConfig(**{"seed": seed,
                                     **config.section("solver")})
@@ -245,7 +249,7 @@ def build_context(config: RunConfig) -> RunContext:
         config=config, model=model, portfolio=engine_portfolio,
         capital=capital, constraints=constraints, solver_config=solver_config,
         loss_spec=loss_spec, scenario_cfg=config.section("scenario_set"),
-        seed=seed, portfolio_kind=kind, monotonicity_fn=mono_fn,
+        seed=seed, portfolio_kind=kind,
     )
 
 
@@ -324,8 +328,7 @@ def _emit_sector_table(w: ReportWriter, ctx: RunContext, s_star):
 
 def run_design_point(ctx: RunContext) -> tuple[str, object]:
     result = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
-                                ctx.solver_config,
-                                monotonicity_fn=ctx.monotonicity_fn)
+                                ctx.solver_config)
     w = ReportWriter("design-point report", ctx)
     _emit_defaults(w, ctx)
     _emit_design_point(w, ctx, result)
@@ -345,8 +348,7 @@ def _membership_from_cfg(ctx: RunContext, s_star, target: str | None = None):
 
 def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, object]:
     result = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
-                                ctx.solver_config,
-                                monotonicity_fn=ctx.monotonicity_fn)
+                                ctx.solver_config)
     cfg = ctx.scenario_cfg
     membership = _membership_from_cfg(ctx, result.s_star, target)
     g_grid = cfg.get("g_grid")
@@ -354,7 +356,7 @@ def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, 
                       ctx.solver_config, membership, result,
                       g_grid=g_grid,
                       n_target=cfg.get("pool", DEFAULTS["pool_size"]),
-                      seed=ctx.seed, monotonicity_fn=ctx.monotonicity_fn)
+                      seed=ctx.seed)
     listing = reduce_farthest_point(
         ctx.model, pool, result.s_star,
         P=cfg.get("list", DEFAULTS["list_size"]), capital=ctx.capital,
@@ -392,8 +394,6 @@ def emit_contours(ctx: RunContext, resolution: int,
     """Grid of (g, x, m2, ratio, breach, in_S_eta, in_N_eps) for plotting."""
     if ctx.model.d != 2:
         raise InvalidInputError("contour output requires d = 2")
-    if resolution < 2:
-        raise InvalidInputError("resolution must be >= 2")
     if g_bounds is None:
         hi = ctx.constraints.g_max
         if hi is None:
@@ -402,15 +402,11 @@ def emit_contours(ctx: RunContext, resolution: int,
     if x_bounds is None:
         lim = 4.0 * ctx.model.marginal_std(1)
         x_bounds = (-lim, lim)
+    S, _ = grid_2d(g_bounds, x_bounds, resolution)
     result = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
-                                ctx.solver_config,
-                                monotonicity_fn=ctx.monotonicity_fn)
+                                ctx.solver_config)
     m_eta = _membership_from_cfg(ctx, result.s_star, TargetSet.NEIGHBOURHOOD)
     m_eps = _membership_from_cfg(ctx, result.s_star, TargetSet.NEAR_OPTIMAL)
-    g_axis = np.linspace(g_bounds[0], g_bounds[1], resolution)
-    x_axis = np.linspace(x_bounds[0], x_bounds[1], resolution)
-    G, X = np.meshgrid(g_axis, x_axis, indexing="ij")
-    S = np.column_stack([G.ravel(), X.ravel()])
     ratio = ctx.capital.ratio_many(S)
     columns = zip(S.tolist(), ctx.model.mahalanobis_sq(S).tolist(),
                   ratio.tolist(), breaches(ratio, ctx.capital.r_star),

@@ -269,7 +269,7 @@ def _boundary(member_at, u, sign: float, cap: float) -> float:
 def build_pool(model: ReferenceModel, capital, constraints: ConstraintSet,
                solver_config: SolverConfig, membership: Membership,
                design_result, g_grid=None, n_target: int = DEFAULT_POOL_SIZE,
-               seed: int = 0, monotonicity_fn=None) -> CandidatePool:
+               seed: int = 0) -> CandidatePool:
     """Anchors (multi-start optima and conditional g-grid anchors) densified
     by local sampling, with a hit-and-run fallback on thin regions."""
     if n_target < 1:
@@ -282,8 +282,7 @@ def build_pool(model: ReferenceModel, capital, constraints: ConstraintSet,
         g_grid = default_g_grid(model, constraints)
     for g_j in g_grid:
         anchor = conditional_anchor(model, capital, constraints, float(g_j),
-                                    config=solver_config,
-                                    monotonicity_fn=monotonicity_fn)
+                                    config=solver_config)
         if anchor is None:
             continue
         if membership(anchor):

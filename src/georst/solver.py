@@ -8,7 +8,7 @@ multi-start; a brute-force grid oracle validates 2-D problems.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -32,13 +32,15 @@ POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
 
 @dataclass
 class ConstraintSet:
-    """Feasibility restrictions beyond the capital breach itself."""
+    """The feasible region beyond the capital breach itself: the box
+    g_min <= g <= g_max, x_min <= x <= x_max (an unset bound is no bound)
+    and, when set, the smooth monotonicity constraint monotonicity(s) <= 0."""
 
     g_min: float = G_MIN_DEFAULT
     g_max: float | None = None
     x_min: np.ndarray | float | None = None
     x_max: np.ndarray | float | None = None
-    enforce_monotonicity: bool = False
+    monotonicity: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
         if not self.g_min > 0:
@@ -49,41 +51,26 @@ class ConstraintSet:
             if np.any(np.asarray(self.x_max) <= np.asarray(self.x_min)):
                 raise InvalidInputError("x bounds define an empty box")
 
-    def x_bound(self, which: str, d: int) -> np.ndarray | None:
-        raw = self.x_min if which == "min" else self.x_max
-        if raw is None:
-            return None
-        arr = np.broadcast_to(np.asarray(raw, dtype=float), (d - 1,)).copy()
-        return arr
+    def bounds(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The box as (lo, hi) arrays of shape (d,), -inf / +inf where a
+        bound is unset."""
+        lo, hi = np.empty(d), np.empty(d)
+        lo[0] = self.g_min
+        hi[0] = np.inf if self.g_max is None else self.g_max
+        lo[1:] = -np.inf if self.x_min is None else self.x_min
+        hi[1:] = np.inf if self.x_max is None else self.x_max
+        return lo, hi
 
     def clip(self, s: np.ndarray) -> np.ndarray:
         """Project a scenario onto the box (used for start generation only)."""
-        d = s.size
-        out = s.copy()
-        out[0] = max(out[0], self.g_min)
-        if self.g_max is not None:
-            out[0] = min(out[0], self.g_max)
-        lo = self.x_bound("min", d)
-        hi = self.x_bound("max", d)
-        if lo is not None:
-            out[1:] = np.maximum(out[1:], lo)
-        if hi is not None:
-            out[1:] = np.minimum(out[1:], hi)
-        return out
+        return np.clip(s, *self.bounds(s.size))
 
     def satisfied(self, s: np.ndarray) -> bool:
-        d, tol = s.size, TOL_CONSTRAINT
-        if s[0] < self.g_min - tol:
+        lo, hi = self.bounds(s.size)
+        if not np.all((lo - TOL_CONSTRAINT <= s) & (s <= hi + TOL_CONSTRAINT)):
             return False
-        if self.g_max is not None and s[0] > self.g_max + tol:
-            return False
-        lo = self.x_bound("min", d)
-        hi = self.x_bound("max", d)
-        if lo is not None and np.any(s[1:] < lo - tol):
-            return False
-        if hi is not None and np.any(s[1:] > hi + tol):
-            return False
-        return True
+        return (self.monotonicity is None
+                or self.monotonicity(s) <= TOL_CONSTRAINT)
 
 
 @dataclass
@@ -152,49 +139,28 @@ def _breach_margin(model: ReferenceModel, capital):
 
 
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
-                       monotonicity_fn=None,
                        g_fixed: float | None = None) -> list[dict]:
+    """SLSQP's constraints in whitened coordinates y, s = L y: the breach
+    margin; the box as one linear block A y - b >= 0 over its finite
+    bounds; with g_fixed, the equality g = g_fixed in place of the block's
+    g rows; and the monotonicity constraint when it is set."""
     L = model.chol
-    d = model.d
     breach_fun, breach_jac = _breach_margin(model, capital)
     cons = [{"type": "ineq", "fun": breach_fun, "jac": breach_jac}]
-    row_g = L[0, :]
-    if g_fixed is None:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda y: np.array([row_g @ y - constraints.g_min]),
-            "jac": lambda y: row_g.reshape(1, -1),
-        })
-        if constraints.g_max is not None:
-            cons.append({
-                "type": "ineq",
-                "fun": lambda y: np.array([constraints.g_max - row_g @ y]),
-                "jac": lambda y: -row_g.reshape(1, -1),
-            })
-    else:
-        cons.append({
-            "type": "eq",
-            "fun": lambda y: np.array([row_g @ y - g_fixed]),
-            "jac": lambda y: row_g.reshape(1, -1),
-        })
-    lo = constraints.x_bound("min", d)
-    hi = constraints.x_bound("max", d)
-    rows_x = L[1:, :]
-    if lo is not None:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda y: rows_x @ y - lo,
-            "jac": lambda y: rows_x,
-        })
-    if hi is not None:
-        cons.append({
-            "type": "ineq",
-            "fun": lambda y: hi - rows_x @ y,
-            "jac": lambda y: -rows_x,
-        })
-    if monotonicity_fn is not None and constraints.enforce_monotonicity:
+    lo, hi = constraints.bounds(model.d)
+    if g_fixed is not None:
+        lo[0], hi[0] = -np.inf, np.inf
+        cons.append({"type": "eq", "fun": lambda y: L[:1] @ y - g_fixed,
+                     "jac": lambda y: L[:1]})
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    if has_lo.any() or has_hi.any():
+        A = np.vstack([L[has_lo], -L[has_hi]])
+        b = np.concatenate([lo[has_lo], -hi[has_hi]])
+        cons.append({"type": "ineq", "fun": lambda y: A @ y - b,
+                     "jac": lambda y: A})
+    if constraints.monotonicity is not None:
         def mono_fun(y):
-            return -monotonicity_fn(L @ y)
+            return -constraints.monotonicity(L @ y)
 
         cons.append({
             "type": "ineq",
@@ -349,16 +315,9 @@ def _solve_from(y0: np.ndarray, cons: list[dict]):
     )
 
 
-def _feasible(model: ReferenceModel, capital, constraints: ConstraintSet,
-              s: np.ndarray, monotonicity_fn=None) -> bool:
-    if not breaches(capital.ratio(s), capital.r_star):
-        return False
-    if not constraints.satisfied(s):
-        return False
-    if monotonicity_fn is not None and constraints.enforce_monotonicity:
-        if monotonicity_fn(s) > TOL_CONSTRAINT:
-            return False
-    return True
+def _feasible(capital, constraints: ConstraintSet, s: np.ndarray) -> bool:
+    return (breaches(capital.ratio(s), capital.r_star)
+            and constraints.satisfied(s))
 
 
 def _dedup(optima: list[LocalOptimum]) -> list[LocalOptimum]:
@@ -372,8 +331,7 @@ def _dedup(optima: list[LocalOptimum]) -> list[LocalOptimum]:
 
 def solve_design_point(model: ReferenceModel, capital,
                        constraints: ConstraintSet | None = None,
-                       config: SolverConfig | None = None,
-                       monotonicity_fn=None) -> DesignPointResult:
+                       config: SolverConfig | None = None) -> DesignPointResult:
     """Find the most plausible capital-breaching scenario.
 
     Multi-start SLSQP in whitened coordinates, feasibility polish onto the
@@ -394,8 +352,7 @@ def solve_design_point(model: ReferenceModel, capital,
         config = SolverConfig()
     rng = np.random.default_rng(config.seed)
     starts = _generate_starts(model, capital, constraints, config, rng)
-    cons = _build_constraints(model, capital, constraints,
-                              monotonicity_fn=monotonicity_fn)
+    cons = _build_constraints(model, capital, constraints)
 
     tried: list[np.ndarray] = []
     optima: list[LocalOptimum] = []
@@ -409,7 +366,7 @@ def solve_design_point(model: ReferenceModel, capital,
         if s is None:
             s = model.unwhiten(res.x)
         y = model.whiten(s)
-        if not _feasible(model, capital, constraints, s, monotonicity_fn):
+        if not _feasible(capital, constraints, s):
             confirmed = 0
             obj = float(y @ y)
             if best_infeasible is None or obj < best_infeasible[0]:
@@ -457,8 +414,7 @@ def solve_design_point(model: ReferenceModel, capital,
 
 def conditional_anchor(model: ReferenceModel, capital,
                        constraints: ConstraintSet, g_j: float,
-                       config: SolverConfig | None = None,
-                       monotonicity_fn=None) -> np.ndarray | None:
+                       config: SolverConfig | None = None) -> np.ndarray | None:
     """Least-unlikely macro-financial companion shock at fixed g = g_j.
 
     Returns the anchor scenario (g_j, x*(g_j)), or None when no feasible x
@@ -477,12 +433,10 @@ def conditional_anchor(model: ReferenceModel, capital,
     g_max = np.inf if constraints.g_max is None else constraints.g_max
     if not (np.isfinite(g_j) and constraints.g_min <= g_j <= g_max):
         raise InvalidInputError(f"g_j={g_j} outside the admissible range")
-    cons = _build_constraints(model, capital, constraints,
-                              monotonicity_fn=monotonicity_fn, g_fixed=g_j)
+    cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
 
     def solve(s0):
-        return _anchor_from(model, capital, constraints, cons, s0, g_j,
-                            monotonicity_fn)
+        return _anchor_from(model, capital, constraints, cons, s0, g_j)
 
     anchor = solve(_frontier_warm_start(model, capital, constraints, g_j))
     if anchor is not None:
@@ -509,8 +463,8 @@ def conditional_anchor(model: ReferenceModel, capital,
 
 
 def _anchor_from(model: ReferenceModel, capital, constraints: ConstraintSet,
-                 cons: list[dict], s0: np.ndarray, g_j: float,
-                 monotonicity_fn) -> np.ndarray | None:
+                 cons: list[dict], s0: np.ndarray,
+                 g_j: float) -> np.ndarray | None:
     """One fixed-g solve from s0: SLSQP, then, when the solver ends at
     g_j to within its tolerance, the polish at g = g_j. Returns the polished
     scenario when it is feasible, else None."""
@@ -518,10 +472,7 @@ def _anchor_from(model: ReferenceModel, capital, constraints: ConstraintSet,
     if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
         return None
     s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)
-    if s is not None and _feasible(model, capital, constraints, s,
-                                   monotonicity_fn):
-        return s
-    return None
+    return s if s is not None and _feasible(capital, constraints, s) else None
 
 
 @dataclass
@@ -531,38 +482,41 @@ class GridOracleResult:
     cell_size: tuple[float, float]
 
 
+def grid_2d(g_bounds: tuple[float, float], x_bounds: tuple[float, float],
+            resolution: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """The resolution x resolution grid over g_bounds x x_bounds as a block
+    (resolution**2, 2), g varying slowest, and its cell size (dg, dx)."""
+    if resolution < 2:
+        raise InvalidInputError("resolution must be >= 2")
+    g_axis = np.linspace(g_bounds[0], g_bounds[1], resolution)
+    x_axis = np.linspace(x_bounds[0], x_bounds[1], resolution)
+    G, X = np.meshgrid(g_axis, x_axis, indexing="ij")
+    cell = (g_axis[1] - g_axis[0], x_axis[1] - x_axis[0])
+    return np.column_stack([G.ravel(), X.ravel()]), cell
+
+
 def grid_oracle(model: ReferenceModel, capital, constraints: ConstraintSet,
                 resolution: int, x_bounds: tuple[float, float] | None = None,
                 g_bounds: tuple[float, float] | None = None) -> GridOracleResult | None:
     """Exhaustive 2-D scan: the feasible grid point with minimal distance.
 
     Independent validator for the solver; returns None when no grid point
-    breaches (infeasible signal).
+    breaches (infeasible signal). The grid spans the constraints' box
+    unless g_bounds or x_bounds is given.
     """
     if model.d != 2:
         raise InvalidInputError("grid oracle only supports d = 2")
-    if resolution < 2:
-        raise InvalidInputError("resolution must be >= 2")
-    if g_bounds is None:
-        if constraints.g_max is None:
-            raise InvalidInputError("grid oracle needs finite g bounds")
-        g_bounds = (constraints.g_min, constraints.g_max)
-    if x_bounds is None:
-        lo = constraints.x_bound("min", 2)
-        hi = constraints.x_bound("max", 2)
-        if lo is None or hi is None:
-            raise InvalidInputError("grid oracle needs finite x bounds")
-        x_bounds = (float(lo[0]), float(hi[0]))
-    g_axis = np.linspace(g_bounds[0], g_bounds[1], resolution)
-    x_axis = np.linspace(x_bounds[0], x_bounds[1], resolution)
-    G, X = np.meshgrid(g_axis, x_axis, indexing="ij")
-    S = np.column_stack([G.ravel(), X.ravel()])
+    lo, hi = constraints.bounds(2)
+    g_bounds = (lo[0], hi[0]) if g_bounds is None else g_bounds
+    x_bounds = (lo[1], hi[1]) if x_bounds is None else x_bounds
+    if not np.all(np.isfinite([*g_bounds, *x_bounds])):
+        raise InvalidInputError("grid oracle needs a finite box")
+    S, cell = grid_2d(g_bounds, x_bounds, resolution)
     ratio = capital.ratio_many(S)
     feasible = breaches(ratio, capital.r_star) & (S[:, 0] >= constraints.g_min)
     if not np.any(feasible):
         return None
     m2 = model.mahalanobis_sq(S[feasible])
     idx = int(np.argmin(m2))
-    cell = (g_axis[1] - g_axis[0], x_axis[1] - x_axis[0])
     return GridOracleResult(s=S[feasible][idx], mahalanobis_sq=float(m2[idx]),
                             cell_size=cell)

@@ -17,8 +17,10 @@ from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
                            emit_contours, run_scenario_list)
 from georst.scenario_sets import (Membership, NearOptimalSpec,
                                   NeighbourhoodSpec, TargetSet)
-from georst.solver import solve_design_point
-from georst.solver import _g_cap, conditional_anchor
+from georst.solver import (ConstraintSet, _g_cap, conditional_anchor,
+                           solve_design_point)
+from georst.transmission import (monotonicity_violation,
+                                 smooth_monotonicity_violation)
 
 from conftest import generate_toy_inputs
 
@@ -366,8 +368,7 @@ def contours_per_point(ctx, resolution):
     """emit_contours' CSV from one ratio and two Membership calls per grid
     point, as it was built before the block kernel."""
     res = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
-                             ctx.solver_config,
-                             monotonicity_fn=ctx.monotonicity_fn)
+                             ctx.solver_config)
     m_eta = Membership(TargetSet.NEIGHBOURHOOD, ctx.model, ctx.capital,
                        res.s_star, NeighbourhoodSpec(radius_eta=1.0))
     m_eps = Membership(TargetSet.NEAR_OPTIMAL, ctx.model, ctx.capital,
@@ -392,6 +393,39 @@ def test_contours_equal_a_per_point_loop(tmp_path):
     # the grid crosses the breach frontier and both sets' boundaries
     for column in zip(*(line.split(",")[4:] for line in text.splitlines()[1:])):
         assert set(column) == {"0", "1"}
+
+
+def test_cli_enforce_monotonicity_is_the_constrained_solve(tmp_path):
+    # two sectors: x stresses sector a and improves sector b (beta < 0)
+    config = write_inputs(tmp_path, capital={"cet1_0": 6.0, "rwa_0": 50.0},
+                          constraints={"enforce_monotonicity": True})
+    (tmp_path / "cov.csv").write_text("g,x1\n1.0,0.5\n0.5,1.0\n")
+    (tmp_path / "sens.csv").write_text(
+        "sector_id,delta,eta,beta_x1,gamma_x1\n"
+        "a,0.9,0.12,0.8,0.08\nb,0.2,0.0,-0.6,0.0\n")
+    (tmp_path / "portfolio.csv").write_text(
+        "exposure_id,sector_id,ead,pd0,lgd0,rho,maturity\n" + "".join(
+            f"{k}{i},{k},1.0,0.03,0.4,0.2,2.5\n" for k in "ab"
+            for i in range(10)))
+    ctx = build_context(RunConfig.from_file(config))
+    pf = ctx.portfolio
+    assert pf.sign_constraints
+    # the constraint binds: the free design point improves sector b
+    free = solve_design_point(ctx.model, ctx.capital, ConstraintSet(),
+                              ctx.solver_config)
+    assert monotonicity_violation(pf, free.s_star) > 1e-3
+    want = solve_design_point(
+        ctx.model, ctx.capital,
+        ConstraintSet(monotonicity=lambda s: smooth_monotonicity_violation(
+            pf, s)), ctx.solver_config)
+
+    out_dir = tmp_path / "out"
+    assert main(["design-point", "--config", str(config), "--out",
+                 str(out_dir)]) == 0
+    report = (out_dir / "design_point.txt").read_text()
+    assert f"mahalanobis_sq = {want.mahalanobis_sq!r}\n" in report
+    for name, value in zip(("g", "x1"), want.s_star):
+        assert f"s_star.{name} = {float(value)!r}\n" in report
 
 
 def test_cli_mc_check(tmp_path):
@@ -486,11 +520,22 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     ("scenario_set", {"g_grid": [1.0, "2.0"]}),
     ("constraints", {"x_min": [-1, -2, -3]}),
     (None, {"seed": "1"}),
+    # JSON's NaN and Infinity are numbers to Python's json, not finite ones
+    pytest.param("reference", {"family": "student_t", "nu": float("inf")},
+                 id="reference-nu-inf"),
+    pytest.param("scenario_set", {"epsilon": float("inf")},
+                 id="scenario_set-epsilon-inf"),
+    pytest.param("capital", {"pnl_noncredit": [float("nan"), 0.0]},
+                 id="capital-pnl_noncredit-nan"),
+    pytest.param("constraints", {"x_min": float("nan")},
+                 id="constraints-x_min-nan"),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else str(v))
 def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys,
                                                       section, entries):
     # each used to run with a coerced value ("false" as true, 2.7 as 2, a
-    # 3-vector bound on 2 factors) or to crash with a TypeError
+    # 3-vector bound on 2 factors), to crash with a TypeError, or, for a
+    # non-finite number, to run (nu = Infinity gave tail_probability 1.0),
+    # to crash with an OverflowError or to exit with a misleading error
     raw = json.loads(write_inputs(tmp_path).read_text())
     if section is None:
         raw.update(entries)

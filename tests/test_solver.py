@@ -12,12 +12,15 @@ from georst import solver
 from georst.capital import breaches
 from georst.runner import RunConfig, build_context
 from georst.scenario_sets import default_g_grid
-from georst.solver import (_build_constraints, _feasible, _frontier_t,
-                           _frontier_warm_start, _polish_to_frontier,
-                           _solve_from)
+from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
+                           _frontier_t, _frontier_warm_start,
+                           _polish_to_frontier, _solve_from)
+from georst.transmission import (monotonicity_violation,
+                                 smooth_monotonicity_violation)
 
 from conftest import (CountingCapital, generate_toy_inputs,
-                      make_credit_capital, make_portfolio)
+                      make_credit_capital, make_portfolio,
+                      make_sensitivities, portfolio_from_rows)
 from test_acceptance import random_map_suite
 
 
@@ -71,6 +74,88 @@ def test_box_makes_problem_infeasible(identity_model):
     cons = ConstraintSet(g_max=1.0, x_min=-1.0, x_max=1.0)
     with pytest.raises(InfeasibleError):
         solve_design_point(identity_model, cap, cons, SolverConfig(seed=0))
+
+
+def box_block(cons):
+    """The box's linear block among _build_constraints' dicts (built here
+    without monotonicity), or None when the box has no finite bound."""
+    blocks = [c for c in cons[1:] if c["type"] == "ineq"]
+    assert len(blocks) <= 1
+    return blocks[0] if blocks else None
+
+
+quarters = st.integers(-16, 16).map(lambda k: k / 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_box_clip_satisfied_and_linear_block_agree(data, d, seed):
+    # bounds and scenarios on a grid of quarters, so a scenario on a bound
+    # is on it up to the round-off of s = L y, far inside TOL_CONSTRAINT
+    g_min = data.draw(st.integers(1, 8)) / 4.0
+    g_max = data.draw(st.none() | st.integers(1, 8).map(
+        lambda k: g_min + k / 4.0))
+    x_min = data.draw(st.none() | quarters
+                      | st.lists(quarters, min_size=d - 1, max_size=d - 1))
+    x_max = data.draw(st.none() | st.integers(1, 16).map(lambda k: k / 4.0))
+    if x_max is not None:
+        low = data.draw(quarters) if x_min is None else np.asarray(x_min)
+        x_max = low + x_max
+    cons = ConstraintSet(g_min=g_min, g_max=g_max, x_min=x_min, x_max=x_max)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(a @ a.T + 0.1 * np.eye(d))
+    s = np.array(data.draw(st.lists(quarters, min_size=d, max_size=d)))
+    assert cons.satisfied(cons.clip(s))
+
+    y = model.whiten(s)
+    s = model.chol @ y
+    cap = LinearCapital(weights=np.ones(d), level=1.0)
+    block = box_block(_build_constraints(model, cap, cons))
+    assert block is not None    # g_min is always a finite bound
+    assert (np.all(block["fun"](y) >= -TOL_CONSTRAINT)) == cons.satisfied(s)
+
+    # with g fixed, g leaves the block for an equality and only x rows stay
+    cons_g = _build_constraints(model, cap, cons, g_fixed=s[0])
+    assert len(cons_g) <= 4
+    assert [c["type"] for c in cons_g[:2]] == ["ineq", "eq"]
+    assert cons_g[1]["fun"](y) == pytest.approx([0.0], abs=1e-12)
+    lo, hi = cons.bounds(d)
+    rows = [model.chol[i] for i in range(1, d) if np.isfinite(lo[i])]
+    rows += [-model.chol[i] for i in range(1, d) if np.isfinite(hi[i])]
+    block = box_block(cons_g)
+    if rows:
+        assert np.array_equal(block["jac"](y), np.array(rows))
+    else:
+        assert block is None
+
+
+def two_sector_capital():
+    """Sector a is stressed by g and x; sector b's PD falls as x rises
+    (beta < 0), so a breach driven by x improves sector b."""
+    sectors = {"a": make_sensitivities(delta=0.9, eta=0.12, beta=(0.8,),
+                                       gamma=(0.08,), sector_id="a"),
+               "b": make_sensitivities(delta=0.2, eta=0.0, beta=(-0.6,),
+                                       gamma=(0.0,), sector_id="b")}
+    pf = portfolio_from_rows([(f"{k}{i}", k, 1.0, 0.03, 0.4, 0.2)
+                              for k in "ab" for i in range(10)], sectors)
+    return pf, make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
+
+
+def test_monotonicity_constraint_binds(correlated_model):
+    pf, cap = two_sector_capital()
+    config = SolverConfig(seed=0)
+    free = solve_design_point(correlated_model, cap, ConstraintSet(), config)
+    assert monotonicity_violation(pf, free.s_star) > 1e-3   # ~0.013
+    cons = ConstraintSet(
+        monotonicity=lambda s: smooth_monotonicity_violation(pf, s))
+    res = solve_design_point(correlated_model, cap, cons, config)
+    assert smooth_monotonicity_violation(pf, res.s_star) <= TOL_CONSTRAINT
+    assert res.mahalanobis_sq >= free.mahalanobis_sq
+    assert breaches(cap.ratio(res.s_star), cap.r_star)
+    # the flag that was ignored without a function is gone
+    with pytest.raises(TypeError):
+        ConstraintSet(enforce_monotonicity=True)
 
 
 def test_student_t_minimiser_matches_gaussian():
@@ -190,6 +275,19 @@ def test_grid_oracle_returns_none_when_no_breach(identity_model):
     assert out is None
 
 
+def test_grid_oracle_spans_the_constraints_box(correlated_model):
+    cap = LinearCapital(weights=np.array([1.0, 0.5]), level=3.0)
+    boxed = ConstraintSet(g_max=4.0, x_min=-3.0, x_max=3.0)
+    out = grid_oracle(correlated_model, cap, boxed, resolution=41)
+    given = grid_oracle(correlated_model, cap, ConstraintSet(), resolution=41,
+                        x_bounds=(-3.0, 3.0), g_bounds=(boxed.g_min, 4.0))
+    assert out.s.tobytes() == given.s.tobytes()
+    assert out.cell_size == given.cell_size
+    with pytest.raises(InvalidInputError):
+        grid_oracle(correlated_model, cap, ConstraintSet(g_max=4.0),
+                    resolution=41)
+
+
 def test_design_point_kkt_alignment(correlated_model):
     # with only the breach constraint active, the design point y* in
     # whitened space is a stationary point of |y|^2 on R(L y) = R*, so it
@@ -303,13 +401,12 @@ def credit_fixture():
 
 
 def multi_start_anchor(model, capital, constraints, g_j, config,
-                       monotonicity_fn=None, warm_start=True):
+                       warm_start=True):
     """The reference: the frontier warm start (unless warm_start is False)
     and max(6, n_starts // 4) - 1 random starts at g_j, every one solved,
     the feasible result with the lowest m^2 kept."""
     d = model.d
-    cons = _build_constraints(model, capital, constraints,
-                              monotonicity_fn=monotonicity_fn, g_fixed=g_j)
+    cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
     rng = np.random.default_rng(config.seed + 1)
     starts = [model.whiten(_frontier_warm_start(model, capital, constraints,
                                                 g_j))]
@@ -328,8 +425,7 @@ def multi_start_anchor(model, capital, constraints, g_j, config,
         if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
             continue
         s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)
-        if s is None or not _feasible(model, capital, constraints, s,
-                                      monotonicity_fn):
+        if s is None or not _feasible(capital, constraints, s):
             continue
         m2 = model.mahalanobis_sq(s)
         if best is None or m2 < best[0]:
@@ -339,23 +435,21 @@ def multi_start_anchor(model, capital, constraints, g_j, config,
 
 @pytest.fixture(params=["credit", "design-large-n", "scenario-list-sector"])
 def anchor_setup(request, correlated_model, tmp_path):
-    """(model, capital, constraints, solver config, monotonicity_fn)."""
+    """(model, capital, constraints, solver config)."""
     if request.param == "credit":
         return (correlated_model, credit_fixture(), ConstraintSet(),
-                SolverConfig(seed=0), None)
+                SolverConfig(seed=0))
     ctx = build_context(RunConfig.from_file(
         generate_toy_inputs(request.param, tmp_path)))
-    return (ctx.model, ctx.capital, ctx.constraints, ctx.solver_config,
-            ctx.monotonicity_fn)
+    return ctx.model, ctx.capital, ctx.constraints, ctx.solver_config
 
 
 def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
-    model, cap, cons, config, mono = anchor_setup
+    model, cap, cons, config = anchor_setup
     for g_j in default_g_grid(model, cons):
         g_j = float(g_j)
-        oracle = multi_start_anchor(model, cap, cons, g_j, config, mono)
-        anchor = conditional_anchor(model, cap, cons, g_j, config=config,
-                                    monotonicity_fn=mono)
+        oracle = multi_start_anchor(model, cap, cons, g_j, config)
+        anchor = conditional_anchor(model, cap, cons, g_j, config=config)
         assert anchor[0] == g_j
         assert cap.ratio(anchor) <= cap.r_star
         assert (model.mahalanobis_sq(anchor)
@@ -365,13 +459,12 @@ def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
 def test_polish_near_the_frontier_is_short(anchor_setup):
     # iterates within 1e-12 of the frontier, on either side of it: the
     # polish, free or at fixed g, breaches within 10 R(s) calls
-    model, cap, cons, config, mono = anchor_setup
+    model, cap, cons, config = anchor_setup
     counting = CountingCapital(cap)
     counting.ratio_grad = cap.ratio_grad
     rng = np.random.default_rng(0)
     for g_j in default_g_grid(model, cons)[::3]:
-        s_f = conditional_anchor(model, cap, cons, float(g_j), config=config,
-                                 monotonicity_fn=mono)
+        s_f = conditional_anchor(model, cap, cons, float(g_j), config=config)
         y_f = model.whiten(s_f)
         up = model.chol.T @ cap.ratio_grad(s_f)
         for v in (up, rng.standard_normal(model.d)):
