@@ -98,20 +98,30 @@ class CapitalState:
         return self.r0 * (1.0 - self.depletion)
 
 
+def _ma_base(pd):
+    """The maturity adjustment's sqrt(b) = 0.11852 - 0.05478 ln PD, at
+    max(pd, MA_PD_FLOOR)."""
+    return 0.11852 - 0.05478 * np.log(np.maximum(pd, MA_PD_FLOOR))
+
+
+def _ma_from_base(sqb, maturity):
+    """(1 + (M - 2.5) b) / (1 - 1.5 b) with b = sqb^2."""
+    b = sqb ** 2
+    return (1.0 + (np.asarray(maturity, dtype=float) - 2.5) * b) / (1.0 - 1.5 * b)
+
+
 def maturity_adjustment_factor(pd, maturity):
     """Basel IRB maturity multiplier (1 + (M - 2.5) b) / (1 - 1.5 b), with b
     evaluated at max(pd, MA_PD_FLOOR)."""
-    b = (0.11852 - 0.05478 * np.log(np.maximum(pd, MA_PD_FLOOR))) ** 2
-    out = (1.0 + (np.asarray(maturity, dtype=float) - 2.5) * b) / (1.0 - 1.5 * b)
+    out = _ma_from_base(_ma_base(pd), maturity)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _maturity_adjustment_slope(pd, maturity):
-    """d/dpd of :func:`maturity_adjustment_factor`: 0 below MA_PD_FLOOR."""
-    pd = np.asarray(pd, dtype=float)
-    sqb = 0.11852 - 0.05478 * np.log(np.maximum(pd, MA_PD_FLOOR))
+def _maturity_adjustment_slope(pd, sqb, maturity):
+    """d/dpd of :func:`maturity_adjustment_factor`, given sqb =
+    ``_ma_base(pd)``: 0 below MA_PD_FLOOR."""
     b = sqb ** 2
     m = np.asarray(maturity, dtype=float)
     dgamma_db = ((m - 2.5) * (1.0 - 1.5 * b)
@@ -120,13 +130,15 @@ def _maturity_adjustment_slope(pd, maturity):
                     dgamma_db * 2.0 * sqb * (-0.05478 / pd))
 
 
-def _risk_weight_pd_slope(pd, lgd, tail, dtail_dpd, maturity, ma):
+def _risk_weight_pd_slope(pd, lgd, tail, dtail_dpd, maturity, ma, ma_base):
     """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd); ``ma``
-    is MA(pd), or None without the maturity adjustment."""
+    is MA(pd) and ``ma_base`` its ``_ma_base(pd)``, both None without the
+    maturity adjustment."""
     if ma is None:
         return lgd * (dtail_dpd - 1.0)
     return lgd * ((dtail_dpd - 1.0) * ma
-                  + (tail - pd) * _maturity_adjustment_slope(pd, maturity))
+                  + (tail - pd) * _maturity_adjustment_slope(pd, ma_base,
+                                                             maturity))
 
 
 def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
@@ -155,10 +167,11 @@ def risk_weight_pd_derivative(pd, lgd, rho, maturity, spec: LossQuantileSpec,
     zp = ndtri(pd)
     sq1 = np.sqrt(1.0 - rho)
     arg = (zp + np.sqrt(rho) * ndtri(spec.q)) / sq1
-    ma = (maturity_adjustment_factor(pd, maturity)
-          if use_maturity_adjustment else None)
+    ma_base = _ma_base(pd) if use_maturity_adjustment else None
+    ma = None if ma_base is None else _ma_from_base(ma_base, maturity)
     out = _risk_weight_pd_slope(pd, np.asarray(lgd, dtype=float), ndtr(arg),
-                                tail_pd_derivative(zp, arg, sq1), maturity, ma)
+                                tail_pd_derivative(zp, arg, sq1), maturity, ma,
+                                ma_base)
     if out.ndim == 0:
         return float(out)
     return out
@@ -204,6 +217,7 @@ class _Point(NamedTuple):
     cet1: np.ndarray
     rw: np.ndarray | None   # unclamped IRB risk weights (IRB mode only)
     ma: np.ndarray | None   # maturity adjustment (IRB mode with it only)
+    ma_base: np.ndarray | None  # its sqrt(b), ``_ma_base(pd)``, likewise
     rwa: np.ndarray
     clamped: np.ndarray     # RWA held at the floor
 
@@ -217,10 +231,12 @@ class CreditCapitalModel:
     probability that feeds both the loss quantile and the IRB risk weight.
     Phi^-1(q), sqrt(rho) and sqrt(1 - rho) are computed once per model.
     Every sum in the kernel runs along the last axis alone (pairwise
-    ``np.sum(a * b, axis=-1)``, never a BLAS dot or gemv, whose summation
-    order can depend on the number of rows), so ``ratio_many(S)[i]`` equals
-    ``ratio(S[i])`` bit for bit. ``ratio_grad`` differentiates the same
-    evaluation. The module functions (``risk_weight``,
+    ``np.add.reduce(a * b, axis=-1)``, which is what ``np.sum`` calls; never
+    a BLAS dot or gemv, whose summation order can depend on the number of
+    rows), so ``ratio_many(S)[i]`` equals ``ratio(S[i])`` bit for bit.
+    ``ratio_grad`` differentiates the same evaluation, and reads the
+    maturity adjustment's base from it instead of taking log(pd) again. The
+    module functions (``risk_weight``,
     ``loss.loss_quantile``, ``cet1_stressed``, ``rwa_stressed_flagged``) use
     the same arithmetic, so their values equal the model's bit for bit.
 
@@ -269,7 +285,7 @@ class CreditCapitalModel:
         arg = (zp + self._shift) / self._sqrt_1mrho
         tail = ndtr(arg)
         return (pd_raw, pd, lgd, lgd_slope, zp, arg, tail,
-                np.sum(pf.ead * lgd * tail, axis=-1))
+                np.add.reduce(pf.ead * lgd * tail, axis=-1))
 
     def _kernel(self, arr) -> _Point:
         """Evaluate a validated scenario (d,) or block of scenarios (N, d)."""
@@ -279,21 +295,23 @@ class CreditCapitalModel:
                                if state.loss_basis is LossBasis.INCREMENTAL
                                else loss)
         if state.pnl_noncredit is not None:
-            cet1 = cet1 + np.sum(state.pnl_noncredit * arr, axis=-1)
-        rw = ma = None
+            cet1 = cet1 + np.add.reduce(state.pnl_noncredit * arr, axis=-1)
+        rw = ma = ma_base = None
         if state.rwa_mode is RwaMode.CONSTANT:
             raw = np.full_like(loss, state.rwa_0)
         elif state.rwa_mode is RwaMode.LINEAR:
-            raw = state.rwa_0 + np.sum(state.alpha * (pd_raw - pf.pd0), axis=-1)
+            raw = state.rwa_0 + np.add.reduce(state.alpha * (pd_raw - pf.pd0),
+                                              axis=-1)
         else:
             rw = lgd * (tail - pd)
             if state.maturity_adjustment:
-                ma = maturity_adjustment_factor(pd, pf.maturity)
+                ma_base = _ma_base(pd)
+                ma = _ma_from_base(ma_base, pf.maturity)
                 rw = rw * ma
-            raw = np.sum(pf.ead * np.maximum(rw, 0.0), axis=-1)
+            raw = np.add.reduce(pf.ead * np.maximum(rw, 0.0), axis=-1)
         floor = RWA_FLOOR_FRACTION * state.rwa_0
         return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
-                      rw, ma, np.maximum(raw, floor), raw < floor)
+                      rw, ma, ma_base, np.maximum(raw, floor), raw < floor)
 
     def _evaluate(self, s) -> _Point:
         """The kernel at one scenario, through the last-point memo."""
@@ -351,7 +369,7 @@ class CreditCapitalModel:
             w = pf.ead * (p.rw > 0.0)
             d_rw_dlgd = (p.tail - p.pd) * (1.0 if p.ma is None else p.ma)
             d_rw_dpd = _risk_weight_pd_slope(p.pd, p.lgd, p.tail, dtail,
-                                             pf.maturity, p.ma)
+                                             pf.maturity, p.ma, p.ma_base)
             d_rwa = chain(w * d_rw_dpd, w * d_rw_dlgd)
         return (d_cet1 * p.rwa - p.cet1 * d_rwa) / p.rwa ** 2
 

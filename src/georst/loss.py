@@ -30,8 +30,10 @@ class LossQuantileSpec:
 
 
 def clip_pd(pd) -> np.ndarray:
-    """PD clipped into the open interval where Phi^-1 is finite."""
-    return np.clip(np.asarray(pd, dtype=float), _PD_FLOOR, _PD_CAP)
+    """PD clipped into the open interval where Phi^-1 is finite; the two
+    ufuncs are what ``np.clip`` computes, without its wrapper."""
+    return np.minimum(np.maximum(np.asarray(pd, dtype=float), _PD_FLOOR),
+                      _PD_CAP)
 
 
 def conditional_default_prob(pd, rho, q: float):

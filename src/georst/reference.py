@@ -35,7 +35,7 @@ def as_scenario_array(s, d: int | None = None) -> np.ndarray:
         raise InvalidInputError(f"scenario must be 1-D, got shape {arr.shape}")
     if d is not None and arr.size != d:
         raise InvalidInputError(f"scenario dimension {arr.size} != model dimension {d}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("scenario coordinates must be finite")
     return arr
 
@@ -47,7 +47,7 @@ def as_scenario_block(S, d: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != d:
         raise InvalidInputError(
             f"scenario block must have shape (N, {d}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("scenario coordinates must be finite")
     return arr
 
@@ -128,22 +128,23 @@ class ReferenceModel:
 
     def whiten(self, S) -> np.ndarray:
         """y = L^{-1} s of a scenario (d,) or of each row of a block (N, d)."""
+        # as_scenarios has checked that S is finite
         return solve_triangular(self.chol, as_scenarios(S, self.d).T,
-                                lower=True).T
+                                lower=True, check_finite=False).T
 
-    def unwhiten(self, y) -> np.ndarray:
-        """s = L y, the inverse of :meth:`whiten`."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.d,):
-            raise InvalidInputError(f"whitened vector must have shape ({self.d},)")
-        return self.chol @ y
+    def unwhiten(self, Y) -> np.ndarray:
+        """s = L y of a whitened vector (d,) or of each row of a block (N, d),
+        the inverse of :meth:`whiten`. ``einsum`` sums over k in order for
+        each output element, so row i of a block equals ``unwhiten(Y[i])``
+        bit for bit."""
+        return np.einsum("...k,jk->...j", as_scenarios(Y, self.d), self.chol)
 
     def mahalanobis_sq(self, S):
         """s' sigma^{-1} s of a scenario (d,), as a float, or of each row of a
         block (N, d). ``einsum`` and a sum along the row make row i of a block
         equal the value for S[i] bit for bit."""
         Y = np.einsum("...k,jk->...j", as_scenarios(S, self.d), self._chol_inv)
-        m2 = np.sum(Y * Y, axis=-1)
+        m2 = np.add.reduce(Y * Y, axis=-1)
         return float(m2) if m2.ndim == 0 else m2
 
     # the block forms are the same methods; the names stay because the

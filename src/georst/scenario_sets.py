@@ -170,10 +170,15 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
                  seed: int, membership) -> LocalSampleResult:
     """Uniform sphere-shell perturbations around an anchor in whitened space.
 
-    Draws all n candidates first, then tests them with one
-    ``membership.many`` call and keeps the members in draw order. Flags a
-    thin region (acceptance below 1%) so the caller can switch to
-    hit-and-run. Deterministic for a fixed seed.
+    The loop makes only the random draws, per candidate a direction, its
+    squared norm and a radius, in the order one draw at a time would. The
+    norm sqrt(u . u) is what ``np.linalg.norm(u)`` computes, and the radius
+    r_lo + (r_hi - r_lo) v with v = ``rng.random()`` is ``rng.uniform(r_lo,
+    r_hi)``, both bit for bit. The candidates are then built as one block,
+    with one ``unwhiten``, and tested with one ``membership.many`` call,
+    and the members are kept in draw order. Flags a thin region (acceptance
+    below 1%) so the caller can switch to hit-and-run. Deterministic for a
+    fixed seed.
     """
     anchor = as_scenario_array(anchor, model.d)
     if not membership(anchor):
@@ -182,15 +187,18 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
     if r_lo < 0 or r_hi < r_lo:
         raise InvalidInputError("radius interval must satisfy 0 <= lo <= hi")
     rng = np.random.default_rng(seed)
-    y_anchor = model.whiten(anchor)
-    candidates = []
+    directions, norms_sq, unit = [], [], []
     for _ in range(n):
         u = rng.standard_normal(model.d)
-        u /= max(np.linalg.norm(u), 1e-12)
-        r = rng.uniform(r_lo, r_hi)
-        candidates.append(model.unwhiten(y_anchor + r * u))
-    inside = membership.many(np.reshape(candidates, (n, model.d)))
-    accepted = [s for s, ok in zip(candidates, inside) if ok]
+        directions.append(u)
+        norms_sq.append(u.dot(u))
+        unit.append(rng.random())
+    norms = np.maximum(np.sqrt(np.array(norms_sq)), 1e-12)
+    radii = r_lo + (r_hi - r_lo) * np.array(unit)
+    directions = np.reshape(directions, (n, model.d)) / norms[:, None]
+    candidates = model.unwhiten(model.whiten(anchor)
+                                + radii[:, None] * directions)
+    accepted = list(candidates[membership.many(candidates)])
     rate = len(accepted) / n if n > 0 else 0.0
     return LocalSampleResult(accepted=accepted, acceptance_rate=rate,
                              thin_region=rate < THIN_REGION_RATE)

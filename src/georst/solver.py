@@ -65,12 +65,20 @@ class ConstraintSet:
         """Project a scenario onto the box (used for start generation only)."""
         return np.clip(s, *self.bounds(s.size))
 
-    def satisfied(self, s: np.ndarray) -> bool:
-        lo, hi = self.bounds(s.size)
-        if not np.all((lo - TOL_CONSTRAINT <= s) & (s <= hi + TOL_CONSTRAINT)):
-            return False
-        return (self.monotonicity is None
-                or self.monotonicity(s) <= TOL_CONSTRAINT)
+    def satisfied(self, S: np.ndarray):
+        """The box and, when set, the monotonicity constraint, each within
+        TOL_CONSTRAINT: a bool for a scenario (d,), a boolean (N,) for the
+        rows of a block (N, d). ``monotonicity`` takes one scenario, so it
+        runs once per row that is inside the box."""
+        block = np.atleast_2d(S)
+        lo, hi = self.bounds(block.shape[1])
+        ok = np.all((lo - TOL_CONSTRAINT <= block)
+                    & (block <= hi + TOL_CONSTRAINT), axis=1)
+        if self.monotonicity is not None:
+            rows = np.flatnonzero(ok)
+            ok[rows] = [self.monotonicity(s) <= TOL_CONSTRAINT
+                        for s in block[rows]]
+        return bool(ok[0]) if np.ndim(S) == 1 else ok
 
 
 @dataclass
@@ -501,8 +509,10 @@ def grid_oracle(model: ReferenceModel, capital, constraints: ConstraintSet,
     """Exhaustive 2-D scan: the feasible grid point with minimal distance.
 
     Independent validator for the solver; returns None when no grid point
-    breaches (infeasible signal). The grid spans the constraints' box
-    unless g_bounds or x_bounds is given.
+    is feasible (infeasible signal). A point is feasible when it breaches
+    and satisfies ``constraints``, box and monotonicity alike, so explicit
+    bounds wider than the box do not admit points outside it. The grid
+    spans the constraints' box unless g_bounds or x_bounds is given.
     """
     if model.d != 2:
         raise InvalidInputError("grid oracle only supports d = 2")
@@ -512,8 +522,9 @@ def grid_oracle(model: ReferenceModel, capital, constraints: ConstraintSet,
     if not np.all(np.isfinite([*g_bounds, *x_bounds])):
         raise InvalidInputError("grid oracle needs a finite box")
     S, cell = grid_2d(g_bounds, x_bounds, resolution)
-    ratio = capital.ratio_many(S)
-    feasible = breaches(ratio, capital.r_star) & (S[:, 0] >= constraints.g_min)
+    feasible = breaches(capital.ratio_many(S), capital.r_star)
+    rows = np.flatnonzero(feasible)
+    feasible[rows] = constraints.satisfied(S[rows])
     if not np.any(feasible):
         return None
     m2 = model.mahalanobis_sq(S[feasible])

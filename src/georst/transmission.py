@@ -42,12 +42,15 @@ class SoftClip:
 
         The logistic tails are evaluated only for entries outside
         [lo + width, hi - width]; inside, the value is t and the slope 1.
+        When t's extremes show no entry in a tail, no mask is built.
         """
         t = np.asarray(t, dtype=float)
         w = self.width
         hi_edge, lo_edge = self.hi - w, self.lo + w
         value = t.copy()
         slope = np.ones(t.shape)
+        if t.size == 0 or (t.max() <= hi_edge and t.min() >= lo_edge):
+            return value, slope
         tails = (t > hi_edge) | (t < lo_edge)
         if tails.any():
             tt = t[tails]

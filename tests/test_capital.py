@@ -7,7 +7,7 @@ from scipy import stats
 
 from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
                     LinearCapital, LossBasis, LossQuantileSpec, Portfolio,
-                    RwaMode, SectorSensitivities,
+                    ReferenceModel, RwaMode, SectorSensitivities,
                     calibrate_linear_alpha, loss_quantile, risk_weight)
 from georst.capital import (BLOCK_ELEMENTS, MA_PD_FLOOR, cet1_stressed,
                             maturity_adjustment_factor,
@@ -447,3 +447,34 @@ def test_ratio_many_of_one_row_and_of_none():
         cap.ratio_many(s)
     with pytest.raises(InvalidInputError):
         cap.ratio_many(np.array([[0.4, np.nan, 0.7]]))
+
+
+def test_entry_points_reject_non_finite_and_misshapen_input():
+    # the kernel's lean path moved the checks, it did not drop them: every
+    # public entry point still rejects non-finite and misshapen scenarios
+    cap = random_capital(5, with_pnl=True)
+    model = ReferenceModel.from_covariance(np.eye(3) + 0.25)
+    d = cap.d
+    wrong_width, three_d = np.zeros((2, d + 1)), np.zeros((1, 2, d))
+    entry_points = {
+        "ratio": (cap.ratio, [np.zeros(d + 1), np.zeros((1, d))]),
+        "ratio_grad": (cap.ratio_grad, [np.zeros(d + 1), np.zeros((1, d))]),
+        "ratio_many": (cap.ratio_many, [np.zeros(d), wrong_width, three_d]),
+        "stressed_pd": (cap.portfolio.stressed_pd,
+                        [np.zeros(d + 1), wrong_width, three_d]),
+        "whiten": (model.whiten, [np.zeros(d + 1), wrong_width, three_d]),
+        "unwhiten": (model.unwhiten, [np.zeros(d + 1), wrong_width, three_d]),
+    }
+    for name, (fn, misshapen) in entry_points.items():
+        # ratio_many takes the scenario as a block of one row
+        rows = (None, slice(None)) if name == "ratio_many" else (slice(None),)
+        good = np.array([0.4, -0.1, 0.7])
+        fn(good[rows])  # a valid scenario passes, and fills the kernel's memo
+        for bad in (np.nan, np.inf, -np.inf):
+            s = good.copy()
+            s[1] = bad
+            with pytest.raises(InvalidInputError):
+                fn(s[rows])
+        for s in misshapen:
+            with pytest.raises(InvalidInputError):
+                fn(s)

@@ -161,6 +161,26 @@ def test_geometry_of_a_block_equals_its_rows(d, n, seed):
             chol, s, lower=True).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 8), n=st.integers(0, 50),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-6, 1e6))
+def test_unwhiten_of_a_block_equals_its_rows(d, n, seed, scale):
+    # unwhiten is one einsum body: row i of a block equals the one-point
+    # result bit for bit, and whitening undoes it to round-off; Sigma is
+    # random SPD with eigenvalues in [0.5, 0.5 + d]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(a @ a.T / d + 0.5 * np.eye(d))
+    Y = scale * rng.standard_normal((n, d))
+    S = model.unwhiten(Y)
+    assert S.shape == (n, d)
+    assert S.tobytes() == np.array(
+        [model.unwhiten(y) for y in Y]).reshape(n, d).tobytes()
+    for y in Y:
+        back = model.whiten(model.unwhiten(y))
+        assert np.linalg.norm(back - y) <= 1e-12 * np.linalg.norm(y)
+
+
 def test_geometry_takes_one_validated_shape(correlated_model):
     assert isinstance(correlated_model.mahalanobis_sq([1.0, 1.0]), float)
     for bad in ([1.0, 1.0, 1.0], [[1.0, np.nan]], [[[1.0, 1.0]]]):

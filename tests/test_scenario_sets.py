@@ -9,7 +9,8 @@ from georst import (ConstraintSet, Family, InvalidInputError, LinearCapital,
                     driver_decomposition, hit_and_run, local_sample,
                     reduce_farthest_point, solve_design_point)
 from georst.scenario_sets import (CandidatePool, PoolEntry,
-                                  _farthest_point_indices, default_g_grid)
+                                  _farthest_point_indices, _pool_radius,
+                                  default_g_grid)
 
 from conftest import CountingCapital, make_credit_capital, make_portfolio
 
@@ -212,6 +213,33 @@ def test_local_sample_matches_the_per_draw_loop(correlated_model, target,
         assert len(out.accepted) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(out.accepted, want))
         assert out.acceptance_rate == len(want) / 300
+
+
+def test_local_sample_matches_the_per_draw_loop_at_d8_student_t():
+    # the scenario-list-sector shape: d = 8 factors, a Student-t reference
+    # and the near-optimal set at the pool's own sampling radius
+    d = 8
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(
+        a @ a.T / d + 0.5 * np.eye(d), family=Family.STUDENT_T, nu=6.0)
+    pf = make_portfolio(n=16, delta=0.9, beta=tuple(rng.uniform(0.1, 0.6, 7)),
+                        eta=0.12, gamma=tuple(rng.uniform(0.0, 0.05, 7)),
+                        pd0=0.015, lgd0=0.4)
+    cap = make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
+    res = solve_design_point(model, cap, ConstraintSet(),
+                             SolverConfig(seed=0, n_starts=8))
+    mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
+                     NearOptimalSpec(epsilon=1.0))
+    radius = _pool_radius(mem)
+    out = local_sample(model, res.s_star, (0.0, radius), 800, seed=3,
+                       membership=mem)
+    want = per_draw_local_sample(model, res.s_star, (0.0, radius), 800, 3,
+                                 mem)
+    assert 0 < len(want) < 800
+    assert len(out.accepted) == len(want)
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(out.accepted, want))
+    assert out.acceptance_rate == len(want) / 800
 
 
 def test_local_sample_flags_thin_region(half_plane):

@@ -288,6 +288,32 @@ def test_grid_oracle_spans_the_constraints_box(correlated_model):
                     resolution=41)
 
 
+def test_grid_oracle_keeps_to_the_box_inside_wider_bounds(correlated_model):
+    # explicit grid bounds wider than the box: the oracle's point lies in
+    # the box, so its m^2 is not below the solver's (3, 1) with m^2 = 9.33;
+    # a scan masked by g >= g_min alone returns (2, 2) with m^2 = 5.33
+    cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
+    cons = ConstraintSet(x_max=1.0)
+    res = solve_design_point(correlated_model, cap, cons, SolverConfig(seed=0))
+    assert res.s_star == pytest.approx([3.0, 1.0], abs=1e-6)
+    grid = grid_oracle(correlated_model, cap, cons, resolution=61,
+                       g_bounds=(0.0, 4.0), x_bounds=(-4.0, 4.0))
+    assert cons.satisfied(grid.s)
+    assert grid.s[1] <= 1.0
+    assert grid.mahalanobis_sq >= res.mahalanobis_sq
+
+
+def test_constraint_set_tests_a_block_row_by_row():
+    cons = ConstraintSet(g_max=2.0, x_min=-1.0,
+                         monotonicity=lambda s: s[1] - s[0])
+    S = np.array([[0.5, 0.25], [0.5, 0.75], [3.0, 0.0], [1.0, -2.0],
+                  [1.0, 1.0 + 0.5 * TOL_CONSTRAINT]])
+    many = cons.satisfied(S)
+    assert many.tolist() == [cons.satisfied(s) for s in S]
+    assert many.tolist() == [True, False, False, False, True]
+    assert cons.satisfied(np.empty((0, 2))).shape == (0,)
+
+
 def test_design_point_kkt_alignment(correlated_model):
     # with only the breach constraint active, the design point y* in
     # whitened space is a stationary point of |y|^2 on R(L y) = R*, so it
