@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--starts", type=int)
     p.add_argument("--pool", type=int, help="candidate pool size")
-    p.add_argument("--list", type=int, dest="list_size",
-                   help="scenario list length")
+    p.add_argument("--list", type=int, help="scenario list length")
     p.add_argument("--target", choices=["neighbourhood", "near-optimal"])
     p.add_argument("--eta", type=float, help="neighbourhood radius (squared)")
     p.add_argument("--epsilon", type=float, help="near-optimal slack")
@@ -71,17 +70,11 @@ def _apply_overrides(config: RunConfig, args):
         config.raw["seed"] = args.seed
     if getattr(args, "starts", None) is not None:
         config.raw.setdefault("solver", {})["n_starts"] = args.starts
-    scenario = config.raw.setdefault("scenario_set", {})
-    if getattr(args, "pool", None) is not None:
-        scenario["pool"] = args.pool
-    if getattr(args, "list_size", None) is not None:
-        scenario["list"] = args.list_size
-    if getattr(args, "target", None) is not None:
-        scenario["target"] = args.target
-    if getattr(args, "eta", None) is not None:
-        scenario["eta"] = args.eta
-    if getattr(args, "epsilon", None) is not None:
-        scenario["epsilon"] = args.epsilon
+    # the section is made only for an override, so a config without one
+    # hashes the same through the CLI as through RunConfig.from_file
+    for key in ("pool", "list", "target", "eta", "epsilon"):
+        if getattr(args, key, None) is not None:
+            config.raw.setdefault("scenario_set", {})[key] = getattr(args, key)
 
 
 def _output_dir(args) -> Path:

@@ -25,7 +25,7 @@ from .scenario_sets import (DEFAULT_LIST_SIZE, DEFAULT_POOL_SIZE,
 from .sectors import aggregate_sectors
 from .solver import (G_MIN_DEFAULT, ConstraintSet, SolverConfig, grid_2d,
                      solve_design_point)
-from .transmission import smooth_monotonicity_violation
+from .transmission import monotonicity_rows
 
 DEFAULTS = {
     "q": LossQuantileSpec.q,
@@ -234,12 +234,10 @@ def build_context(config: RunConfig) -> RunContext:
                 f"{key!r} in config section 'constraints' must be a number "
                 f"or a list of {model.d - 1} numbers, got {json.dumps(con[key])}")
     # the constraints section's keys are ConstraintSet's fields, except
-    # enforce_monotonicity, which sets its monotonicity function; the lambda
-    # looks smooth_monotonicity_violation up at each call
+    # enforce_monotonicity, which sets its monotonicity rows
     con = dict(con, g_min=float(con.get("g_min", DEFAULTS["g_min"])))
     if con.pop("enforce_monotonicity", False):
-        con["monotonicity"] = (
-            lambda s: smooth_monotonicity_violation(engine_portfolio, s))
+        con["monotonicity"] = monotonicity_rows(engine_portfolio)
     constraints = ConstraintSet(**con)
 
     solver_config = SolverConfig(**{"seed": seed,

@@ -387,23 +387,19 @@ def _farthest_point_indices(Y: np.ndarray, y_star: np.ndarray, count: int) -> li
     """
     n = Y.shape[0]
     selected: list[int] = []
+    available = np.ones(n, dtype=bool)
     min_dist = np.linalg.norm(Y - y_star, axis=1)
     for _ in range(count):
         if n == 0:
             break
-        best = np.max(min_dist[_available_mask(n, selected)])
-        candidates = [i for i in range(n)
-                      if i not in selected and min_dist[i] >= best - 1e-12]
-        pick = min(candidates, key=lambda i: tuple(Y[i]))
+        best = np.max(min_dist[available])
+        cand = np.flatnonzero(available & (min_dist >= best - 1e-12))
+        # a stable lexicographic minimum: exact ties go to the lowest index
+        pick = int(cand[np.lexsort(Y[cand].T[::-1])[0]])
         selected.append(pick)
+        available[pick] = False
         min_dist = np.minimum(min_dist, np.linalg.norm(Y - Y[pick], axis=1))
     return selected
-
-
-def _available_mask(n: int, selected: list[int]) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[selected] = False
-    return mask
 
 
 def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,

@@ -1,14 +1,14 @@
 """Design-point solver: constrained maximum-likelihood reverse stress test.
 
 Minimizes half the squared Mahalanobis distance over the capital-breaching
-set, subject to g > 0 (as g >= g_min), optional box bounds, and an optional
-monotonicity constraint. All optimization runs in whitened coordinates with
+set, subject to g > 0 (as g >= g_min), optional box bounds, and optional
+linear monotonicity rows. All optimization runs in whitened coordinates with
 multi-start; a brute-force grid oracle validates 2-D problems.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -34,13 +34,14 @@ POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
 class ConstraintSet:
     """The feasible region beyond the capital breach itself: the box
     g_min <= g <= g_max, x_min <= x <= x_max (an unset bound is no bound)
-    and, when set, the smooth monotonicity constraint monotonicity(s) <= 0."""
+    and, when set, the monotonicity rows M (k, d): M s >= 0, as built by
+    ``transmission.monotonicity_rows``."""
 
     g_min: float = G_MIN_DEFAULT
     g_max: float | None = None
     x_min: np.ndarray | float | None = None
     x_max: np.ndarray | float | None = None
-    monotonicity: Callable[[np.ndarray], float] | None = None
+    monotonicity: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.g_min > 0:
@@ -66,18 +67,17 @@ class ConstraintSet:
         return np.clip(s, *self.bounds(s.size))
 
     def satisfied(self, S: np.ndarray):
-        """The box and, when set, the monotonicity constraint, each within
+        """The box and, when set, the monotonicity rows, each within
         TOL_CONSTRAINT: a bool for a scenario (d,), a boolean (N,) for the
-        rows of a block (N, d). ``monotonicity`` takes one scenario, so it
-        runs once per row that is inside the box."""
+        rows of a block (N, d). ``einsum`` sums each M s in one order, so a
+        block row's answer is the scenario's."""
         block = np.atleast_2d(S)
         lo, hi = self.bounds(block.shape[1])
         ok = np.all((lo - TOL_CONSTRAINT <= block)
                     & (block <= hi + TOL_CONSTRAINT), axis=1)
         if self.monotonicity is not None:
-            rows = np.flatnonzero(ok)
-            ok[rows] = [self.monotonicity(s) <= TOL_CONSTRAINT
-                        for s in block[rows]]
+            ok &= np.all(np.einsum("nk,mk->nm", block, self.monotonicity)
+                         >= -TOL_CONSTRAINT, axis=1)
         return bool(ok[0]) if np.ndim(S) == 1 else ok
 
 
@@ -149,9 +149,9 @@ def _breach_margin(model: ReferenceModel, capital):
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
                        g_fixed: float | None = None) -> list[dict]:
     """SLSQP's constraints in whitened coordinates y, s = L y: the breach
-    margin; the box as one linear block A y - b >= 0 over its finite
-    bounds; with g_fixed, the equality g = g_fixed in place of the block's
-    g rows; and the monotonicity constraint when it is set."""
+    margin; one linear block A y - b >= 0 over the box's finite bounds and
+    the monotonicity rows M L y >= 0 when they are set; with g_fixed, the
+    equality g = g_fixed in place of the block's g rows."""
     L = model.chol
     breach_fun, breach_jac = _breach_margin(model, capital)
     cons = [{"type": "ineq", "fun": breach_fun, "jac": breach_jac}]
@@ -161,20 +161,13 @@ def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSe
         cons.append({"type": "eq", "fun": lambda y: L[:1] @ y - g_fixed,
                      "jac": lambda y: L[:1]})
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    if has_lo.any() or has_hi.any():
-        A = np.vstack([L[has_lo], -L[has_hi]])
-        b = np.concatenate([lo[has_lo], -hi[has_hi]])
+    M = (np.empty((0, model.d)) if constraints.monotonicity is None
+         else constraints.monotonicity)
+    A = np.vstack([L[has_lo], -L[has_hi], M @ L])
+    b = np.concatenate([lo[has_lo], -hi[has_hi], np.zeros(len(M))])
+    if len(A):
         cons.append({"type": "ineq", "fun": lambda y: A @ y - b,
                      "jac": lambda y: A})
-    if constraints.monotonicity is not None:
-        def mono_fun(y):
-            return -constraints.monotonicity(L @ y)
-
-        cons.append({
-            "type": "ineq",
-            "fun": mono_fun,
-            "jac": lambda y: _fd_grad(mono_fun, y, FD_STEP),
-        })
     return cons
 
 

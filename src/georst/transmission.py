@@ -212,12 +212,28 @@ def monotonicity_violation(portfolio: Portfolio, s) -> float:
     return float(max(worst, 0.0))
 
 
+def monotonicity_rows(portfolio: Portfolio) -> np.ndarray:
+    """M (k, d), the sectors' distinct nonzero rows [delta | beta] and
+    [eta | gamma]. PD and LGD are strictly increasing maps of affine maps
+    of s, so M s >= 0 holds exactly when no exposure's stressed PD or LGD
+    falls below its value at s = 0: pd0, and lgd0 unless lgd0 lies within
+    the soft-clip width (0.02) of 0 or 1, where it is softclip(lgd0), not
+    the lgd0 that :func:`monotonicity_violation` compares with.
+    """
+    table = portfolio.sectors.values()
+    rows = np.unique([[s.delta, *s.beta] for s in table]
+                     + [[s.eta, *s.gamma] for s in table], axis=0)
+    return rows[np.any(rows != 0.0, axis=1)]
+
+
 def smooth_monotonicity_violation(portfolio: Portfolio, s) -> float:
     """Log-sum-exp smoothing of :func:`monotonicity_violation`.
 
     Upper-bounds the hard max within MONOTONICITY_TEMPERATURE * log(2n + 1);
-    centered so the value is ~0 when no exposure improves. Suitable as a
-    single smooth inequality constraint.
+    centered so the value is ~0 when no exposure improves, which lets an
+    improvement of up to about that bound through. The solver no longer
+    uses it (it imposes :func:`monotonicity_rows`); it is kept because the
+    benchmark's tracer wraps it by name.
     """
     pd = portfolio.stressed_pd(s)
     lgd = portfolio.stressed_lgd(s)

@@ -17,10 +17,9 @@ from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
                            emit_contours, run_scenario_list)
 from georst.scenario_sets import (Membership, NearOptimalSpec,
                                   NeighbourhoodSpec, TargetSet)
-from georst.solver import (ConstraintSet, _g_cap, conditional_anchor,
-                           solve_design_point)
-from georst.transmission import (monotonicity_violation,
-                                 smooth_monotonicity_violation)
+from georst.solver import (TOL_CONSTRAINT, ConstraintSet, _g_cap,
+                           conditional_anchor, solve_design_point)
+from georst.transmission import monotonicity_rows, monotonicity_violation
 
 from conftest import generate_toy_inputs
 
@@ -416,8 +415,8 @@ def test_cli_enforce_monotonicity_is_the_constrained_solve(tmp_path):
     assert monotonicity_violation(pf, free.s_star) > 1e-3
     want = solve_design_point(
         ctx.model, ctx.capital,
-        ConstraintSet(monotonicity=lambda s: smooth_monotonicity_violation(
-            pf, s)), ctx.solver_config)
+        ConstraintSet(monotonicity=monotonicity_rows(pf)), ctx.solver_config)
+    assert monotonicity_violation(pf, want.s_star) <= TOL_CONSTRAINT
 
     out_dir = tmp_path / "out"
     assert main(["design-point", "--config", str(config), "--out",
@@ -426,6 +425,37 @@ def test_cli_enforce_monotonicity_is_the_constrained_solve(tmp_path):
     assert f"mahalanobis_sq = {want.mahalanobis_sq!r}\n" in report
     for name, value in zip(("g", "x1"), want.s_star):
         assert f"s_star.{name} = {float(value)!r}\n" in report
+
+
+def test_enforce_monotonicity_binds_on_the_sector_workload(tmp_path):
+    # the free design point improves a sector; the constrained one does not
+    config = generate_toy_inputs("scenario-list-sector", tmp_path)
+    raw = json.loads(config.read_text())
+    raw["constraints"] = {"enforce_monotonicity": True}
+    config.write_text(json.dumps(raw))
+    ctx = build_context(RunConfig.from_file(config))
+    pf = ctx.portfolio
+    free = solve_design_point(ctx.model, ctx.capital,
+                              ConstraintSet(g_min=ctx.constraints.g_min),
+                              ctx.solver_config)
+    assert monotonicity_violation(pf, free.s_star) > 1e-3
+    res = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
+                             ctx.solver_config)
+    assert monotonicity_violation(pf, res.s_star) <= TOL_CONSTRAINT
+    assert res.mahalanobis_sq > free.mahalanobis_sq
+
+
+def test_cli_config_hash_is_the_files(tmp_path):
+    # no override adds an empty section the file does not have
+    config = write_inputs(tmp_path)
+    raw = json.loads(config.read_text())
+    del raw["scenario_set"]
+    config.write_text(json.dumps(raw))
+    assert main(["design-point", "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "design_point.txt").read_text()
+    want = RunConfig.from_file(config).hash()
+    assert f"config_hash = {want}\n" in report
 
 
 def test_cli_mc_check(tmp_path):

@@ -15,8 +15,7 @@ from georst.scenario_sets import default_g_grid
 from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
                            _frontier_t, _frontier_warm_start,
                            _polish_to_frontier, _solve_from)
-from georst.transmission import (monotonicity_violation,
-                                 smooth_monotonicity_violation)
+from georst.transmission import monotonicity_rows, monotonicity_violation
 
 from conftest import (CountingCapital, generate_toy_inputs,
                       make_credit_capital, make_portfolio,
@@ -77,8 +76,8 @@ def test_box_makes_problem_infeasible(identity_model):
 
 
 def box_block(cons):
-    """The box's linear block among _build_constraints' dicts (built here
-    without monotonicity), or None when the box has no finite bound."""
+    """The linear block among _build_constraints' dicts, the box's finite
+    bounds and the monotonicity rows, or None when it has no row."""
     blocks = [c for c in cons[1:] if c["type"] == "ineq"]
     assert len(blocks) <= 1
     return blocks[0] if blocks else None
@@ -101,12 +100,19 @@ def test_box_clip_satisfied_and_linear_block_agree(data, d, seed):
     if x_max is not None:
         low = data.draw(quarters) if x_min is None else np.asarray(x_min)
         x_max = low + x_max
-    cons = ConstraintSet(g_min=g_min, g_max=g_max, x_min=x_min, x_max=x_max)
+    box = ConstraintSet(g_min=g_min, g_max=g_max, x_min=x_min, x_max=x_max)
+    # optional monotonicity rows on quarters too, so M s is a multiple of
+    # 1/16 and never within round-off of -TOL_CONSTRAINT
+    M = data.draw(st.none() | st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(quarters, min_size=d, max_size=d), min_size=k, max_size=k)))
+    M = None if M is None else np.array(M)
+    cons = ConstraintSet(g_min=g_min, g_max=g_max, x_min=x_min, x_max=x_max,
+                         monotonicity=M)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     model = ReferenceModel.from_covariance(a @ a.T + 0.1 * np.eye(d))
     s = np.array(data.draw(st.lists(quarters, min_size=d, max_size=d)))
-    assert cons.satisfied(cons.clip(s))
+    assert box.satisfied(box.clip(s))
 
     y = model.whiten(s)
     s = model.chol @ y
@@ -115,14 +121,17 @@ def test_box_clip_satisfied_and_linear_block_agree(data, d, seed):
     assert block is not None    # g_min is always a finite bound
     assert (np.all(block["fun"](y) >= -TOL_CONSTRAINT)) == cons.satisfied(s)
 
-    # with g fixed, g leaves the block for an equality and only x rows stay
+    # with g fixed, g leaves the block for an equality and only x rows
+    # and the monotonicity rows stay
     cons_g = _build_constraints(model, cap, cons, g_fixed=s[0])
-    assert len(cons_g) <= 4
+    assert len(cons_g) <= 3
     assert [c["type"] for c in cons_g[:2]] == ["ineq", "eq"]
     assert cons_g[1]["fun"](y) == pytest.approx([0.0], abs=1e-12)
     lo, hi = cons.bounds(d)
     rows = [model.chol[i] for i in range(1, d) if np.isfinite(lo[i])]
     rows += [-model.chol[i] for i in range(1, d) if np.isfinite(hi[i])]
+    if M is not None:
+        rows += list(M @ model.chol)
     block = box_block(cons_g)
     if rows:
         assert np.array_equal(block["jac"](y), np.array(rows))
@@ -147,10 +156,9 @@ def test_monotonicity_constraint_binds(correlated_model):
     config = SolverConfig(seed=0)
     free = solve_design_point(correlated_model, cap, ConstraintSet(), config)
     assert monotonicity_violation(pf, free.s_star) > 1e-3   # ~0.013
-    cons = ConstraintSet(
-        monotonicity=lambda s: smooth_monotonicity_violation(pf, s))
+    cons = ConstraintSet(monotonicity=monotonicity_rows(pf))
     res = solve_design_point(correlated_model, cap, cons, config)
-    assert smooth_monotonicity_violation(pf, res.s_star) <= TOL_CONSTRAINT
+    assert monotonicity_violation(pf, res.s_star) <= TOL_CONSTRAINT
     assert res.mahalanobis_sq >= free.mahalanobis_sq
     assert breaches(cap.ratio(res.s_star), cap.r_star)
     # the flag that was ignored without a function is gone
@@ -304,8 +312,9 @@ def test_grid_oracle_keeps_to_the_box_inside_wider_bounds(correlated_model):
 
 
 def test_constraint_set_tests_a_block_row_by_row():
+    # the one row says s[1] - s[0] <= 0
     cons = ConstraintSet(g_max=2.0, x_min=-1.0,
-                         monotonicity=lambda s: s[1] - s[0])
+                         monotonicity=np.array([[1.0, -1.0]]))
     S = np.array([[0.5, 0.25], [0.5, 0.75], [3.0, 0.0], [1.0, -2.0],
                   [1.0, 1.0 + 0.5 * TOL_CONSTRAINT]])
     many = cons.satisfied(S)

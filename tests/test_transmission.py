@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from georst import InvalidInputError, SectorSensitivities, SoftClip
-from georst.transmission import (monotonicity_violation,
+from georst.transmission import (monotonicity_rows, monotonicity_violation,
                                  smooth_monotonicity_violation)
 
 from conftest import make_portfolio, make_sensitivities, portfolio_from_rows
@@ -173,3 +174,32 @@ def test_smooth_monotonicity_tracks_hard_max():
         assert abs(smooth - hard) < 1e-2
         if hard > 1e-2:
             assert smooth > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4),
+       k=st.integers(1, 3))
+def test_monotonicity_rows_are_exact(seed, d, k):
+    # LGDs in the soft-clip's identity band, so the stressed LGD at s = 0
+    # is lgd0 and M s >= 0 is exactly "no PD or LGD improves"; loadings
+    # are zero now and then, so zero and repeated rows occur
+    rng = np.random.default_rng(seed)
+
+    def loadings(size, low):
+        return rng.uniform(low, 1.0, size) * (rng.random(size) < 0.7)
+
+    sectors = {f"s{j}": make_sensitivities(
+        delta=loadings(1, 0.0)[0], eta=loadings(1, 0.0)[0],
+        beta=loadings(d - 1, -1.0), gamma=loadings(d - 1, -1.0),
+        sector_id=f"s{j}") for j in range(k)}
+    pf = portfolio_from_rows(
+        [(f"e{i}", f"s{i % k}", 1.0, rng.uniform(1e-3, 0.5),
+          rng.uniform(0.03, 0.97), 0.2) for i in range(3 * k)], sectors)
+    M = monotonicity_rows(pf)
+    assert M.shape[1] == d and np.all(np.any(M != 0.0, axis=1))
+    assert len(np.unique(M, axis=0)) == len(M)
+    for s in rng.standard_normal((40, d)) * rng.choice([1e-3, 1.0, 10.0]):
+        s[0] = abs(s[0])    # g >= 0 stresses, so both outcomes occur
+        if np.all(np.abs(M @ s) > 1e-6):
+            assert (np.all(M @ s >= 0.0)
+                    == (monotonicity_violation(pf, s) <= 1e-12))
