@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import betainc, gammaincc
 
 from .errors import InvalidInputError
-from .special_functions import chi2_cdf, f_cdf
 
 DEFAULT_RIDGE_SCALE = 1e-8
 
@@ -168,12 +168,15 @@ class ReferenceModel:
         return 0.5 * (self.nu + self.d) * np.log1p(np.divide(m2, self.nu))
 
     def tail_probability(self, m2: float) -> float:
-        """P(d_Sigma^2(S) >= m2) under the reference distribution."""
+        """P(d_Sigma^2(S) >= m2) under the reference distribution: the
+        chi-squared or scaled Fisher survival function, not 1 - cdf, which
+        cancels to 0 for rare scenarios."""
         if not m2 >= 0.0:
             raise InvalidInputError(f"squared distance must be >= 0, got {m2}")
         if self.family is Family.GAUSSIAN:
-            return 1.0 - chi2_cdf(m2, self.d)
-        return 1.0 - f_cdf(m2 / self.d, self.d, self.nu)
+            return float(gammaincc(0.5 * self.d, 0.5 * m2))
+        return float(betainc(0.5 * self.nu, 0.5 * self.d,
+                             self.nu / (self.nu + m2)))
 
     def plausibility(self, s) -> PlausibilityScore:
         m2 = self.mahalanobis_sq(s)

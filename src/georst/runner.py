@@ -341,7 +341,8 @@ def _membership_from_cfg(ctx: RunContext, s_star, target: str | None = None):
         spec = NeighbourhoodSpec(radius_eta=float(cfg.get("eta", 1.0)))
     else:
         spec = NearOptimalSpec(epsilon=float(cfg.get("epsilon", 1.0)))
-    return Membership(target, ctx.model, ctx.capital, s_star, spec)
+    return Membership(target, ctx.model, ctx.capital, s_star, spec,
+                      ctx.constraints)
 
 
 def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, object]:
@@ -349,10 +350,8 @@ def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, 
                                 ctx.solver_config)
     cfg = ctx.scenario_cfg
     membership = _membership_from_cfg(ctx, result.s_star, target)
-    g_grid = cfg.get("g_grid")
-    pool = build_pool(ctx.model, ctx.capital, ctx.constraints,
-                      ctx.solver_config, membership, result,
-                      g_grid=g_grid,
+    pool = build_pool(membership, ctx.solver_config, result,
+                      g_grid=cfg.get("g_grid"),
                       n_target=cfg.get("pool", DEFAULTS["pool_size"]),
                       seed=ctx.seed)
     listing = reduce_farthest_point(

@@ -62,13 +62,16 @@ class NearOptimalSpec:
 class Membership:
     """Inclusive membership oracle for a target scenario set.
 
-    Neighbourhood: breach and d^2(s - s*) <= eta. Near-optimal: breach,
-    g > 0, and neg-log-density within epsilon/2 of the design point's
-    (under the Gaussian this is exactly d^2(s) <= d^2(s*) + epsilon).
+    Both sets hold breaching scenarios in ``constraints``, the feasible
+    region the design point was solved over (``None`` is ``ConstraintSet()``,
+    as in ``solve_design_point``). Neighbourhood: also d^2(s - s*) <= eta.
+    Near-optimal: also neg-log-density within epsilon/2 of the design
+    point's (under the Gaussian this is exactly d^2(s) <= d^2(s*) + epsilon).
 
-    The breach is ``capital.breaches``: R(s) <= r_star with no slack, the
-    test the solver applies, so the design point, the local optima and the
-    conditional anchors the solver returns always pass it. The geometric
+    The breach is ``capital.breaches`` (R(s) <= r_star, no slack) and the
+    region ``ConstraintSet.satisfied`` (TOL_CONSTRAINT slack), the tests the
+    solver applies, so the design point, the local optima and the
+    conditional anchors the solver returns always pass both. The geometric
     comparisons stay inclusive up to round-off: ``s - s*``, whitening and
     the log-density round with the magnitudes of their operands, so a point
     built on the boundary by float arithmetic can land a few ulps outside.
@@ -88,10 +91,11 @@ class Membership:
     """
 
     def __init__(self, target: TargetSet, model: ReferenceModel, capital,
-                 s_star, spec):
+                 s_star, spec, constraints: ConstraintSet | None = None):
         self.target = TargetSet(target)
         self.model = model
         self.capital = capital
+        self.constraints = constraints or ConstraintSet()
         self.s_star = as_scenario_array(s_star, model.d)
         self.spec = spec
         if self.target is TargetSet.NEIGHBOURHOOD:
@@ -110,8 +114,8 @@ class Membership:
         """Membership of each row of a block S (N, d), as a boolean (N,).
 
         Rows with a non-finite coordinate are not members. The geometric
-        tests run on the rest, and R(s) (one ``ratio_many`` call) only on
-        the rows that pass them.
+        tests and the region test run on the rest, and R(s) (one
+        ``ratio_many`` call) only on the rows that pass them.
         """
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[1] != self.model.d:
@@ -120,7 +124,8 @@ class Membership:
                 f"got {S.shape}")
         inside = np.isfinite(S).all(axis=1)
         rows = np.flatnonzero(inside)
-        inside[rows] = self._geometry(S[rows])
+        inside[rows] = (self._geometry(S[rows])
+                        & self.constraints.satisfied(S[rows]))
         rows = rows[inside[rows]]
         if rows.size:
             inside[rows] = breaches(self.capital.ratio_many(S[rows]),
@@ -137,7 +142,7 @@ class Membership:
         nld = self.model.neg_log_density_from_m2(m2)
         half_eps = 0.5 * self.spec.epsilon
         slack = MEMBERSHIP_RTOL * (half_eps + np.abs(nld) + abs(self._nld_star))
-        return (S[:, 0] > 0.0) & (nld <= self._nld_star + half_eps + slack)
+        return nld <= self._nld_star + half_eps + slack
 
 
 @dataclass
@@ -274,12 +279,13 @@ def _boundary(member_at, u, sign: float, cap: float) -> float:
     return t_in
 
 
-def build_pool(model: ReferenceModel, capital, constraints: ConstraintSet,
-               solver_config: SolverConfig, membership: Membership,
+def build_pool(membership: Membership, solver_config: SolverConfig,
                design_result, g_grid=None, n_target: int = DEFAULT_POOL_SIZE,
                seed: int = 0) -> CandidatePool:
     """Anchors (multi-start optima and conditional g-grid anchors) densified
-    by local sampling, with a hit-and-run fallback on thin regions."""
+    by local sampling, with a hit-and-run fallback on thin regions. The
+    model, the capital map and the feasible region are the membership's."""
+    model, capital = membership.model, membership.capital
     if n_target < 1:
         raise InvalidInputError(f"pool size {n_target} must be >= 1")
     anchors: list[PoolEntry] = []
@@ -287,10 +293,10 @@ def build_pool(model: ReferenceModel, capital, constraints: ConstraintSet,
         if membership(opt.s):
             anchors.append(PoolEntry(s=opt.s, origin="anchor"))
     if g_grid is None:
-        g_grid = default_g_grid(model, constraints)
+        g_grid = default_g_grid(model, membership.constraints)
     for g_j in g_grid:
-        anchor = conditional_anchor(model, capital, constraints, float(g_j),
-                                    config=solver_config)
+        anchor = conditional_anchor(model, capital, membership.constraints,
+                                    float(g_j), config=solver_config)
         if anchor is None:
             continue
         if membership(anchor):
@@ -414,8 +420,6 @@ def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
             f"list size P={P} exceeds pool size {len(pool)} + 1")
     picks = [s_star]
     if P > 1:
-        if len(pool) == 0:
-            raise InvalidInputError("empty pool cannot fill a list with P > 1")
         scenarios = pool.scenarios
         idx = _farthest_point_indices(model.whiten(scenarios),
                                       model.whiten(s_star), P - 1)

@@ -359,21 +359,17 @@ def solve_design_point(model: ReferenceModel, capital,
     optima: list[LocalOptimum] = []
     incumbent: LocalOptimum | None = None
     confirmed = 0
-    best_infeasible: tuple[float, np.ndarray] | None = None
     for idx, y0 in enumerate(starts):
         tried.append(y0)
         res = _solve_from(y0, cons)
         s = _polish_to_frontier(model, capital, res.x)
         if s is None:
             s = model.unwhiten(res.x)
-        y = model.whiten(s)
         if not _feasible(capital, constraints, s):
             confirmed = 0
-            obj = float(y @ y)
-            if best_infeasible is None or obj < best_infeasible[0]:
-                best_infeasible = (obj, s)
             continue
-        opt = LocalOptimum(s=s, y=y, mahalanobis_sq=float(y @ y),
+        y = model.whiten(s)
+        opt = LocalOptimum(s=s, y=y, mahalanobis_sq=model.mahalanobis_sq(s),
                            ratio=capital.ratio(s), start_index=idx)
         optima.append(opt)
         if (incumbent is not None
@@ -392,10 +388,8 @@ def solve_design_point(model: ReferenceModel, capital,
                             capital.r_star) for y in tried):
             raise InfeasibleError(
                 "no capital-breaching scenario found within the admissible bounds")
-        err = NonConvergenceError(
+        raise NonConvergenceError(
             "no start converged to a feasible design point")
-        err.best_iterate = None if best_infeasible is None else best_infeasible[1]
-        raise err
 
     deduped = _dedup(optima)
     best = deduped[0]

@@ -157,28 +157,32 @@ def test_criterion_06_student_t_minimiser_equivalence():
 
 
 def test_criterion_07_set_membership_integrity():
-    # every pool and list member re-passes membership from scratch; N_eps
-    # members satisfy d^2 <= d^2(s*) + eps + 1e-9
+    # every pool and list member re-passes membership from scratch and lies
+    # in the feasible region, the default one and a box that cuts both sets;
+    # N_eps members satisfy d^2 <= d^2(s*) + eps + 1e-9
     model = ReferenceModel.from_covariance(np.eye(2))
     cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
-    cons = ConstraintSet()
-    res = solve_design_point(model, cap, cons, SolverConfig(seed=0))
     eps = 2.0
-    for target, spec in ((TargetSet.NEIGHBOURHOOD,
-                          NeighbourhoodSpec(radius_eta=1.5)),
-                         (TargetSet.NEAR_OPTIMAL, NearOptimalSpec(epsilon=eps))):
-        membership = Membership(target, model, cap, res.s_star, spec)
-        fresh = Membership(target, model, cap, res.s_star, spec)
-        pool = build_pool(model, cap, cons, SolverConfig(seed=0), membership,
-                          res, n_target=400, seed=0)
-        listing = reduce_farthest_point(model, pool, res.s_star, P=8,
-                                        capital=cap)
-        assert all(fresh(entry.s) for entry in pool.entries)
-        assert all(fresh(entry.s) for entry in listing.entries)
-        if target is TargetSet.NEAR_OPTIMAL:
-            bound = res.mahalanobis_sq + eps + 1e-9
-            assert all(model.mahalanobis_sq(e.s) <= bound
-                       for e in pool.entries)
+    for cons in (ConstraintSet(), ConstraintSet(x_max=2.2, g_max=2.6)):
+        res = solve_design_point(model, cap, cons, SolverConfig(seed=0))
+        for target, spec in ((TargetSet.NEIGHBOURHOOD,
+                              NeighbourhoodSpec(radius_eta=1.5)),
+                             (TargetSet.NEAR_OPTIMAL,
+                              NearOptimalSpec(epsilon=eps))):
+            membership = Membership(target, model, cap, res.s_star, spec, cons)
+            fresh = Membership(target, model, cap, res.s_star, spec, cons)
+            pool = build_pool(membership, SolverConfig(seed=0), res,
+                              n_target=400, seed=0)
+            listing = reduce_farthest_point(model, pool, res.s_star, P=8,
+                                            capital=cap)
+            assert all(fresh(entry.s) for entry in pool.entries)
+            assert all(fresh(entry.s) for entry in listing.entries)
+            assert cons.satisfied(pool.scenarios).all()
+            assert all(cons.satisfied(entry.s) for entry in listing.entries)
+            if target is TargetSet.NEAR_OPTIMAL:
+                bound = res.mahalanobis_sq + eps + 1e-9
+                assert all(model.mahalanobis_sq(e.s) <= bound
+                           for e in pool.entries)
 
 
 def test_criterion_08_farthest_point_hand_trace():

@@ -445,6 +445,38 @@ def test_enforce_monotonicity_binds_on_the_sector_workload(tmp_path):
     assert res.mahalanobis_sq > free.mahalanobis_sq
 
 
+def report_sections(text):
+    """A report's sections: name -> the lines under its [name] header."""
+    sections, lines = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            lines = sections[line.strip("[]")] = []
+        elif lines is not None:
+            lines.append(line)
+    return sections
+
+
+@pytest.mark.parametrize("constraints", [{}, {"enforce_monotonicity": True}])
+def test_toy_scenario_list_obeys_the_design_point(tmp_path, constraints):
+    # every listed scenario lies in the region the design point was solved
+    # over, and the list's row 0, s*, carries the design point's m^2
+    config = generate_toy_inputs("scenario-list-sector", tmp_path)
+    raw = json.loads(config.read_text())
+    raw["constraints"] = constraints
+    config.write_text(json.dumps(raw))
+    assert main(["scenario-list", "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 0
+    sections = report_sections(
+        (tmp_path / "out" / "scenario_list.txt").read_text())
+    ctx = build_context(RunConfig.from_file(config))
+    S = np.array([[float(v) for v in row.split()[1:]]
+                  for row in sections["scenario_coordinates"][1:]])
+    assert len(S) == raw["scenario_set"]["list"]
+    assert ctx.constraints.satisfied(S).all()
+    m2 = dict(line.split(" = ") for line in sections["design_point"])
+    assert sections["scenario_list"][1].split()[2] == m2["mahalanobis_sq"]
+
+
 def test_cli_config_hash_is_the_files(tmp_path):
     # no override adds an empty section the file does not have
     config = write_inputs(tmp_path)

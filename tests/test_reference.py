@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy import stats
 from scipy.linalg import solve_triangular
 
 from georst import (Family, InvalidInputError, ReferenceModel,
@@ -37,9 +38,19 @@ def test_whiten_many_matches_scalar(correlated_model):
 
 
 def test_gaussian_tail_d2_closed_form(identity_model):
-    for m2 in np.arange(0.1, 20.01, 0.5):
+    # relative accuracy far into the tail, where 1 - cdf cancels to 0
+    for m2 in np.arange(0.1, 200.01, 0.5):
         assert identity_model.tail_probability(m2) == pytest.approx(
-            math.exp(-m2 / 2.0), abs=1e-12)
+            math.exp(-m2 / 2.0), rel=1e-12, abs=0.0)
+
+
+def test_student_t_tail_is_the_scaled_fisher_survival_function():
+    for d, nu in ((2, 3.0), (4, 6.0), (8, 6.0), (8, 30.0)):
+        model = ReferenceModel.from_covariance(np.eye(d),
+                                               family=Family.STUDENT_T, nu=nu)
+        for m2 in np.logspace(-1.0, 7.0, 33):
+            assert model.tail_probability(m2) == pytest.approx(
+                stats.f.sf(m2 / d, d, nu), rel=1e-12, abs=0.0)
 
 
 def test_gaussian_tail_one_factor_closed_form():
@@ -53,8 +64,8 @@ def test_gaussian_tail_one_factor_closed_form():
 def test_gaussian_tail_quoted_percentile(identity_model):
     # exp(-m2/2) = 0.01 at m2 = 2 ln 100
     m2 = 2.0 * math.log(100.0)
-    assert identity_model.tail_probability(m2) == pytest.approx(0.01,
-                                                                abs=1e-12)
+    assert identity_model.tail_probability(m2) == pytest.approx(
+        0.01, rel=1e-12, abs=0.0)
 
 
 def test_student_t_neg_log_density_known_value():

@@ -40,27 +40,34 @@ def test_neighbourhood_membership(half_plane):
     (TargetSet.NEAR_OPTIMAL, NearOptimalSpec(epsilon=2.0))])
 def test_membership_tests_geometry_before_ratio(half_plane, target, spec):
     model, cap, res = half_plane
-    counting = CountingCapital(cap)
-    mem = Membership(target, model, counting, res.s_star, spec)
-    # the same set with every point breaching: its geometric tests alone
-    geometry = Membership(target, model,
-                          CountingCapital(cap, ratio=lambda s: -np.inf),
-                          res.s_star, spec)
-    # a breaching point far outside the set costs no R(s) call
-    assert cap.breach(np.array([6.0, 6.0]))
-    assert not mem(np.array([6.0, 6.0]))
-    assert counting.calls == 0
-    axis = np.linspace(-1.0, 5.0, 25)
-    inside = 0
-    for g in axis:
-        for x in axis:
-            s = np.array([g, x])
-            # ratio first, then geometry: the order before the change
-            old = cap.breach(s) and geometry(s)
-            assert mem(s) == old
-            inside += geometry(s)
-    assert 0 < inside < axis.size ** 2
-    assert counting.calls == inside
+    # the same set with every point breaching: its geometric and region
+    # tests alone
+    always = CountingCapital(cap, ratio=lambda s: -np.inf)
+    for region in (None, ConstraintSet(g_max=2.2)):
+        counting = CountingCapital(cap)
+        mem = Membership(target, model, counting, res.s_star, spec, region)
+        geometry = Membership(target, model, always, res.s_star, spec, region)
+        # a breaching point far outside the set costs no R(s) call
+        assert cap.breach(np.array([6.0, 6.0]))
+        assert not mem(np.array([6.0, 6.0]))
+        # nor does a breaching point of the set's geometry outside the region
+        if region is not None:
+            s = np.array([2.3, 2.0])
+            assert cap.breach(s) and not region.satisfied(s)
+            assert Membership(target, model, always, res.s_star, spec)(s)
+            assert not mem(s)
+        assert counting.calls == 0
+        axis = np.linspace(-1.0, 5.0, 25)
+        inside = 0
+        for g in axis:
+            for x in axis:
+                s = np.array([g, x])
+                # ratio first, then geometry: the order before the change
+                old = cap.breach(s) and geometry(s)
+                assert mem(s) == old
+                inside += geometry(s)
+        assert 0 < inside < axis.size ** 2
+        assert counting.calls == inside
 
 
 @pytest.fixture(scope="module")
@@ -103,19 +110,27 @@ NON_FINITE_ROWS = [[np.nan, 0.0], [np.inf, 1.0], [0.5, -np.inf]]
 @settings(max_examples=100, deadline=None)
 @given(case=st.integers(0, 1),
        offsets=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2,
-                                 max_size=2), min_size=1, max_size=40))
+                                 max_size=2), min_size=1, max_size=40),
+       box=st.lists(st.floats(0.1, 3.0), min_size=4, max_size=4))
 def test_membership_many_equals_the_oracle_row_by_row(correlated_half_planes,
-                                                      case, offsets):
-    # both families, both targets; non-finite rows are not members
+                                                      case, offsets, box):
+    # both families, both targets, the default region and a drawn box
+    # around s*; non-finite rows are not members
     model, cap, s_star = correlated_half_planes[case]
     S = np.vstack([s_star + np.array(offsets), NON_FINITE_ROWS])
-    for target, spec in ((TargetSet.NEAR_OPTIMAL, NearOptimalSpec(2.0)),
-                         (TargetSet.NEIGHBOURHOOD, NeighbourhoodSpec(1.0))):
-        mem = Membership(target, model, cap, s_star, spec)
-        many = mem.many(S)
-        assert many.dtype == bool
-        assert many.tolist() == [mem(s) for s in S]
-        assert not many[-len(NON_FINITE_ROWS):].any()
+    g_lo, g_hi, x_lo, x_hi = box
+    drawn = ConstraintSet(g_min=max(s_star[0] - g_lo, 1e-6),
+                          g_max=s_star[0] + g_hi, x_min=s_star[1] - x_lo,
+                          x_max=s_star[1] + x_hi)
+    for region in (None, drawn):
+        for target, spec in ((TargetSet.NEAR_OPTIMAL, NearOptimalSpec(2.0)),
+                             (TargetSet.NEIGHBOURHOOD, NeighbourhoodSpec(1.0))):
+            mem = Membership(target, model, cap, s_star, spec, region)
+            many = mem.many(S)
+            assert many.dtype == bool
+            assert many.tolist() == [mem(s) for s in S]
+            assert not many[-len(NON_FINITE_ROWS):].any()
+            assert mem.constraints.satisfied(S[many]).all()
     # the squared norm behind both tests: each row's value, bit for bit,
     # does not depend on the block it sits in
     finite = S[:-len(NON_FINITE_ROWS)]
@@ -374,11 +389,9 @@ def test_driver_decomposition_orders_by_magnitude(correlated_model):
 
 def test_build_pool_members_all_pass_membership(half_plane):
     model, cap, res = half_plane
-    cons = ConstraintSet()
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
                      NearOptimalSpec(epsilon=2.0))
-    pool = build_pool(model, cap, cons, SolverConfig(seed=0), mem, res,
-                      n_target=300, seed=0)
+    pool = build_pool(mem, SolverConfig(seed=0), res, n_target=300, seed=0)
     assert len(pool) >= 100
     assert all(mem(entry.s) for entry in pool.entries)
     origins = {entry.origin.split("(")[0] for entry in pool.entries}
@@ -444,8 +457,7 @@ def test_build_pool_keeps_every_grid_anchor_inside_the_set(half_plane):
     eps = 2.0
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
                      NearOptimalSpec(epsilon=eps))
-    pool = build_pool(model, cap, cons, SolverConfig(seed=0), mem, res,
-                      n_target=300, seed=0)
+    pool = build_pool(mem, SolverConfig(seed=0), res, n_target=300, seed=0)
     origins = {entry.origin for entry in pool.entries}
     inside = 0
     for g_j in default_g_grid(model, cons):
