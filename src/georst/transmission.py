@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -120,7 +121,8 @@ class Portfolio:
             raise InvalidInputError("portfolio columns differ in length")
         names = list(self.sectors)
         position = {sector_id: k for k, sector_id in enumerate(names)}
-        index = np.fromiter((position.get(s, -1) for s in self.sector_id),
+        # an unknown sector is -1; map calls get with no Python frame per row
+        index = np.fromiter(map(position.get, self.sector_id, repeat(-1)),
                             dtype=np.intp, count=n)
         # the first row that fails a check is named, with that check's message
         checks = {

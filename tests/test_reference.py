@@ -172,6 +172,35 @@ def test_geometry_of_a_block_equals_its_rows(d, n, seed):
             chol, s, lower=True).tobytes()
 
 
+
+def test_whiten_is_the_triangular_solve_bit_for_bit():
+    # whiten calls LAPACK's solve directly; it must give solve_triangular's
+    # bits for a point and for a block, leave its input alone, and keep the
+    # whiten_many name
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((8, 8))
+    model = ReferenceModel.from_covariance(a @ a.T / 8 + 0.5 * np.eye(8))
+    S = 3.0 * rng.standard_normal((2000, 8))
+    before = S.copy()
+    Y = model.whiten(S)
+    assert Y.shape == (2000, 8) and Y.flags.c_contiguous
+    assert Y.tobytes() == solve_triangular(
+        model.chol, S.T, lower=True).T.tobytes()
+    for s in S[:500]:
+        y = model.whiten(s)
+        assert y.shape == (8,)
+        assert y.tobytes() == solve_triangular(
+            model.chol, s, lower=True).tobytes()
+    assert S.tobytes() == before.tobytes()
+    assert model.whiten(np.empty((0, 8))).shape == (0, 8)
+    assert model.whiten_many(S).tobytes() == Y.tobytes()
+
+
+def test_whiten_raises_on_a_singular_factor():
+    model = ReferenceModel(sigma=np.eye(2), chol=np.diag([1.0, 0.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        model.whiten(np.ones(2))
+
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(2, 8), n=st.integers(0, 50),
        seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-6, 1e6))
