@@ -104,10 +104,17 @@ def _ma_base(pd):
     return 0.11852 - 0.05478 * np.log(np.maximum(pd, MA_PD_FLOOR))
 
 
+def _ma_parts(sqb, m25):
+    """The maturity adjustment's numerator 1 + (M - 2.5) b and denominator
+    1 - 1.5 b, with b = sqb^2 and m25 = M - 2.5."""
+    b = sqb ** 2
+    return 1.0 + m25 * b, 1.0 - 1.5 * b
+
+
 def _ma_from_base(sqb, maturity):
     """(1 + (M - 2.5) b) / (1 - 1.5 b) with b = sqb^2."""
-    b = sqb ** 2
-    return (1.0 + (np.asarray(maturity, dtype=float) - 2.5) * b) / (1.0 - 1.5 * b)
+    num, den = _ma_parts(sqb, np.asarray(maturity, dtype=float) - 2.5)
+    return num / den
 
 
 def maturity_adjustment_factor(pd, maturity):
@@ -119,26 +126,22 @@ def maturity_adjustment_factor(pd, maturity):
     return out
 
 
-def _maturity_adjustment_slope(pd, sqb, maturity):
+def _maturity_adjustment_slope(pd, sqb, m25, num, den):
     """d/dpd of :func:`maturity_adjustment_factor`, given sqb =
-    ``_ma_base(pd)``: 0 below MA_PD_FLOOR."""
-    b = sqb ** 2
-    m = np.asarray(maturity, dtype=float)
-    dgamma_db = ((m - 2.5) * (1.0 - 1.5 * b)
-                 + 1.5 * (1.0 + (m - 2.5) * b)) / (1.0 - 1.5 * b) ** 2
+    ``_ma_base(pd)``, m25 = M - 2.5 and ``_ma_parts(sqb, m25)``: 0 below
+    MA_PD_FLOOR."""
+    dgamma_db = (m25 * den + 1.5 * num) / den ** 2
     return np.where(pd < MA_PD_FLOOR, 0.0,
                     dgamma_db * 2.0 * sqb * (-0.05478 / pd))
 
 
-def _risk_weight_pd_slope(pd, lgd, tail, dtail_dpd, maturity, ma, ma_base):
-    """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd); ``ma``
-    is MA(pd) and ``ma_base`` its ``_ma_base(pd)``, both None without the
-    maturity adjustment."""
+def _risk_weight_pd_slope(lgd, tail_pd, dtail_dpd, ma, ma_slope):
+    """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd), given
+    tail_pd = tail - pd; ``ma`` is MA(pd) and ``ma_slope`` its derivative,
+    both None without the maturity adjustment."""
     if ma is None:
         return lgd * (dtail_dpd - 1.0)
-    return lgd * ((dtail_dpd - 1.0) * ma
-                  + (tail - pd) * _maturity_adjustment_slope(pd, ma_base,
-                                                             maturity))
+    return lgd * ((dtail_dpd - 1.0) * ma + tail_pd * ma_slope)
 
 
 def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
@@ -167,11 +170,15 @@ def risk_weight_pd_derivative(pd, lgd, rho, maturity, spec: LossQuantileSpec,
     zp = ndtri(pd)
     sq1 = np.sqrt(1.0 - rho)
     arg = (zp + np.sqrt(rho) * ndtri(spec.q)) / sq1
-    ma_base = _ma_base(pd) if use_maturity_adjustment else None
-    ma = None if ma_base is None else _ma_from_base(ma_base, maturity)
-    out = _risk_weight_pd_slope(pd, np.asarray(lgd, dtype=float), ndtr(arg),
-                                tail_pd_derivative(zp, arg, sq1), maturity, ma,
-                                ma_base)
+    ma = ma_slope = None
+    if use_maturity_adjustment:
+        sqb = _ma_base(pd)
+        m25 = np.asarray(maturity, dtype=float) - 2.5
+        num, den = _ma_parts(sqb, m25)
+        ma = num / den
+        ma_slope = _maturity_adjustment_slope(pd, sqb, m25, num, den)
+    out = _risk_weight_pd_slope(np.asarray(lgd, dtype=float), ndtr(arg) - pd,
+                                tail_pd_derivative(zp, arg, sq1), ma, ma_slope)
     if out.ndim == 0:
         return float(out)
     return out
@@ -213,11 +220,15 @@ class _Point(NamedTuple):
     zp: np.ndarray      # Phi^-1(pd)
     arg: np.ndarray     # (zp + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho)
     tail: np.ndarray    # conditional default probability Phi(arg)
+    ead_lgd: np.ndarray     # ead * lgd
     loss: np.ndarray
     cet1: np.ndarray
-    rw: np.ndarray | None   # unclamped IRB risk weights (IRB mode only)
+    tail_pd: np.ndarray | None  # tail - pd (IRB mode only)
+    rw: np.ndarray | None   # unclamped IRB risk weights, likewise
     ma: np.ndarray | None   # maturity adjustment (IRB mode with it only)
     ma_base: np.ndarray | None  # its sqrt(b), ``_ma_base(pd)``, likewise
+    ma_num: np.ndarray | None   # its numerator 1 + (M - 2.5) b, likewise
+    ma_den: np.ndarray | None   # its denominator 1 - 1.5 b, likewise
     rwa: np.ndarray
     clamped: np.ndarray     # RWA held at the floor
 
@@ -234,8 +245,9 @@ class CreditCapitalModel:
     ``np.add.reduce(a * b, axis=-1)``, which is what ``np.sum`` calls; never
     a BLAS dot or gemv, whose summation order can depend on the number of
     rows), so ``ratio_many(S)[i]`` equals ``ratio(S[i])`` bit for bit.
-    ``ratio_grad`` differentiates the same evaluation, and reads the
-    maturity adjustment's base from it instead of taking log(pd) again. The
+    ``ratio_grad`` differentiates the same evaluation, and reads ead * lgd,
+    tail - pd and the maturity adjustment's base, numerator and denominator
+    from it instead of computing them again. The
     module functions (``risk_weight``,
     ``loss.loss_quantile``, ``cet1_stressed``, ``rwa_stressed_flagged``) use
     the same arithmetic, so their values equal the model's bit for bit.
@@ -260,6 +272,7 @@ class CreditCapitalModel:
             raise InvalidInputError("pnl_noncredit length must equal dimension d")
         self._shift = np.sqrt(portfolio.rho) * ndtri(self.spec.q)
         self._sqrt_1mrho = np.sqrt(1.0 - portfolio.rho)
+        self._m25 = np.asarray(portfolio.maturity, dtype=float) - 2.5
         self._baseline_loss = self._loss_terms(np.zeros(portfolio.d))[-1]
         self._last: tuple[bytes, _Point] | None = None
         self.rwa_floor_hits = 0
@@ -284,34 +297,39 @@ class CreditCapitalModel:
         zp = ndtri(pd)
         arg = (zp + self._shift) / self._sqrt_1mrho
         tail = ndtr(arg)
-        return (pd_raw, pd, lgd, lgd_slope, zp, arg, tail,
-                np.add.reduce(pf.ead * lgd * tail, axis=-1))
+        ead_lgd = pf.ead * lgd
+        return (pd_raw, pd, lgd, lgd_slope, zp, arg, tail, ead_lgd,
+                np.add.reduce(ead_lgd * tail, axis=-1))
 
     def _kernel(self, arr) -> _Point:
         """Evaluate a validated scenario (d,) or block of scenarios (N, d)."""
         pf, state = self.portfolio, self.state
-        pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss = self._loss_terms(arr)
+        (pd_raw, pd, lgd, lgd_slope, zp, arg, tail, ead_lgd,
+         loss) = self._loss_terms(arr)
         cet1 = state.cet1_0 - (loss - self._baseline_loss
                                if state.loss_basis is LossBasis.INCREMENTAL
                                else loss)
         if state.pnl_noncredit is not None:
             cet1 = cet1 + np.add.reduce(state.pnl_noncredit * arr, axis=-1)
-        rw = ma = ma_base = None
+        tail_pd = rw = ma = ma_base = ma_num = ma_den = None
         if state.rwa_mode is RwaMode.CONSTANT:
             raw = np.full_like(loss, state.rwa_0)
         elif state.rwa_mode is RwaMode.LINEAR:
             raw = state.rwa_0 + np.add.reduce(state.alpha * (pd_raw - pf.pd0),
                                               axis=-1)
         else:
-            rw = lgd * (tail - pd)
+            tail_pd = tail - pd
+            rw = lgd * tail_pd
             if state.maturity_adjustment:
                 ma_base = _ma_base(pd)
-                ma = _ma_from_base(ma_base, pf.maturity)
+                ma_num, ma_den = _ma_parts(ma_base, self._m25)
+                ma = ma_num / ma_den
                 rw = rw * ma
             raw = np.add.reduce(pf.ead * np.maximum(rw, 0.0), axis=-1)
         floor = RWA_FLOOR_FRACTION * state.rwa_0
-        return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, loss, cet1,
-                      rw, ma, ma_base, np.maximum(raw, floor), raw < floor)
+        return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, ead_lgd, loss,
+                      cet1, tail_pd, rw, ma, ma_base, ma_num, ma_den,
+                      np.maximum(raw, floor), raw < floor)
 
     def _evaluate(self, s) -> _Point:
         """The kernel at one scenario, through the last-point memo."""
@@ -358,7 +376,7 @@ class CreditCapitalModel:
                     + pf.lgd_loadings @ (w_lgd * p.lgd_slope))
 
         dtail = tail_pd_derivative(p.zp, p.arg, self._sqrt_1mrho)
-        d_cet1 = -chain(pf.ead * p.lgd * dtail, pf.ead * p.tail)
+        d_cet1 = -chain(p.ead_lgd * dtail, pf.ead * p.tail)
         if state.pnl_noncredit is not None:
             d_cet1 = d_cet1 + state.pnl_noncredit
         if p.clamped or state.rwa_mode is RwaMode.CONSTANT:
@@ -367,9 +385,14 @@ class CreditCapitalModel:
             d_rwa = pf.pd_loadings @ (state.alpha * pd_slope)
         else:
             w = pf.ead * (p.rw > 0.0)
-            d_rw_dlgd = (p.tail - p.pd) * (1.0 if p.ma is None else p.ma)
-            d_rw_dpd = _risk_weight_pd_slope(p.pd, p.lgd, p.tail, dtail,
-                                             pf.maturity, p.ma, p.ma_base)
+            if p.ma is None:
+                d_rw_dlgd, ma_slope = p.tail_pd, None
+            else:
+                d_rw_dlgd = p.tail_pd * p.ma
+                ma_slope = _maturity_adjustment_slope(
+                    p.pd, p.ma_base, self._m25, p.ma_num, p.ma_den)
+            d_rw_dpd = _risk_weight_pd_slope(p.lgd, p.tail_pd, dtail, p.ma,
+                                             ma_slope)
             d_rwa = chain(w * d_rw_dpd, w * d_rw_dlgd)
         return (d_cet1 * p.rwa - p.cet1 * d_rwa) / p.rwa ** 2
 

@@ -123,6 +123,18 @@ def _reject_repeats(path, column: str, ids) -> None:
             raise InvalidInputError(f"{path}: duplicate {column} {a!r}")
 
 
+def _reject_nonfinite(path, ids, names, values: np.ndarray) -> None:
+    """Raise InvalidInputError naming the file, the row's id and the column
+    of the first nan or infinite number, in row order, of ``values``, whose
+    columns are ``names`` and whose rows are ``ids``."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise InvalidInputError(
+            f"{path}: {ids[row]}: column {names[col]!r} is not finite: "
+            f"{float(values[row, col])!r}")
+
+
 def load_covariance(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Covariance file: header of factor names (geopolitical factor first),
     then d rows of d entries."""
@@ -148,6 +160,7 @@ def load_sensitivities(path, factor_names) -> dict[str, SectorSensitivities]:
     (ids,), values = _read_columns(path, ["sector_id"], names)
     _reject_repeats(path, "sector_id", ids)
     values = np.column_stack(values)
+    _reject_nonfinite(path, ids, names, values)
     m = len(x_names)
     return {sid: SectorSensitivities(sector_id=sid, delta=float(v[0]),
                                      eta=float(v[1]), beta=v[2:2 + m],
@@ -180,6 +193,7 @@ def load_alpha(path, portfolio: Portfolio) -> np.ndarray:
     """Alpha file for the linear RWA mode: exposure_id, alpha."""
     (ids,), (alpha,) = _read_columns(path, ["exposure_id"], ["alpha"])
     _reject_repeats(path, "exposure_id", ids)
+    _reject_nonfinite(path, ids, ["alpha"], alpha[:, None])
     row_of = dict(zip(ids, range(len(ids))))
     missing = [e for e in portfolio.exposure_id if e not in row_of]
     if missing:

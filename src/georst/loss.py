@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
-from .special_functions import normal_pdf
+from .special_functions import INV_SQRT_2PI
 from .transmission import Portfolio
 
 _PD_FLOOR = 1e-300
@@ -45,8 +45,11 @@ def conditional_default_prob(pd, rho, q: float):
 
 def tail_pd_derivative(zp, arg, sqrt_1mrho):
     """d/dpd of the conditional default probability Phi(arg), given
-    zp = Phi^-1(pd): phi(arg) / (sqrt(1 - rho) phi(zp))."""
-    return normal_pdf(arg) / (sqrt_1mrho * np.maximum(normal_pdf(zp), _PD_FLOOR))
+    zp = Phi^-1(pd): phi(arg) / (sqrt(1 - rho) phi(zp)), with phi written
+    out as ``special_functions.normal_pdf`` computes it."""
+    return (INV_SQRT_2PI * np.exp(-0.5 * arg * arg)
+            / (sqrt_1mrho * np.maximum(INV_SQRT_2PI * np.exp(-0.5 * zp * zp),
+                                       _PD_FLOOR)))
 
 
 def loss_quantile(portfolio: Portfolio, s, spec: LossQuantileSpec) -> float:

@@ -26,6 +26,14 @@ TOL_CONSTRAINT = 1e-8   # box and monotonicity; the breach has no slack
 DEDUP_RADIUS = 1e-3     # whitened distance between distinct local optima
 CONFIRMATIONS = 2       # consecutive starts re-finding the best that end a solve
 MAX_INNER_ITER = 200    # SLSQP iterations per start
+# SLSQP stops once |f_k - f_(k-1)| < SLSQP_FTOL, an absolute bound on
+# f = m^2 / 2. 1e-12 is at least 8 ulps of f for every f < 1024
+# (m^2 < 2048); a tighter bound sits below one ulp of f once f >= 64, and
+# the solve then runs R(s) on round-off until the line search fails. The
+# same bound limits the summed constraint violation: the polish returns
+# the breaching end of the frontier bracket, the fixed-g polish sets g back
+# to g_j, and the box and monotonicity rows stay far inside TOL_CONSTRAINT.
+SLSQP_FTOL = 1e-12
 WARM_START_T_CAP = 4096.0  # longest warm-start ray, in marginal std devs
 POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
 
@@ -312,7 +320,7 @@ def _solve_from(y0: np.ndarray, cons: list[dict]):
         jac=lambda y: y,
         method="SLSQP",
         constraints=cons,
-        options={"maxiter": MAX_INNER_ITER, "ftol": 1e-14},
+        options={"maxiter": MAX_INNER_ITER, "ftol": SLSQP_FTOL},
     )
 
 
@@ -393,14 +401,13 @@ def solve_design_point(model: ReferenceModel, capital,
 
     deduped = _dedup(optima)
     best = deduped[0]
-    ratio = capital.ratio(best.s)
-    active = abs(ratio - capital.r_star) <= 1e-6 * capital.r0
+    active = abs(best.ratio - capital.r_star) <= 1e-6 * capital.r0
     return DesignPointResult(
         s_star=best.s,
         y_star=best.y,
         mahalanobis_sq=best.mahalanobis_sq,
         tail_probability=model.tail_probability(best.mahalanobis_sq),
-        ratio_at_optimum=ratio,
+        ratio_at_optimum=best.ratio,
         active=active,
         local_optima=deduped,
         n_starts=len(tried),

@@ -73,10 +73,15 @@ class CountingCapital:
 GENERATE = Path(__file__).resolve().parent.parent / "benchmark" / "generate.py"
 
 
-def generate_toy_inputs(workload, out):
-    """Write a benchmark workload's self-test-size inputs (seed 0) to out and
-    return the path of their config file."""
+def generate_inputs(workload, out, toy=True):
+    """Write a benchmark workload's inputs (seed 0), at self-test size unless
+    toy is False, to out and return the path of their config file."""
     subprocess.run([sys.executable, str(GENERATE), "--workload", workload,
-                    "--seed", "0", "--out", str(out), "--toy"],
+                    "--seed", "0", "--out", str(out)] + ["--toy"] * toy,
                    check=True, capture_output=True)
     return out / "run.json"
+
+
+def generate_toy_inputs(workload, out):
+    """``generate_inputs`` at self-test size."""
+    return generate_inputs(workload, out)

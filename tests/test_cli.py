@@ -291,6 +291,31 @@ def test_load_alpha_rejects_a_repeated_exposure(tmp_path, capsys):
     assert "duplicate exposure_id 'e0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "design-point"])
+@pytest.mark.parametrize("bad", ["delta", "alpha"])
+def test_a_non_finite_input_exits_2_naming_the_file(tmp_path, capsys, bad,
+                                                    command):
+    # a nan delta used to pass validate (baseline_loss_quantile = nan) and
+    # end design-point with exit 3; a nan alpha gave baseline_ratio = nan
+    config = write_inputs(tmp_path)
+    if bad == "delta":
+        (tmp_path / "sens.csv").write_text(
+            SENSITIVITIES.replace("corp,0.9,", "corp,nan,"))
+        where = "sens.csv: corp: column 'delta'"
+    else:
+        (tmp_path / "alpha.csv").write_text(
+            "exposure_id,alpha\n"
+            + "".join(f"e{i},{'nan' if i == 3 else 10.0 * i}\n"
+                      for i in range(8)))
+        raw = json.loads(config.read_text())
+        raw["capital"].update(rwa_mode="linear", alpha_path="alpha.csv")
+        config.write_text(json.dumps(raw))
+        where = "alpha.csv: e3: column 'alpha'"
+    assert main([command, "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"{where} is not finite: nan" in capsys.readouterr().err
+
+
 def test_cli_validate_smoke(tmp_path, capsys):
     config = write_inputs(tmp_path)
     rc = main(["validate", "--config", str(config)])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from georst.dataio import (_read_columns, load_covariance, load_history,
-                           load_portfolio, load_sector_portfolio,
+from georst.dataio import (_read_columns, load_alpha, load_covariance,
+                           load_history, load_portfolio, load_sector_portfolio,
                            load_sensitivities)
 from georst.errors import InvalidInputError
 
@@ -185,3 +185,38 @@ def test_an_undecodable_file_names_the_file(tmp_path):
     path.write_bytes(b"g,x1\n1.0,0.3\n\xff\xfe,1.0\n")
     with pytest.raises(InvalidInputError, match=r"cov\.csv"):
         load_covariance(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["delta", "eta", "gamma_x1"])
+def test_a_non_finite_sensitivity_is_rejected_naming_its_row(tmp_path, column,
+                                                             value):
+    # the reader parses nan and inf; a nan delta used to pass validate and
+    # end design-point in "no capital-breaching scenario"
+    header = SENSITIVITIES.splitlines()[0].split(",")
+    cells = dict(zip(header, ["east", "0.5", "0.1", "0.3", "0.05"]),
+                 **{column: value})
+    path = tmp_path / "sens.csv"
+    path.write_text(SENSITIVITIES + ",".join(cells[c] for c in header) + "\n")
+    # the reader parses the cell; the loader rejects it
+    _, (parsed,) = _read_columns(path, ["sector_id"], [column])
+    assert not np.isfinite(parsed[1])
+    with pytest.raises(InvalidInputError,
+                       match=rf"sens\.csv: east: column '{column}' is not "
+                             rf"finite: {value}"):
+        load_sensitivities(path, ("g", "x1"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_alpha_is_rejected_naming_its_row(tmp_path, sens, value):
+    # a nan alpha used to give baseline_ratio = nan and exit 0
+    pf_path = tmp_path / "pf.csv"
+    pf_path.write_text(PORTFOLIO_HEADER + "e0,corp,1.0,0.02,0.4,0.2,2.5\n"
+                       + "e1,corp,2.0,0.02,0.4,0.2,2.5\n")
+    pf = load_portfolio(pf_path, sens)
+    path = tmp_path / "alpha.csv"
+    path.write_text(f"exposure_id,alpha\ne0,1.5\ne1,{value}\n")
+    with pytest.raises(InvalidInputError,
+                       match=rf"alpha\.csv: e1: column 'alpha' is not "
+                             rf"finite: {value}"):
+        load_alpha(path, pf)

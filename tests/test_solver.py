@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +22,7 @@ from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
                            _polish_to_frontier, _solve_from)
 from georst.transmission import monotonicity_rows, monotonicity_violation
 
-from conftest import (CountingCapital, generate_toy_inputs,
+from conftest import (CountingCapital, generate_inputs, generate_toy_inputs,
                       make_credit_capital, make_portfolio,
                       make_sensitivities, portfolio_from_rows)
 from test_acceptance import random_map_suite
@@ -745,3 +750,87 @@ def test_design_point_matches_hlrf(correlated_model):
     assert breaches(cap.ratio(s_hlrf), cap.r_star)
     assert (res.mahalanobis_sq
             <= correlated_model.mahalanobis_sq(s_hlrf) * (1.0 + 1e-9))
+
+
+@pytest.fixture(scope="module")
+def toy_anchor_solves(tmp_path_factory):
+    """(SLSQP status of each solve, m^2 of each anchor) of the conditional
+    anchors over the default g-grid on the toy design-large-n inputs."""
+    ctx = build_context(RunConfig.from_file(generate_toy_inputs(
+        "design-large-n", tmp_path_factory.mktemp("design-large-n"))))
+    statuses, m2s = [], []
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "minimize", recording)
+        for g_j in default_g_grid(ctx.model, ctx.constraints):
+            anchor = conditional_anchor(ctx.model, ctx.capital,
+                                        ctx.constraints, float(g_j),
+                                        config=ctx.solver_config)
+            m2s.append(ctx.model.mahalanobis_sq(anchor))
+    return statuses, m2s
+
+
+def test_anchor_solves_end_converged(toy_anchor_solves):
+    # with an ftol below a few ulps of f = m^2 / 2 (m^2 up to ~398 here),
+    # SLSQP kept iterating on round-off until its line search failed
+    # (status 8) on some of these anchors
+    statuses, m2s = toy_anchor_solves
+    assert len(statuses) == len(m2s)
+    assert statuses == [0] * len(statuses)
+
+
+def test_slsqp_ftol_is_at_least_eight_ulps_of_the_objective(
+        toy_anchor_solves):
+    _, m2s = toy_anchor_solves
+    assert max(m2s) > 300.0
+    for m2 in m2s:
+        assert solver.SLSQP_FTOL >= 8 * np.spacing(0.5 * m2)
+    # and for every f = m^2 / 2 below 1024, whose ulp is at most 2^-43
+    assert solver.SLSQP_FTOL >= 8 * np.spacing(np.nextafter(1024.0, 0.0))
+
+
+COUNT_DESIGN_POINT_PASSES = """
+import sys
+from georst.capital import CreditCapitalModel
+from georst.runner import RunConfig, build_context
+from georst.solver import solve_design_point
+
+counts = {"passes": 0, "rows": 0}
+kernel = CreditCapitalModel._kernel
+
+def counting(self, arr):
+    if arr.ndim == 1:
+        counts["passes"] += 1
+    else:
+        counts["rows"] += len(arr)
+    return kernel(self, arr)
+
+CreditCapitalModel._kernel = counting
+ctx = build_context(RunConfig.from_file(sys.argv[1]))
+counts.update(passes=0, rows=0)
+solve_design_point(ctx.model, ctx.capital, ctx.constraints, ctx.solver_config)
+print(counts["passes"], counts["rows"])
+"""
+
+
+def test_full_size_design_point_kernel_passes(tmp_path):
+    # the one-point R(s) passes of the full-size design-large-n design point
+    # (seed 0); ratio_many rows are counted apart. The process pins BLAS to
+    # one thread, as the benchmark does: the thread count changes the
+    # summation order of the gradient's matrix products, and so the count.
+    config = generate_inputs("design-large-n", tmp_path, toy=False)
+    src = str(Path(solver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1"))
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_DESIGN_POINT_PASSES, str(config)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    passes, rows = map(int, out.split())
+    assert passes <= 26, (passes, rows)
