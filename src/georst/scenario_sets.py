@@ -284,8 +284,19 @@ def build_pool(membership: Membership, solver_config: SolverConfig,
                seed: int = 0) -> CandidatePool:
     """Anchors (multi-start optima and conditional g-grid anchors) densified
     by local sampling, with a hit-and-run fallback on thin regions. The
-    model, the capital map and the feasible region are the membership's."""
+    model, the capital map and the feasible region are the membership's.
+
+    The grid anchors are solved outward from the design point's g*: the
+    entries at or below g* by descending g, those above it by ascending g.
+    Each side stops at its first anchor that does not exist or fails the
+    membership test, a band end, so the admitted g's are taken to be one
+    band around g*, as they are where h(g) = min m^2 at fixed g rises away
+    from g*. The admitted anchors join the pool in configured grid order,
+    one per entry, duplicates included: the local-sample seeds are spawned
+    per anchor.
+    """
     model, capital = membership.model, membership.capital
+    constraints = membership.constraints
     if n_target < 1:
         raise InvalidInputError(f"pool size {n_target} must be >= 1")
     anchors: list[PoolEntry] = []
@@ -293,14 +304,23 @@ def build_pool(membership: Membership, solver_config: SolverConfig,
         if membership(opt.s):
             anchors.append(PoolEntry(s=opt.s, origin="anchor"))
     if g_grid is None:
-        g_grid = default_g_grid(model, membership.constraints)
-    for g_j in g_grid:
-        anchor = conditional_anchor(model, capital, membership.constraints,
-                                    float(g_j), config=solver_config)
-        if anchor is None:
-            continue
-        if membership(anchor):
-            anchors.append(PoolEntry(s=anchor, origin=f"grid_anchor({g_j:g})"))
+        g_grid = default_g_grid(model, constraints)
+    grid = [float(g_j) for g_j in g_grid]
+    for g_j in grid:
+        constraints.check_g(g_j)
+    g_star = design_result.s_star[0]
+    admitted = {}
+    by_g = sorted(range(len(grid)), key=grid.__getitem__)
+    for side in ([i for i in reversed(by_g) if grid[i] <= g_star],
+                 [i for i in by_g if grid[i] > g_star]):
+        for i in side:
+            anchor = conditional_anchor(model, capital, constraints, grid[i],
+                                        config=solver_config)
+            if anchor is None or not membership(anchor):
+                break
+            admitted[i] = anchor
+    anchors.extend(PoolEntry(s=admitted[i], origin=f"grid_anchor({grid[i]:g})")
+                   for i in sorted(admitted))
     if not anchors:
         raise InfeasibleError("no feasible anchors for the candidate pool")
 

@@ -88,6 +88,13 @@ class ConstraintSet:
                          >= -TOL_CONSTRAINT, axis=1)
         return bool(ok[0]) if np.ndim(S) == 1 else ok
 
+    def check_g(self, g_j: float) -> None:
+        """Raise unless g_j is finite and in [g_min, g_max], with no upper
+        end when g_max is unset: the admissible conditional-anchor g's."""
+        g_max = np.inf if self.g_max is None else self.g_max
+        if not (np.isfinite(g_j) and self.g_min <= g_j <= g_max):
+            raise InvalidInputError(f"g_j={g_j} outside the admissible range")
+
 
 @dataclass
 class SolverConfig:
@@ -422,55 +429,17 @@ def conditional_anchor(model: ReferenceModel, capital,
     Returns the anchor scenario (g_j, x*(g_j)), or None when no feasible x
     exists at this geopolitical intensity (the anchor is skipped). A returned
     anchor has g == g_j exactly and R <= r_star, so it passes the breach test
-    of ``Membership``. Any g_j in [g_min, g_max] is admissible, with no upper
-    end when g_max is unset.
+    of ``Membership``. ``constraints.check_g`` gives the admissible g_j.
 
-    One SLSQP solve from the frontier warm start at g_j gives the anchor
-    when its result is feasible. Only when it is not does the multi-start
-    schedule run: max(6, n_starts // 4) - 1 random starts at g_j, drawn with
-    seed + 1, keeping the feasible result with the lowest m^2.
+    The anchor is one SLSQP solve from the frontier warm start at g_j,
+    polished at fixed g; when that solve ends infeasible the anchor is None.
+    The solve draws nothing at random, so ``config`` is not read.
     """
-    if config is None:
-        config = SolverConfig()
-    g_max = np.inf if constraints.g_max is None else constraints.g_max
-    if not (np.isfinite(g_j) and constraints.g_min <= g_j <= g_max):
-        raise InvalidInputError(f"g_j={g_j} outside the admissible range")
+    constraints.check_g(g_j)
     cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
-
-    def solve(s0):
-        return _anchor_from(model, capital, constraints, cons, s0, g_j)
-
-    anchor = solve(_frontier_warm_start(model, capital, constraints, g_j))
-    if anchor is not None:
-        return anchor
-
-    d = model.d
-    rng = np.random.default_rng(config.seed + 1)
-    stds = np.sqrt(np.diag(model.sigma)[1:])
-    radii = (1.0, 2.0, 3.0)
-    best: tuple[float, np.ndarray] | None = None
-    for i in range(max(6, config.n_starts // 4) - 1):
-        u = rng.standard_normal(d - 1)
-        u /= max(np.linalg.norm(u), 1e-12)
-        s0 = np.empty(d)
-        s0[0] = g_j
-        s0[1:] = radii[i % len(radii)] * u * stds
-        s = solve(constraints.clip(s0))
-        if s is None:
-            continue
-        m2 = model.mahalanobis_sq(s)
-        if best is None or m2 < best[0]:
-            best = (m2, s)
-    return None if best is None else best[1]
-
-
-def _anchor_from(model: ReferenceModel, capital, constraints: ConstraintSet,
-                 cons: list[dict], s0: np.ndarray,
-                 g_j: float) -> np.ndarray | None:
-    """One fixed-g solve from s0: SLSQP, then, when the solver ends at
-    g_j to within its tolerance, the polish at g = g_j. Returns the polished
-    scenario when it is feasible, else None."""
-    res = _solve_from(model.whiten(s0), cons)
+    res = _solve_from(model.whiten(_frontier_warm_start(
+        model, capital, constraints, g_j)), cons)
+    # an SLSQP end off g = g_j beyond its tolerance is not polished
     if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
         return None
     s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)

@@ -85,8 +85,6 @@ class SectorSensitivities:
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         if self.beta.ndim != 1 or self.gamma.shape != self.beta.shape:
             raise InvalidInputError("beta and gamma must be vectors of equal length")
-        if not np.all(np.isfinite(self.beta)) or not np.all(np.isfinite(self.gamma)):
-            raise InvalidInputError("sensitivities must be finite")
 
 
 _SOFTCLIP = SoftClip()
@@ -126,14 +124,15 @@ class Portfolio:
                             dtype=np.intp, count=n)
         # the first row that fails a check is named, with that check's message
         checks = {
-            "{id}: EAD must be positive": self.ead > 0,
+            "{id}: EAD must be positive": (self.ead > 0) & np.isfinite(self.ead),
             "{id}: pd0={pd0} must lie strictly in (0, 1)":
                 (self.pd0 > 0) & (self.pd0 < 1),
             "{id}: lgd0={lgd0} must lie strictly in (0, 1)":
                 (self.lgd0 > 0) & (self.lgd0 < 1),
             "{id}: rho={rho} must lie strictly in (0, 1)":
                 (self.rho > 0) & (self.rho < 1),
-            "{id}: maturity must be positive": self.maturity > 0,
+            "{id}: maturity must be positive":
+                (self.maturity > 0) & np.isfinite(self.maturity),
             "exposure {id} references unknown sector {sector}": index >= 0,
         }
         ok = np.logical_and.reduce(list(checks.values()))
@@ -159,10 +158,15 @@ class Portfolio:
         # and [eta | gamma]: d PD_i / d s = pd_i (1 - pd_i) pd_loadings[:, i]
         # and d LGD_i / d s = slope_i lgd_loadings[:, i], with s = (g, x)
         table = self.sectors.values()
-        self.pd_loadings = np.ascontiguousarray(np.column_stack(
-            [[s.delta for s in table], [s.beta for s in table]])[index].T)
-        self.lgd_loadings = np.ascontiguousarray(np.column_stack(
-            [[s.eta for s in table], [s.gamma for s in table]])[index].T)
+        pd_table = np.column_stack([[s.delta for s in table],
+                                    [s.beta for s in table]])
+        lgd_table = np.column_stack([[s.eta for s in table],
+                                     [s.gamma for s in table]])
+        # every sector has a row, so these are all the loadings in use
+        if not (np.isfinite(pd_table).all() and np.isfinite(lgd_table).all()):
+            raise InvalidInputError("sensitivities must be finite")
+        self.pd_loadings = np.ascontiguousarray(pd_table[index].T)
+        self.lgd_loadings = np.ascontiguousarray(lgd_table[index].T)
         self.logit_pd0 = np.log(self.pd0 / (1.0 - self.pd0))
         # a stable sort keeps each sector's rows ascending
         rows = np.split(np.argsort(index, kind="stable"), np.cumsum(counts)[:-1])

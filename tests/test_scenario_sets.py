@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,14 @@ from georst import (ConstraintSet, Family, InvalidInputError, LinearCapital,
                     SolverConfig, TargetSet, build_pool, conditional_anchor,
                     driver_decomposition, hit_and_run, local_sample,
                     reduce_farthest_point, solve_design_point)
+from georst import scenario_sets
+from georst.runner import RunConfig, build_context, run_scenario_list
 from georst.scenario_sets import (CandidatePool, PoolEntry,
                                   _farthest_point_indices, _pool_radius,
                                   default_g_grid)
 
-from conftest import CountingCapital, make_credit_capital, make_portfolio
+from conftest import (CountingCapital, generate_toy_inputs,
+                      make_credit_capital, make_portfolio)
 
 
 @pytest.fixture
@@ -467,3 +472,100 @@ def test_build_pool_keeps_every_grid_anchor_inside_the_set(half_plane):
             inside += 1
             assert f"grid_anchor({g_j:g})" in origins
     assert inside >= 3
+
+
+@pytest.fixture
+def counted_anchors(monkeypatch):
+    """The g_j of each conditional anchor build_pool solves, in order."""
+    solved = []
+
+    def counting(model, capital, constraints, g_j, **kwargs):
+        solved.append(g_j)
+        return conditional_anchor(model, capital, constraints, g_j, **kwargs)
+
+    monkeypatch.setattr(scenario_sets, "conditional_anchor", counting)
+    return solved
+
+
+def every_grid_anchor(mem, grid):
+    """The reference: every grid point solved, and the g's of the anchors
+    that exist and pass the membership test, in grid order."""
+    admitted = []
+    for g_j in grid:
+        anchor = conditional_anchor(mem.model, mem.capital, mem.constraints,
+                                    float(g_j))
+        if anchor is not None and mem(anchor):
+            admitted.append(g_j)
+    return admitted
+
+
+# h(g) = g^2 + (4 - g)^2 on the half-plane, convex with its minimum 8 at
+# g* = 2; with epsilon 2 the anchors at g in [1, 3] are admitted
+@pytest.mark.parametrize("grid, solves", [
+    ([0.25, 0.5, 1.2, 1.6, 2.0, 2.4, 2.8, 3.5, 3.9], 7),
+    ([2.4, 1.2, 2.4, 0.5, 0.25, 1.6, 3.5, 3.9], 6)])
+def test_build_pool_walk_equals_solving_every_grid_point(half_plane,
+                                                         counted_anchors,
+                                                         grid, solves):
+    model, cap, res = half_plane
+    mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
+                     NearOptimalSpec(epsilon=2.0))
+    admitted = every_grid_anchor(mem, grid)
+    assert 0 < len(admitted) < len(grid)
+    pool = build_pool(mem, SolverConfig(seed=0), res, g_grid=grid,
+                      n_target=100, seed=0)
+    # the walk stops at the band ends: the outermost points are never solved
+    assert len(counted_anchors) == solves
+    assert min(grid) not in counted_anchors
+    assert max(grid) not in counted_anchors
+    # the pool of the grid cut to the admitted g's, whose anchors all pass
+    want = build_pool(mem, SolverConfig(seed=0), res, g_grid=admitted,
+                      n_target=100, seed=0)
+    assert ([e.origin for e in pool.entries]
+            == [e.origin for e in want.entries])
+    assert pool.scenarios.tobytes() == want.scenarios.tobytes()
+    for g_j, entry in zip(admitted, pool.entries[1:]):
+        anchor = conditional_anchor(model, cap, mem.constraints, float(g_j))
+        assert entry.s.tobytes() == anchor.tobytes()
+
+
+def test_build_pool_keeps_the_configured_grid_order(half_plane):
+    # an unsorted grid with a duplicate: one anchor per admitted entry, in
+    # the configured order; 0.25 lies beyond the band end
+    model, cap, res = half_plane
+    mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
+                     NearOptimalSpec(epsilon=2.0))
+    pool = build_pool(mem, SolverConfig(seed=0), res,
+                      g_grid=[2.4, 1.2, 2.4, 0.25, 1.6], n_target=50, seed=0)
+    assert [e.origin for e in pool.entries if e.origin != "local_draw"] == [
+        "anchor", "grid_anchor(2.4)", "grid_anchor(1.2)", "grid_anchor(2.4)",
+        "grid_anchor(1.6)"]
+
+
+@pytest.mark.parametrize("region, grid, bad", [
+    (None, [1.6, 0.5, -1.0], -1.0),
+    (ConstraintSet(g_max=3.2), [2.4, 2.9, 3.1, 3.9], 3.9)])
+def test_build_pool_rejects_a_grid_entry_beyond_a_band_end(
+        half_plane, counted_anchors, region, grid, bad):
+    # the walk would stop before the entry; the range check runs first
+    model, cap, res = half_plane
+    mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
+                     NearOptimalSpec(epsilon=2.0), region)
+    with pytest.raises(InvalidInputError,
+                       match=rf"g_j={bad} outside the admissible range"):
+        build_pool(mem, SolverConfig(seed=0), res, g_grid=grid, n_target=50)
+    assert counted_anchors == []
+
+
+def test_default_grid_solves_two_anchors_on_the_sector_inputs(
+        tmp_path, counted_anchors):
+    # g* = 2.592 lies above the default grid's end 2.475: the walk admits
+    # the anchor at 2.475 and stops at the next one down, which fails
+    config = generate_toy_inputs("scenario-list-sector", tmp_path)
+    raw = json.loads(config.read_text())
+    del raw["scenario_set"]["g_grid"]
+    config.write_text(json.dumps(raw))
+    ctx = build_context(RunConfig.from_file(config))
+    run_scenario_list(ctx)
+    grid = default_g_grid(ctx.model, ctx.constraints)
+    assert counted_anchors == [grid[-1], grid[-2]]

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -440,11 +441,10 @@ def credit_fixture():
     return make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
 
 
-def multi_start_anchor(model, capital, constraints, g_j, config,
-                       warm_start=True):
-    """The reference: the frontier warm start (unless warm_start is False)
-    and max(6, n_starts // 4) - 1 random starts at g_j, every one solved,
-    the feasible result with the lowest m^2 kept."""
+def multi_start_anchor(model, capital, constraints, g_j, config):
+    """The reference: the frontier warm start and max(6, n_starts // 4) - 1
+    random starts at g_j, every one solved, the feasible result with the
+    lowest m^2 kept."""
     d = model.d
     cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
     rng = np.random.default_rng(config.seed + 1)
@@ -460,7 +460,7 @@ def multi_start_anchor(model, capital, constraints, g_j, config,
         s[1:] = radii[i % len(radii)] * u * stds
         starts.append(model.whiten(constraints.clip(s)))
     best = None
-    for y0 in starts[0 if warm_start else 1:]:
+    for y0 in starts:
         res = _solve_from(y0, cons)
         if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
             continue
@@ -556,25 +556,20 @@ def test_feasible_warm_start_solve_is_the_only_solve(correlated_model,
         assert len(counted_minimize) == 1
 
 
-def test_anchor_fallback_is_the_multi_start_solve(correlated_model,
-                                                  counted_minimize,
-                                                  monkeypatch):
-    cap = credit_fixture()
-    cons = ConstraintSet()
-    config = SolverConfig(seed=0)
-    grid = [float(g) for g in default_g_grid(correlated_model, cons)]
-    expected = [multi_start_anchor(correlated_model, cap, cons, g_j, config,
-                                   warm_start=False) for g_j in grid]
-    # every candidate of the first solve (the warm start's) is infeasible
-    feasible = solver._feasible
-    monkeypatch.setattr(solver, "_feasible", lambda *args, **kwargs: (
-        len(counted_minimize) > 1 and feasible(*args, **kwargs)))
-    for g_j, want in zip(grid, expected):
-        counted_minimize.clear()
-        anchor = conditional_anchor(correlated_model, cap, cons, g_j,
-                                    config=config)
-        assert len(counted_minimize) == max(6, config.n_starts // 4)
-        assert anchor.tobytes() == want.tobytes()
+def test_an_anchor_that_does_not_exist_costs_one_solve(tmp_path,
+                                                      counted_minimize):
+    # with monotonicity no feasible x exists at g_min on the toy sector
+    # inputs: the warm-start solve ends infeasible, and nothing else runs
+    config = generate_toy_inputs("scenario-list-sector", tmp_path)
+    raw = json.loads(config.read_text())
+    raw["constraints"] = {"enforce_monotonicity": True}
+    config.write_text(json.dumps(raw))
+    ctx = build_context(RunConfig.from_file(config))
+    counted_minimize.clear()
+    assert conditional_anchor(ctx.model, ctx.capital, ctx.constraints,
+                              ctx.constraints.g_min,
+                              config=ctx.solver_config) is None
+    assert len(counted_minimize) == 1
 
 
 def test_design_point_stops_once_the_best_is_confirmed(correlated_model,

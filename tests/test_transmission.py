@@ -151,10 +151,26 @@ def test_portfolio_rejects_unknown_sector():
      "exposure e0 references unknown sector other"),
     ([("e0", "corp", 1.0, 0.02, 0.4, 0.2), ("e1", "corp", 1.0, 0.02, 0.4, 0.2, 0.0),
       ("e2", "corp", 1.0, 0.0, 0.4, 0.2)], "e1: maturity must be positive"),
+    # inf passes "> 0" and gave baseline_ratio = nan (EAD) or 0.0 (maturity)
+    ([("e0", "corp", 1.0, 0.02, 0.4, 0.2), ("e1", "corp", np.inf, 0.02, 0.4, 0.2)],
+     "e1: EAD must be positive"),
+    ([("e0", "corp", 1.0, 0.02, 0.4, 0.2, np.inf)],
+     "e0: maturity must be positive"),
 ])
 def test_portfolio_names_the_first_bad_row(rows, message):
     with pytest.raises(InvalidInputError, match=message):
         portfolio_from_rows(rows, {"corp": make_sensitivities()})
+
+
+@pytest.mark.parametrize("loading", [
+    {"beta": (np.nan,)}, {"gamma": (np.inf,)}, {"delta": np.nan}])
+def test_portfolio_rejects_non_finite_loadings(loading):
+    sens = {"corp": make_sensitivities(),
+            "east": make_sensitivities(sector_id="east", **loading)}
+    rows = [("e0", "corp", 1.0, 0.02, 0.4, 0.2),
+            ("e1", "east", 1.0, 0.02, 0.4, 0.2)]
+    with pytest.raises(InvalidInputError, match="sensitivities must be finite"):
+        portfolio_from_rows(rows, sens)
 
 
 def test_monotonicity_violation_detects_improvement():
