@@ -111,23 +111,8 @@ def _ma_parts(sqb, m25):
     return 1.0 + m25 * b, 1.0 - 1.5 * b
 
 
-def _ma_from_base(sqb, maturity):
-    """(1 + (M - 2.5) b) / (1 - 1.5 b) with b = sqb^2."""
-    num, den = _ma_parts(sqb, np.asarray(maturity, dtype=float) - 2.5)
-    return num / den
-
-
-def maturity_adjustment_factor(pd, maturity):
-    """Basel IRB maturity multiplier (1 + (M - 2.5) b) / (1 - 1.5 b), with b
-    evaluated at max(pd, MA_PD_FLOOR)."""
-    out = _ma_from_base(_ma_base(pd), maturity)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _maturity_adjustment_slope(pd, sqb, m25, num, den):
-    """d/dpd of :func:`maturity_adjustment_factor`, given sqb =
+    """d/dpd of the Basel IRB maturity multiplier num / den, given sqb =
     ``_ma_base(pd)``, m25 = M - 2.5 and ``_ma_parts(sqb, m25)``: 0 below
     MA_PD_FLOOR."""
     dgamma_db = (m25 * den + 1.5 * num) / den ** 2
@@ -149,13 +134,16 @@ def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
     """Unexpected-loss risk weight per unit EAD.
 
     lgd * [Phi((Phi^-1(pd) + sqrt(rho) Phi^-1(q)) / sqrt(1 - rho)) - pd]
-    times the maturity adjustment (or 1 when disabled), floored at 0.
+    times the Basel IRB maturity multiplier (1 + (M - 2.5) b) / (1 - 1.5 b),
+    b at max(pd, MA_PD_FLOOR) (or 1 when disabled), floored at 0.
     """
     pd = clip_pd(pd)
     tail = conditional_default_prob(pd, rho, spec.q)
     rw = np.asarray(lgd, dtype=float) * (tail - pd)
     if use_maturity_adjustment:
-        rw = rw * maturity_adjustment_factor(pd, maturity)
+        num, den = _ma_parts(_ma_base(pd),
+                             np.asarray(maturity, dtype=float) - 2.5)
+        rw = rw * (num / den)
     rw = np.maximum(rw, 0.0)
     if rw.ndim == 0:
         return float(rw)

@@ -350,8 +350,7 @@ def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, 
                                 ctx.solver_config)
     cfg = ctx.scenario_cfg
     membership = _membership_from_cfg(ctx, result.s_star, target)
-    pool = build_pool(membership, ctx.solver_config, result,
-                      g_grid=cfg.get("g_grid"),
+    pool = build_pool(membership, result, g_grid=cfg.get("g_grid"),
                       n_target=cfg.get("pool", DEFAULTS["pool_size"]),
                       seed=ctx.seed)
     listing = reduce_farthest_point(

@@ -18,11 +18,10 @@ import numpy as np
 from .capital import breaches
 from .errors import InfeasibleError, InvalidInputError
 from .reference import ReferenceModel, as_scenario_array
-from .solver import ConstraintSet, SolverConfig, conditional_anchor, _g_cap
+from .solver import ConstraintSet, conditional_anchor, _g_cap
 
 THIN_REGION_RATE = 0.01
-STALL_WIDTH = 1e-10
-BRACKET_CAP = 64.0      # hit-and-run's longest bracket, whitened units
+SLICE_WIDTH = 8.0       # hit-and-run's window on each line, whitened units
 N_GRID_POINTS = 8       # points of the default conditional-anchor g grid
 DEFAULT_POOL_SIZE = 2000
 DEFAULT_LIST_SIZE = 8
@@ -175,15 +174,11 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
                  seed: int, membership) -> LocalSampleResult:
     """Uniform sphere-shell perturbations around an anchor in whitened space.
 
-    The loop makes only the random draws, per candidate a direction, its
-    squared norm and a radius, in the order one draw at a time would. The
-    norm sqrt(u . u) is what ``np.linalg.norm(u)`` computes, and the radius
-    r_lo + (r_hi - r_lo) v with v = ``rng.random()`` is ``rng.uniform(r_lo,
-    r_hi)``, both bit for bit. The candidates are then built as one block,
-    with one ``unwhiten``, and tested with one ``membership.many`` call,
-    and the members are kept in draw order. Flags a thin region (acceptance
-    below 1%) so the caller can switch to hit-and-run. Deterministic for a
-    fixed seed.
+    The n directions and radii are drawn as one block each, the candidates
+    built with one ``unwhiten`` and tested with one ``membership.many``
+    call, and the members kept in draw order. Flags a thin region
+    (acceptance below 1%) so the caller can switch to hit-and-run.
+    Deterministic for a fixed seed.
     """
     anchor = as_scenario_array(anchor, model.d)
     if not membership(anchor):
@@ -192,17 +187,10 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
     if r_lo < 0 or r_hi < r_lo:
         raise InvalidInputError("radius interval must satisfy 0 <= lo <= hi")
     rng = np.random.default_rng(seed)
-    directions, norms_sq, unit = [], [], []
-    for _ in range(n):
-        u = rng.standard_normal(model.d)
-        directions.append(u)
-        norms_sq.append(u.dot(u))
-        unit.append(rng.random())
-    norms = np.maximum(np.sqrt(np.array(norms_sq)), 1e-12)
-    radii = r_lo + (r_hi - r_lo) * np.array(unit)
-    directions = np.reshape(directions, (n, model.d)) / norms[:, None]
-    candidates = model.unwhiten(model.whiten(anchor)
-                                + radii[:, None] * directions)
+    u = rng.standard_normal((n, model.d))
+    radii = rng.uniform(r_lo, r_hi, n)
+    u /= np.maximum(np.linalg.norm(u, axis=1), 1e-12)[:, None]
+    candidates = model.unwhiten(model.whiten(anchor) + radii[:, None] * u)
     accepted = list(candidates[membership.many(candidates)])
     rate = len(accepted) / n if n > 0 else 0.0
     return LocalSampleResult(accepted=accepted, acceptance_rate=rate,
@@ -213,11 +201,14 @@ def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
                 membership) -> list[np.ndarray]:
     """Membership-oracle line sampler in whitened space.
 
-    Each step draws a uniform direction, brackets the membership interval
-    along the line (doubling expansion then bisection on the yes/no oracle),
-    and draws uniformly inside it with shrinkage retries, so every emitted
-    point passes membership. Stalls (degenerate intervals) repeat the
-    current point; a majority of stalls triggers a warning.
+    Each step draws a uniform direction and places a window of width
+    SLICE_WIDTH on the line through the current point, at a uniform random
+    offset. It draws uniformly in the window, moves on a member and on a
+    miss shrinks the window toward the current point (slice sampling's
+    shrinkage, Neal 2003), so every emitted point passes membership and
+    the chain keeps the uniform law on the set. Forty misses are a stall,
+    which repeats the current point; a majority of stalls triggers a
+    warning.
     """
     start = as_scenario_array(start, model.d)
     if not membership(start):
@@ -226,30 +217,22 @@ def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
     y = model.whiten(start)
     chain = []
     stalls = 0
-
-    def member_at(t, u):
-        return membership(model.unwhiten(y + t * u))
-
     for _ in range(n_steps):
         u = rng.standard_normal(model.d)
         u /= max(np.linalg.norm(u), 1e-12)
-        t_hi = _boundary(member_at, u, +1.0, BRACKET_CAP)
-        t_lo = _boundary(member_at, u, -1.0, BRACKET_CAP)
-        moved = False
-        if t_hi - t_lo >= STALL_WIDTH:
-            lo, hi = t_lo, t_hi
-            for _ in range(40):
-                t = rng.uniform(lo, hi)
-                if member_at(t, u):
-                    y = y + t * u
-                    moved = True
-                    break
-                # shrink toward the current (member) point at t = 0
-                if t > 0:
-                    hi = t
-                else:
-                    lo = t
-        if not moved:
+        lo = -SLICE_WIDTH * rng.random()
+        hi = lo + SLICE_WIDTH
+        for _ in range(40):
+            t = rng.uniform(lo, hi)
+            if membership(model.unwhiten(y + t * u)):
+                y = y + t * u
+                break
+            # shrink toward the current (member) point at t = 0
+            if t > 0:
+                hi = t
+            else:
+                lo = t
+        else:
             stalls += 1
         chain.append(model.unwhiten(y))
     if n_steps > 0 and stalls > 0.5 * n_steps:
@@ -259,29 +242,8 @@ def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
     return chain
 
 
-def _boundary(member_at, u, sign: float, cap: float) -> float:
-    """Distance to the membership boundary along sign * u from the current point."""
-    t = sign * 1.0
-    last_in = 0.0
-    while abs(t) <= cap and member_at(t, u):
-        last_in = t
-        t *= 2.0
-    if abs(t) > cap:
-        return last_in if last_in != 0.0 else sign * cap
-    t_out = t
-    t_in = last_in
-    for _ in range(40):
-        mid = 0.5 * (t_in + t_out)
-        if member_at(mid, u):
-            t_in = mid
-        else:
-            t_out = mid
-    return t_in
-
-
-def build_pool(membership: Membership, solver_config: SolverConfig,
-               design_result, g_grid=None, n_target: int = DEFAULT_POOL_SIZE,
-               seed: int = 0) -> CandidatePool:
+def build_pool(membership: Membership, design_result, g_grid=None,
+               n_target: int = DEFAULT_POOL_SIZE, seed: int = 0) -> CandidatePool:
     """Anchors (multi-start optima and conditional g-grid anchors) densified
     by local sampling, with a hit-and-run fallback on thin regions. The
     model, the capital map and the feasible region are the membership's.
@@ -314,8 +276,7 @@ def build_pool(membership: Membership, solver_config: SolverConfig,
     for side in ([i for i in reversed(by_g) if grid[i] <= g_star],
                  [i for i in by_g if grid[i] > g_star]):
         for i in side:
-            anchor = conditional_anchor(model, capital, constraints, grid[i],
-                                        config=solver_config)
+            anchor = conditional_anchor(model, capital, constraints, grid[i])
             if anchor is None or not membership(anchor):
                 break
             admitted[i] = anchor

@@ -422,8 +422,7 @@ def solve_design_point(model: ReferenceModel, capital,
 
 
 def conditional_anchor(model: ReferenceModel, capital,
-                       constraints: ConstraintSet, g_j: float,
-                       config: SolverConfig | None = None) -> np.ndarray | None:
+                       constraints: ConstraintSet, g_j: float) -> np.ndarray | None:
     """Least-unlikely macro-financial companion shock at fixed g = g_j.
 
     Returns the anchor scenario (g_j, x*(g_j)), or None when no feasible x
@@ -433,7 +432,6 @@ def conditional_anchor(model: ReferenceModel, capital,
 
     The anchor is one SLSQP solve from the frontier warm start at g_j,
     polished at fixed g; when that solve ends infeasible the anchor is None.
-    The solve draws nothing at random, so ``config`` is not read.
     """
     constraints.check_g(g_j)
     cons = _build_constraints(model, capital, constraints, g_fixed=g_j)

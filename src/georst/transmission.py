@@ -61,14 +61,6 @@ class SoftClip:
             slope[tails] = 4.0 * sig * (1.0 - sig)
         return value, slope
 
-    def __call__(self, t):
-        out = self.value_and_slope(t)[0]
-        return float(out) if out.ndim == 0 else out
-
-    def derivative(self, t):
-        out = self.value_and_slope(t)[1]
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class SectorSensitivities:
@@ -210,21 +202,13 @@ class Portfolio:
                                 loadings)
 
 
-def monotonicity_violation(portfolio: Portfolio, s) -> float:
-    """Worst improvement in credit quality under s; 0 iff none improves."""
-    pd = portfolio.stressed_pd(s)
-    lgd = portfolio.stressed_lgd(s)
-    worst = max(np.max(portfolio.pd0 - pd), np.max(portfolio.lgd0 - lgd))
-    return float(max(worst, 0.0))
-
-
 def monotonicity_rows(portfolio: Portfolio) -> np.ndarray:
     """M (k, d), the sectors' distinct nonzero rows [delta | beta] and
     [eta | gamma]. PD and LGD are strictly increasing maps of affine maps
     of s, so M s >= 0 holds exactly when no exposure's stressed PD or LGD
     falls below its value at s = 0: pd0, and lgd0 unless lgd0 lies within
     the soft-clip width (0.02) of 0 or 1, where it is softclip(lgd0), not
-    the lgd0 that :func:`monotonicity_violation` compares with.
+    lgd0 itself.
     """
     table = portfolio.sectors.values()
     rows = np.unique([[s.delta, *s.beta] for s in table]
@@ -233,7 +217,8 @@ def monotonicity_rows(portfolio: Portfolio) -> np.ndarray:
 
 
 def smooth_monotonicity_violation(portfolio: Portfolio, s) -> float:
-    """Log-sum-exp smoothing of :func:`monotonicity_violation`.
+    """Log-sum-exp smoothing of the worst improvement in credit quality
+    under s, max(0, max_i(pd0 - pd_i), max_i(lgd0 - lgd_i)).
 
     Upper-bounds the hard max within MONOTONICITY_TEMPERATURE * log(2n + 1);
     centered so the value is ~0 when no exposure improves, which lets an

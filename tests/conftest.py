@@ -48,6 +48,14 @@ def small_portfolio():
     return make_portfolio(n=5)
 
 
+def monotonicity_violation(portfolio, s) -> float:
+    """Worst improvement in credit quality under s; 0 iff none improves."""
+    pd = portfolio.stressed_pd(s)
+    lgd = portfolio.stressed_lgd(s)
+    worst = max(np.max(portfolio.pd0 - pd), np.max(portfolio.lgd0 - lgd))
+    return float(max(worst, 0.0))
+
+
 def make_credit_capital(portfolio, cet1_0=6.0, rwa_0=50.0, **state_kwargs):
     state = CapitalState(cet1_0=cet1_0, rwa_0=rwa_0, **state_kwargs)
     return CreditCapitalModel(portfolio, state, LossQuantileSpec())

@@ -171,8 +171,7 @@ def test_criterion_07_set_membership_integrity():
                               NearOptimalSpec(epsilon=eps))):
             membership = Membership(target, model, cap, res.s_star, spec, cons)
             fresh = Membership(target, model, cap, res.s_star, spec, cons)
-            pool = build_pool(membership, SolverConfig(seed=0), res,
-                              n_target=400, seed=0)
+            pool = build_pool(membership, res, n_target=400, seed=0)
             listing = reduce_farthest_point(model, pool, res.s_star, P=8,
                                             capital=cap)
             assert all(fresh(entry.s) for entry in pool.entries)

@@ -9,9 +9,9 @@ from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
                     LinearCapital, LossBasis, LossQuantileSpec, Portfolio,
                     ReferenceModel, RwaMode, SectorSensitivities,
                     calibrate_linear_alpha, loss_quantile, risk_weight)
-from georst.capital import (BLOCK_ELEMENTS, MA_PD_FLOOR, cet1_stressed,
-                            maturity_adjustment_factor,
-                            risk_weight_pd_derivative, rwa_stressed_flagged)
+from georst.capital import (BLOCK_ELEMENTS, MA_PD_FLOOR, _ma_base, _ma_parts,
+                            cet1_stressed, risk_weight_pd_derivative,
+                            rwa_stressed_flagged)
 from georst.solver import _fd_grad
 
 from conftest import make_credit_capital, make_portfolio, portfolio_from_rows
@@ -36,11 +36,18 @@ def test_risk_weight_worked_value():
 def test_maturity_adjustment_neutral_at_reference_maturity():
     # gamma(2.5) = 1 / (1 - 1.5 b) > 1, and M = 2.5 cancels the numerator term
     b = (0.11852 - 0.05478 * np.log(0.02)) ** 2
-    assert maturity_adjustment_factor(0.02, 2.5) == pytest.approx(
-        1.0 / (1.0 - 1.5 * b), abs=1e-12)
+    num, den = _ma_parts(_ma_base(0.02), 0.0)
+    assert num / den == pytest.approx(1.0 / (1.0 - 1.5 * b), abs=1e-12)
+
+    # the risk weight's multiplier, with the adjustment over without it
+    def multiplier(maturity):
+        return (risk_weight(0.02, 0.5, 0.2, maturity, SPEC)
+                / risk_weight(0.02, 0.5, 0.2, maturity, SPEC,
+                              use_maturity_adjustment=False))
+
+    assert multiplier(2.5) == pytest.approx(1.0 / (1.0 - 1.5 * b), abs=1e-12)
     # longer maturity raises the multiplier
-    assert maturity_adjustment_factor(0.02, 5.0) > maturity_adjustment_factor(
-        0.02, 1.0)
+    assert multiplier(5.0) > multiplier(1.0)
 
 
 def test_risk_weight_maturity_switch():

@@ -19,9 +19,9 @@ from georst.scenario_sets import (Membership, NearOptimalSpec,
                                   NeighbourhoodSpec, TargetSet)
 from georst.solver import (TOL_CONSTRAINT, ConstraintSet, _g_cap,
                            conditional_anchor, solve_design_point)
-from georst.transmission import monotonicity_rows, monotonicity_violation
+from georst.transmission import monotonicity_rows
 
-from conftest import generate_toy_inputs
+from conftest import generate_toy_inputs, monotonicity_violation
 
 COVARIANCE = "g,x1\n1.0,0.3\n0.3,1.0\n"
 SENSITIVITIES = ("sector_id,delta,eta,beta_x1,gamma_x1\n"
@@ -687,8 +687,7 @@ def test_anchor_beyond_the_default_grid_end(tmp_path):
                  str(tmp_path / "out")]) == 0
     ctx = build_context(RunConfig.from_file(config))
     assert _g_cap(ctx.model, ctx.constraints) < 2.6
-    anchor = conditional_anchor(ctx.model, ctx.capital, ctx.constraints, 2.6,
-                                config=ctx.solver_config)
+    anchor = conditional_anchor(ctx.model, ctx.capital, ctx.constraints, 2.6)
     assert anchor[0] == 2.6
     assert ctx.capital.ratio(anchor) <= ctx.capital.r_star
 

@@ -198,16 +198,17 @@ def test_local_sample_accepts_only_members(half_plane):
 
 def per_draw_local_sample(model, anchor, radius_interval, n, seed,
                           membership):
-    """The accepted draws of local_sample as one membership call per draw,
-    in draw order: the sampler before it tested its draws as one block."""
+    """The accepted draws of local_sample from the same block stream, each
+    built on its own and tested with the one-row membership oracle, in
+    draw order."""
     rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, model.d))
+    radii = rng.uniform(*radius_interval, n)
+    u /= np.maximum(np.linalg.norm(u, axis=1), 1e-12)[:, None]
     y_anchor = model.whiten(anchor)
     accepted = []
-    for _ in range(n):
-        u = rng.standard_normal(model.d)
-        u /= max(np.linalg.norm(u), 1e-12)
-        r = rng.uniform(*radius_interval)
-        s = model.unwhiten(y_anchor + r * u)
+    for r, v in zip(radii, u):
+        s = model.unwhiten(y_anchor + r * v)
         if membership(s):
             accepted.append(s)
     return accepted
@@ -318,6 +319,64 @@ def test_hit_and_run_box_membership(identity_model):
     assert pts.mean(axis=0) == pytest.approx([0.5, 0.5], abs=0.08)
 
 
+def test_hit_and_run_stays_in_a_binding_region(half_plane):
+    # x_max = 1 cuts the ball around the design point (2, 2) of the
+    # unconstrained problem: the region binds the set and the design point
+    model, cap, _ = half_plane
+    region = ConstraintSet(x_max=1.0)
+    res = solve_design_point(model, cap, region, SolverConfig(seed=0))
+    assert res.s_star[1] == pytest.approx(1.0, abs=1e-6)
+    for target, spec in ((TargetSet.NEIGHBOURHOOD,
+                          NeighbourhoodSpec(radius_eta=2.0)),
+                         (TargetSet.NEAR_OPTIMAL,
+                          NearOptimalSpec(epsilon=2.0))):
+        mem = Membership(target, model, cap, res.s_star, spec, region)
+        chain = hit_and_run(model, res.s_star, 200, seed=7, membership=mem)
+        assert all(mem(s) for s in chain)
+        pts = np.vstack(chain)
+        assert len(np.unique(pts, axis=0)) > 100
+        assert np.ptp(pts, axis=0).min() > 0.1
+
+
+def unit_triangle(s):
+    """The triangle x + y >= 1 in the unit box: area 1/2, mean (2/3, 2/3)."""
+    return bool(np.all((s >= 0.0) & (s <= 1.0)) and s[0] + s[1] >= 1.0)
+
+
+def test_hit_and_run_is_uniform_on_a_triangle(identity_model):
+    # 4 x 4 cells of the unit box: those above the anti-diagonal hold 1/8
+    # of the triangle, those it crosses 1/16 and those below it none. The
+    # chain's draws are correlated: over seeds 0-7 the worst cell is off by
+    # 4-12 % and the mean by at most 0.011, while a window centred on the
+    # current point, 1 unit wide, is off by over 24 %
+    n = 20_000
+    pts = np.vstack(hit_and_run(identity_model, np.array([0.75, 0.75]), n,
+                                seed=0, membership=unit_triangle))
+    cells = np.minimum((pts * 4).astype(int), 3)
+    counts = np.zeros((4, 4))
+    np.add.at(counts, (cells[:, 0], cells[:, 1]), 1)
+    i, j = np.indices((4, 4))
+    area = np.select([i + j >= 4, i + j == 3], [1 / 8, 1 / 16], 0.0)
+    assert counts[area == 0].sum() == 0
+    inside = area > 0
+    assert np.abs(counts[inside] / (n * area[inside]) - 1.0).max() < 0.2
+    assert pts.mean(axis=0) == pytest.approx([2 / 3, 2 / 3], abs=0.02)
+
+
+def test_hit_and_run_costs_a_few_membership_calls_per_step(identity_model):
+    calls = 0
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return unit_triangle(s)
+
+    n = 2_000
+    hit_and_run(identity_model, np.array([0.75, 0.75]), n, seed=12,
+                membership=counted)
+    assert calls / n <= 10
+
+
 def test_hit_and_run_warns_on_degenerate_region(half_plane):
     model, cap, res = half_plane
 
@@ -396,7 +455,7 @@ def test_build_pool_members_all_pass_membership(half_plane):
     model, cap, res = half_plane
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
                      NearOptimalSpec(epsilon=2.0))
-    pool = build_pool(mem, SolverConfig(seed=0), res, n_target=300, seed=0)
+    pool = build_pool(mem, res, n_target=300, seed=0)
     assert len(pool) >= 100
     assert all(mem(entry.s) for entry in pool.entries)
     origins = {entry.origin.split("(")[0] for entry in pool.entries}
@@ -449,8 +508,7 @@ def test_conditional_anchors_pass_the_breach_test(half_plane):
     model, cap, _ = half_plane
     cons = ConstraintSet()
     for g_j in default_g_grid(model, cons):
-        anchor = conditional_anchor(model, cap, cons, float(g_j),
-                                    config=SolverConfig(seed=0))
+        anchor = conditional_anchor(model, cap, cons, float(g_j))
         assert anchor is not None
         assert anchor[0] == g_j
         assert cap.ratio(anchor) <= cap.r_star
@@ -462,12 +520,11 @@ def test_build_pool_keeps_every_grid_anchor_inside_the_set(half_plane):
     eps = 2.0
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
                      NearOptimalSpec(epsilon=eps))
-    pool = build_pool(mem, SolverConfig(seed=0), res, n_target=300, seed=0)
+    pool = build_pool(mem, res, n_target=300, seed=0)
     origins = {entry.origin for entry in pool.entries}
     inside = 0
     for g_j in default_g_grid(model, cons):
-        anchor = conditional_anchor(model, cap, cons, float(g_j),
-                                    config=SolverConfig(seed=0))
+        anchor = conditional_anchor(model, cap, cons, float(g_j))
         if model.mahalanobis_sq(anchor) <= res.mahalanobis_sq + eps:
             inside += 1
             assert f"grid_anchor({g_j:g})" in origins
@@ -479,9 +536,9 @@ def counted_anchors(monkeypatch):
     """The g_j of each conditional anchor build_pool solves, in order."""
     solved = []
 
-    def counting(model, capital, constraints, g_j, **kwargs):
+    def counting(model, capital, constraints, g_j):
         solved.append(g_j)
-        return conditional_anchor(model, capital, constraints, g_j, **kwargs)
+        return conditional_anchor(model, capital, constraints, g_j)
 
     monkeypatch.setattr(scenario_sets, "conditional_anchor", counting)
     return solved
@@ -512,15 +569,13 @@ def test_build_pool_walk_equals_solving_every_grid_point(half_plane,
                      NearOptimalSpec(epsilon=2.0))
     admitted = every_grid_anchor(mem, grid)
     assert 0 < len(admitted) < len(grid)
-    pool = build_pool(mem, SolverConfig(seed=0), res, g_grid=grid,
-                      n_target=100, seed=0)
+    pool = build_pool(mem, res, g_grid=grid, n_target=100, seed=0)
     # the walk stops at the band ends: the outermost points are never solved
     assert len(counted_anchors) == solves
     assert min(grid) not in counted_anchors
     assert max(grid) not in counted_anchors
     # the pool of the grid cut to the admitted g's, whose anchors all pass
-    want = build_pool(mem, SolverConfig(seed=0), res, g_grid=admitted,
-                      n_target=100, seed=0)
+    want = build_pool(mem, res, g_grid=admitted, n_target=100, seed=0)
     assert ([e.origin for e in pool.entries]
             == [e.origin for e in want.entries])
     assert pool.scenarios.tobytes() == want.scenarios.tobytes()
@@ -535,8 +590,8 @@ def test_build_pool_keeps_the_configured_grid_order(half_plane):
     model, cap, res = half_plane
     mem = Membership(TargetSet.NEAR_OPTIMAL, model, cap, res.s_star,
                      NearOptimalSpec(epsilon=2.0))
-    pool = build_pool(mem, SolverConfig(seed=0), res,
-                      g_grid=[2.4, 1.2, 2.4, 0.25, 1.6], n_target=50, seed=0)
+    pool = build_pool(mem, res, g_grid=[2.4, 1.2, 2.4, 0.25, 1.6],
+                      n_target=50, seed=0)
     assert [e.origin for e in pool.entries if e.origin != "local_draw"] == [
         "anchor", "grid_anchor(2.4)", "grid_anchor(1.2)", "grid_anchor(2.4)",
         "grid_anchor(1.6)"]
@@ -553,7 +608,7 @@ def test_build_pool_rejects_a_grid_entry_beyond_a_band_end(
                      NearOptimalSpec(epsilon=2.0), region)
     with pytest.raises(InvalidInputError,
                        match=rf"g_j={bad} outside the admissible range"):
-        build_pool(mem, SolverConfig(seed=0), res, g_grid=grid, n_target=50)
+        build_pool(mem, res, g_grid=grid, n_target=50)
     assert counted_anchors == []
 
 

@@ -21,11 +21,12 @@ from georst.scenario_sets import default_g_grid
 from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
                            _frontier_t, _frontier_warm_start,
                            _polish_to_frontier, _solve_from)
-from georst.transmission import monotonicity_rows, monotonicity_violation
+from georst.transmission import monotonicity_rows
 
 from conftest import (CountingCapital, generate_inputs, generate_toy_inputs,
                       make_credit_capital, make_portfolio,
-                      make_sensitivities, portfolio_from_rows)
+                      make_sensitivities, monotonicity_violation,
+                      portfolio_from_rows)
 from test_acceptance import random_map_suite
 
 
@@ -489,7 +490,7 @@ def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
     for g_j in default_g_grid(model, cons):
         g_j = float(g_j)
         oracle = multi_start_anchor(model, cap, cons, g_j, config)
-        anchor = conditional_anchor(model, cap, cons, g_j, config=config)
+        anchor = conditional_anchor(model, cap, cons, g_j)
         assert anchor[0] == g_j
         assert cap.ratio(anchor) <= cap.r_star
         assert (model.mahalanobis_sq(anchor)
@@ -499,12 +500,12 @@ def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
 def test_polish_near_the_frontier_is_short(anchor_setup):
     # iterates within 1e-12 of the frontier, on either side of it: the
     # polish, free or at fixed g, breaches within 10 R(s) calls
-    model, cap, cons, config = anchor_setup
+    model, cap, cons, _ = anchor_setup
     counting = CountingCapital(cap)
     counting.ratio_grad = cap.ratio_grad
     rng = np.random.default_rng(0)
     for g_j in default_g_grid(model, cons)[::3]:
-        s_f = conditional_anchor(model, cap, cons, float(g_j), config=config)
+        s_f = conditional_anchor(model, cap, cons, float(g_j))
         y_f = model.whiten(s_f)
         up = model.chol.T @ cap.ratio_grad(s_f)
         for v in (up, rng.standard_normal(model.d)):
@@ -550,8 +551,7 @@ def test_feasible_warm_start_solve_is_the_only_solve(correlated_model,
     cons = ConstraintSet()
     for g_j in default_g_grid(correlated_model, cons):
         counted_minimize.clear()
-        anchor = conditional_anchor(correlated_model, cap, cons, float(g_j),
-                                    config=SolverConfig(seed=0))
+        anchor = conditional_anchor(correlated_model, cap, cons, float(g_j))
         assert anchor is not None
         assert len(counted_minimize) == 1
 
@@ -567,8 +567,7 @@ def test_an_anchor_that_does_not_exist_costs_one_solve(tmp_path,
     ctx = build_context(RunConfig.from_file(config))
     counted_minimize.clear()
     assert conditional_anchor(ctx.model, ctx.capital, ctx.constraints,
-                              ctx.constraints.g_min,
-                              config=ctx.solver_config) is None
+                              ctx.constraints.g_min) is None
     assert len(counted_minimize) == 1
 
 
@@ -764,8 +763,7 @@ def toy_anchor_solves(tmp_path_factory):
         mp.setattr(solver, "minimize", recording)
         for g_j in default_g_grid(ctx.model, ctx.constraints):
             anchor = conditional_anchor(ctx.model, ctx.capital,
-                                        ctx.constraints, float(g_j),
-                                        config=ctx.solver_config)
+                                        ctx.constraints, float(g_j))
             m2s.append(ctx.model.mahalanobis_sq(anchor))
     return statuses, m2s
 

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from georst import InvalidInputError, SectorSensitivities, SoftClip
-from georst.transmission import (monotonicity_rows, monotonicity_violation,
+from georst.transmission import (monotonicity_rows,
                                  smooth_monotonicity_violation)
 
-from conftest import make_portfolio, make_sensitivities, portfolio_from_rows
+from conftest import (make_portfolio, make_sensitivities,
+                      monotonicity_violation, portfolio_from_rows)
 
 
 def test_stressed_pd_known_value():
@@ -55,26 +56,29 @@ def test_stressed_lgd_saturates_inside_unit_interval():
 
 def test_softclip_identity_core_and_bounds():
     sc = SoftClip()
-    for t in np.linspace(sc.lo + 0.02, sc.hi - 0.02, 50):
-        assert sc(t) == pytest.approx(t, abs=1e-9)
+    core = np.linspace(sc.lo + 0.02, sc.hi - 0.02, 50)
+    assert sc.value_and_slope(core)[0] == pytest.approx(core, abs=1e-9)
     # far tails saturate onto [lo, hi] at double precision; values never
     # escape the unit interval
-    for t in np.linspace(-5.0, 6.0, 200):
-        assert sc.lo <= sc(t) <= sc.hi
+    v = sc.value_and_slope(np.linspace(-5.0, 6.0, 200))[0]
+    assert np.all((sc.lo <= v) & (v <= sc.hi))
 
 
 def test_softclip_monotone_and_c1():
     sc = SoftClip()
+
+    def value(t):
+        return sc.value_and_slope(t)[0]
+
     t = np.linspace(-2.0, 3.0, 1000)
-    v = sc(t)
-    assert np.all(np.diff(v) >= 0)
+    assert np.all(np.diff(value(t)) >= 0)
     # strictly increasing away from the saturated tails
     core = np.linspace(-0.05, 1.05, 500)
-    assert np.all(np.diff(sc(core)) > 0)
-    # derivative agrees with central differences, including across the blends
+    assert np.all(np.diff(value(core)) > 0)
+    # the slope agrees with central differences, including across the blends
     h = 1e-6
-    fd = (sc(t + h) - sc(t - h)) / (2 * h)
-    assert sc.derivative(t) == pytest.approx(fd, abs=1e-5)
+    fd = (value(t + h) - value(t - h)) / (2 * h)
+    assert sc.value_and_slope(t)[1] == pytest.approx(fd, abs=1e-5)
 
 
 def test_softclip_invalid_config():
