@@ -20,7 +20,7 @@ from .scenario_sets import (Membership, NearOptimalSpec, NeighbourhoodSpec,
 from .sectors import SectorPortfolio, SectorRecord, aggregate_sectors
 from .solver import (ConstraintSet, DesignPointResult, SolverConfig,
                      conditional_anchor, grid_oracle, solve_design_point)
-from .transmission import Portfolio, SectorSensitivities, SoftClip
+from .transmission import Portfolio, SectorSensitivities
 
 __all__ = [
     "__version__",
@@ -36,5 +36,5 @@ __all__ = [
     "SectorPortfolio", "SectorRecord", "aggregate_sectors",
     "ConstraintSet", "DesignPointResult", "SolverConfig",
     "conditional_anchor", "grid_oracle", "solve_design_point",
-    "Portfolio", "SectorSensitivities", "SoftClip",
+    "Portfolio", "SectorSensitivities",
 ]

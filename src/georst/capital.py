@@ -1,12 +1,14 @@
 """Capital mechanics: stressed CET1, risk-weighted assets, and the breach test.
 
 ``CreditCapitalModel`` bundles a portfolio and a capital state into the
-capital-function abstraction the solver and samplers consume: anything with
-``ratio(s)``, ``r0`` and ``r_star`` works for the solver, so synthetic maps
-are injectable. ``Membership`` and ``grid_oracle`` also need ``ratio_many(S)``
-over a block S (N, d), whose row i must equal ``ratio(S[i])`` bit for bit. A
-map that also has ``ratio_grad(s)`` gives the solver its analytic gradient;
-without it the solver falls back to central differences.
+capital map the solver and samplers consume. A capital map is anything with
+``r0``, ``r_star``, ``ratio(s)``, ``ratio_many(S)`` over a block S (N, d),
+whose row i must equal ``ratio(S[i])`` bit for bit, and ``ratio_grad(s)``,
+the gradient of R at s; so synthetic maps such as ``LinearCapital`` are
+injectable. The breach test is ``breaches(R, r_star)``. The IRB risk weight
+and its slopes are written once, in ``_irb_risk_weight`` and
+``_irb_slopes``, which the kernel, its gradient, ``risk_weight`` and
+``risk_weight_pd_derivative`` all call.
 """
 
 from __future__ import annotations
@@ -111,22 +113,42 @@ def _ma_parts(sqb, m25):
     return 1.0 + m25 * b, 1.0 - 1.5 * b
 
 
-def _maturity_adjustment_slope(pd, sqb, m25, num, den):
-    """d/dpd of the Basel IRB maturity multiplier num / den, given sqb =
-    ``_ma_base(pd)``, m25 = M - 2.5 and ``_ma_parts(sqb, m25)``: 0 below
-    MA_PD_FLOOR."""
-    dgamma_db = (m25 * den + 1.5 * num) / den ** 2
-    return np.where(pd < MA_PD_FLOOR, 0.0,
-                    dgamma_db * 2.0 * sqb * (-0.05478 / pd))
+def _irb_risk_weight(pd, tail, lgd, m25):
+    """The unclamped IRB risk weight lgd (tail - pd) MA(pd) of clipped PDs,
+    with tail = Phi(arg) their conditional default probability and m25 =
+    M - 2.5, or None to leave the maturity adjustment out. Returns (tail -
+    pd, the risk weight, ma), ma = (sqrt b, numerator, denominator) of the
+    adjustment or None without it."""
+    tail_pd = tail - pd
+    rw = lgd * tail_pd
+    if m25 is None:
+        return tail_pd, rw, None
+    sqb = _ma_base(pd)
+    num, den = _ma_parts(sqb, m25)
+    return tail_pd, rw * (num / den), (sqb, num, den)
 
 
-def _risk_weight_pd_slope(lgd, tail_pd, dtail_dpd, ma, ma_slope):
-    """d RW / d pd of the unclamped risk weight lgd (tail - pd) MA(pd), given
-    tail_pd = tail - pd; ``ma`` is MA(pd) and ``ma_slope`` its derivative,
-    both None without the maturity adjustment."""
+def _irb_slopes(pd, lgd, m25, tail_pd, ma, dtail_dpd):
+    """(d RW / d pd, d RW / d lgd) of ``_irb_risk_weight``'s unclamped risk
+    weight, given its tail_pd and ma and dtail_dpd = d tail / d pd. The
+    adjustment is held at its value on MA_PD_FLOOR below it, so its slope
+    is 0 there."""
     if ma is None:
-        return lgd * (dtail_dpd - 1.0)
-    return lgd * ((dtail_dpd - 1.0) * ma + tail_pd * ma_slope)
+        return lgd * (dtail_dpd - 1.0), tail_pd
+    sqb, num, den = ma
+    factor = num / den
+    dfactor_db = (m25 * den + 1.5 * num) / den ** 2
+    dfactor = np.where(pd < MA_PD_FLOOR, 0.0,
+                       dfactor_db * 2.0 * sqb * (-0.05478 / pd))
+    return (lgd * ((dtail_dpd - 1.0) * factor + tail_pd * dfactor),
+            tail_pd * factor)
+
+
+def _maturity_m25(maturity, use_maturity_adjustment: bool):
+    """M - 2.5, or None when the maturity adjustment is off."""
+    if not use_maturity_adjustment:
+        return None
+    return np.asarray(maturity, dtype=float) - 2.5
 
 
 def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
@@ -138,12 +160,10 @@ def risk_weight(pd, lgd, rho, maturity, spec: LossQuantileSpec,
     b at max(pd, MA_PD_FLOOR) (or 1 when disabled), floored at 0.
     """
     pd = clip_pd(pd)
-    tail = conditional_default_prob(pd, rho, spec.q)
-    rw = np.asarray(lgd, dtype=float) * (tail - pd)
-    if use_maturity_adjustment:
-        num, den = _ma_parts(_ma_base(pd),
-                             np.asarray(maturity, dtype=float) - 2.5)
-        rw = rw * (num / den)
+    _, rw, _ = _irb_risk_weight(
+        pd, conditional_default_prob(pd, rho, spec.q),
+        np.asarray(lgd, dtype=float),
+        _maturity_m25(maturity, use_maturity_adjustment))
     rw = np.maximum(rw, 0.0)
     if rw.ndim == 0:
         return float(rw)
@@ -155,18 +175,14 @@ def risk_weight_pd_derivative(pd, lgd, rho, maturity, spec: LossQuantileSpec,
     """Analytic d RW / d pd, used to calibrate the linear RWA mode."""
     pd = clip_pd(pd)
     rho = np.asarray(rho, dtype=float)
+    lgd = np.asarray(lgd, dtype=float)
+    m25 = _maturity_m25(maturity, use_maturity_adjustment)
     zp = ndtri(pd)
     sq1 = np.sqrt(1.0 - rho)
     arg = (zp + np.sqrt(rho) * ndtri(spec.q)) / sq1
-    ma = ma_slope = None
-    if use_maturity_adjustment:
-        sqb = _ma_base(pd)
-        m25 = np.asarray(maturity, dtype=float) - 2.5
-        num, den = _ma_parts(sqb, m25)
-        ma = num / den
-        ma_slope = _maturity_adjustment_slope(pd, sqb, m25, num, den)
-    out = _risk_weight_pd_slope(np.asarray(lgd, dtype=float), ndtr(arg) - pd,
-                                tail_pd_derivative(zp, arg, sq1), ma, ma_slope)
+    tail_pd, _, ma = _irb_risk_weight(pd, ndtr(arg), lgd, m25)
+    out, _ = _irb_slopes(pd, lgd, m25, tail_pd, ma,
+                         tail_pd_derivative(zp, arg, sq1))
     if out.ndim == 0:
         return float(out)
     return out
@@ -213,17 +229,13 @@ class _Point(NamedTuple):
     cet1: np.ndarray
     tail_pd: np.ndarray | None  # tail - pd (IRB mode only)
     rw: np.ndarray | None   # unclamped IRB risk weights, likewise
-    ma: np.ndarray | None   # maturity adjustment (IRB mode with it only)
-    ma_base: np.ndarray | None  # its sqrt(b), ``_ma_base(pd)``, likewise
-    ma_num: np.ndarray | None   # its numerator 1 + (M - 2.5) b, likewise
-    ma_den: np.ndarray | None   # its denominator 1 - 1.5 b, likewise
+    ma: tuple | None    # ``_irb_risk_weight``'s maturity-adjustment parts
     rwa: np.ndarray
     clamped: np.ndarray     # RWA held at the floor
 
 
 class CreditCapitalModel:
-    """Capital-function view of a portfolio: s -> R(s), its gradient and the
-    breach test.
+    """Capital-map view of a portfolio: s -> R(s) and its gradient.
 
     One kernel evaluates a scenario (d,) or a block of scenarios (N, d): the
     stressed PD and LGD once, Phi^-1(PD) once, and one conditional default
@@ -234,9 +246,8 @@ class CreditCapitalModel:
     a BLAS dot or gemv, whose summation order can depend on the number of
     rows), so ``ratio_many(S)[i]`` equals ``ratio(S[i])`` bit for bit.
     ``ratio_grad`` differentiates the same evaluation, and reads ead * lgd,
-    tail - pd and the maturity adjustment's base, numerator and denominator
-    from it instead of computing them again. The
-    module functions (``risk_weight``,
+    tail - pd and the maturity adjustment's parts from it instead of
+    computing them again. The module functions (``risk_weight``,
     ``loss.loss_quantile``, ``cet1_stressed``, ``rwa_stressed_flagged``) use
     the same arithmetic, so their values equal the model's bit for bit.
 
@@ -260,7 +271,8 @@ class CreditCapitalModel:
             raise InvalidInputError("pnl_noncredit length must equal dimension d")
         self._shift = np.sqrt(portfolio.rho) * ndtri(self.spec.q)
         self._sqrt_1mrho = np.sqrt(1.0 - portfolio.rho)
-        self._m25 = np.asarray(portfolio.maturity, dtype=float) - 2.5
+        self._m25 = _maturity_m25(portfolio.maturity,
+                                  state.maturity_adjustment)
         self._baseline_loss = self._loss_terms(np.zeros(portfolio.d))[-1]
         self._last: tuple[bytes, _Point] | None = None
         self.rwa_floor_hits = 0
@@ -299,24 +311,18 @@ class CreditCapitalModel:
                                else loss)
         if state.pnl_noncredit is not None:
             cet1 = cet1 + np.add.reduce(state.pnl_noncredit * arr, axis=-1)
-        tail_pd = rw = ma = ma_base = ma_num = ma_den = None
+        tail_pd = rw = ma = None
         if state.rwa_mode is RwaMode.CONSTANT:
             raw = np.full_like(loss, state.rwa_0)
         elif state.rwa_mode is RwaMode.LINEAR:
             raw = state.rwa_0 + np.add.reduce(state.alpha * (pd_raw - pf.pd0),
                                               axis=-1)
         else:
-            tail_pd = tail - pd
-            rw = lgd * tail_pd
-            if state.maturity_adjustment:
-                ma_base = _ma_base(pd)
-                ma_num, ma_den = _ma_parts(ma_base, self._m25)
-                ma = ma_num / ma_den
-                rw = rw * ma
+            tail_pd, rw, ma = _irb_risk_weight(pd, tail, lgd, self._m25)
             raw = np.add.reduce(pf.ead * np.maximum(rw, 0.0), axis=-1)
         floor = RWA_FLOOR_FRACTION * state.rwa_0
         return _Point(pd_raw, pd, lgd, lgd_slope, zp, arg, tail, ead_lgd, loss,
-                      cet1, tail_pd, rw, ma, ma_base, ma_num, ma_den,
+                      cet1, tail_pd, rw, ma,
                       np.maximum(raw, floor), raw < floor)
 
     def _evaluate(self, s) -> _Point:
@@ -373,14 +379,8 @@ class CreditCapitalModel:
             d_rwa = pf.pd_loadings @ (state.alpha * pd_slope)
         else:
             w = pf.ead * (p.rw > 0.0)
-            if p.ma is None:
-                d_rw_dlgd, ma_slope = p.tail_pd, None
-            else:
-                d_rw_dlgd = p.tail_pd * p.ma
-                ma_slope = _maturity_adjustment_slope(
-                    p.pd, p.ma_base, self._m25, p.ma_num, p.ma_den)
-            d_rw_dpd = _risk_weight_pd_slope(p.lgd, p.tail_pd, dtail, p.ma,
-                                             ma_slope)
+            d_rw_dpd, d_rw_dlgd = _irb_slopes(p.pd, p.lgd, self._m25,
+                                              p.tail_pd, p.ma, dtail)
             d_rwa = chain(w * d_rw_dpd, w * d_rw_dlgd)
         return (d_cet1 * p.rwa - p.cet1 * d_rwa) / p.rwa ** 2
 
@@ -397,9 +397,6 @@ class CreditCapitalModel:
             self.rwa_floor_hits += int(np.count_nonzero(point.clamped))
             out[lo:lo + step] = point.cet1 / point.rwa
         return out
-
-    def breach(self, s) -> bool:
-        return breaches(self.ratio(s), self.r_star)
 
 
 class LinearCapital:
@@ -431,6 +428,3 @@ class LinearCapital:
         axis, so row i equals ratio(S[i]) bit for bit."""
         S = np.asarray(S, dtype=float)
         return self.r0 - self.slope * np.sum(S * self.weights, axis=-1)
-
-    def breach(self, s) -> bool:
-        return breaches(self.ratio(s), self.r_star)

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (GeorstError, InfeasibleError, InvalidInputError,
-                     NonConvergenceError)
+from .errors import GeorstError, InfeasibleError, NonConvergenceError
 from .runner import (RunConfig, build_context, emit_contours, run_design_point,
                      run_mc_check, run_scenario_list, run_validate)
 
 OUTPUT_ENV_VAR = "GEORST_OUTPUT_DIR"
+# the exit code of each error class; every other GeorstError (bad input
+# included) and every ValueError exits 2
+EXIT_CODES = {InfeasibleError: 3, NonConvergenceError: 4}
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -119,21 +121,10 @@ def main(argv=None) -> int:
             report = run_mc_check(ctx, scenario=scenario, n_sims=args.sims)
             _write(out_dir / "mc_check.txt", report)
         return 0
-    except InvalidInputError as exc:
+    except (GeorstError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GeorstError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in EXIT_CODES.items()
+                     if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

@@ -29,12 +29,12 @@ class Family(enum.Enum):
     STUDENT_T = "student_t"
 
 
-def as_scenario_array(s, d: int | None = None) -> np.ndarray:
+def as_scenario_array(s, d: int) -> np.ndarray:
     """Coerce an array-like to a validated (d,) array."""
     arr = np.asarray(s, dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError(f"scenario must be 1-D, got shape {arr.shape}")
-    if d is not None and arr.size != d:
+    if arr.size != d:
         raise InvalidInputError(f"scenario dimension {arr.size} != model dimension {d}")
     if not np.isfinite(arr).all():
         raise InvalidInputError("scenario coordinates must be finite")

@@ -365,8 +365,9 @@ def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, 
         w.kv("eta", membership.spec.radius_eta)
     else:
         w.kv("epsilon", membership.spec.epsilon)
-    w.kv("pool_members", len(pool))
     _emit_design_point(w, ctx, result)
+    w.section("pool")
+    w.kv("pool_members", len(pool))
     w.section("scenario_list")
     w.row("index", "ratio", "mahalanobis_sq", "tail_probability", "rarity",
           "g", "drivers")
@@ -428,8 +429,9 @@ def run_validate(ctx: RunContext) -> str:
     w.kv("total_ead", ctx.portfolio.total_ead)
     w.kv("baseline_loss_quantile",
          loss_quantile(ctx.portfolio, np.zeros(ctx.model.d), ctx.loss_spec))
-    w.kv("baseline_ratio", ctx.capital.ratio(np.zeros(ctx.model.d)))
-    w.kv("baseline_breach", ctx.capital.breach(np.zeros(ctx.model.d)))
+    r_zero = ctx.capital.ratio(np.zeros(ctx.model.d))
+    w.kv("baseline_ratio", r_zero)
+    w.kv("baseline_breach", breaches(r_zero, ctx.capital.r_star))
     return w.render()
 
 

@@ -390,7 +390,7 @@ def _farthest_point_indices(Y: np.ndarray, y_star: np.ndarray, count: int) -> li
 
 
 def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
-                          P: int, capital=None,
+                          P: int, capital,
                           k: int = DEFAULT_TOP_K) -> ScenarioList:
     """Reduce the pool to P diverse representatives, the design point first."""
     s_star = as_scenario_array(s_star, model.d)
@@ -410,7 +410,7 @@ def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
         score = model.plausibility(s)
         entries.append(ScenarioEntry(
             s=s,
-            ratio=capital.ratio(s) if capital is not None else math.nan,
+            ratio=capital.ratio(s),
             mahalanobis_sq=score.mahalanobis_sq,
             tail_probability=score.tail_probability,
             rarity=score.rarity,

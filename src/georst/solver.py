@@ -21,7 +21,6 @@ from .reference import ReferenceModel
 from .special_functions import normal_quantile
 
 G_MIN_DEFAULT = 1e-6
-FD_STEP = 1e-5          # central-difference step, whitened units
 TOL_CONSTRAINT = 1e-8   # box and monotonicity; the breach has no slack
 DEDUP_RADIUS = 1e-3     # whitened distance between distinct local optima
 CONFIRMATIONS = 2       # consecutive starts re-finding the best that end a solve
@@ -136,29 +135,17 @@ def _constraint_scale(capital) -> float:
     return max(capital.r0 - capital.r_star, 1e-12)
 
 
-def _fd_grad(fun, y: np.ndarray, step: float) -> np.ndarray:
-    g = np.empty_like(y)
-    for j in range(y.size):
-        e = np.zeros_like(y)
-        e[j] = step
-        g[j] = (fun(y + e) - fun(y - e)) / (2.0 * step)
-    return g
-
-
 def _breach_margin(model: ReferenceModel, capital):
     """The scaled breach margin c(y) = (r_star - R(L y)) / scale, c >= 0 on
-    the breach set, and its gradient in y: analytic when the capital map has
-    ``ratio_grad``, central differences otherwise."""
+    the breach set, and its gradient in y from the capital map's
+    ``ratio_grad``."""
     L = model.chol
     scale = _constraint_scale(capital)
 
     def margin(y):
         return (capital.r_star - capital.ratio(L @ y)) / scale
 
-    ratio_grad = getattr(capital, "ratio_grad", None)
-    if ratio_grad is None:
-        return margin, lambda y: _fd_grad(margin, y, FD_STEP)
-    return margin, lambda y: -(ratio_grad(L @ y) @ L) / scale
+    return margin, lambda y: -(capital.ratio_grad(L @ y) @ L) / scale
 
 
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,

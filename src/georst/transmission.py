@@ -19,47 +19,37 @@ from .errors import InvalidInputError
 from .reference import as_scenarios
 
 
-@dataclass(frozen=True)
-class SoftClip:
-    """Smooth monotone map from R onto (lo, hi).
+# the LGD soft clip: identity on [lo + width, hi - width], onto (lo, hi)
+SOFTCLIP_LO = 1e-6
+SOFTCLIP_HI = 1.0 - 1e-6
+SOFTCLIP_WIDTH = 0.02
+
+
+def softclip(t) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth monotone map of t onto (SOFTCLIP_LO, SOFTCLIP_HI), and its
+    derivative, as arrays.
 
     Identity on [lo + width, hi - width]; each edge blends into a scaled
     logistic tail with matching value and unit slope, so the map is C^1,
-    strictly increasing, and never leaves (lo, hi).
+    strictly increasing, and never leaves (lo, hi). The logistic tails are
+    evaluated only for entries outside the identity core; when t's
+    extremes show no entry in a tail, no mask is built.
     """
-
-    lo: float = 1e-6
-    hi: float = 1.0 - 1e-6
-    width: float = 0.02
-
-    def __post_init__(self):
-        if not (self.lo < self.hi and self.width > 0):
-            raise InvalidInputError("softclip requires lo < hi and width > 0")
-        if self.hi - self.lo <= 2 * self.width:
-            raise InvalidInputError("softclip blend regions overlap")
-
-    def value_and_slope(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """The map and its derivative at t, as arrays.
-
-        The logistic tails are evaluated only for entries outside
-        [lo + width, hi - width]; inside, the value is t and the slope 1.
-        When t's extremes show no entry in a tail, no mask is built.
-        """
-        t = np.asarray(t, dtype=float)
-        w = self.width
-        hi_edge, lo_edge = self.hi - w, self.lo + w
-        value = t.copy()
-        slope = np.ones(t.shape)
-        if t.size == 0 or (t.max() <= hi_edge and t.min() >= lo_edge):
-            return value, slope
-        tails = (t > hi_edge) | (t < lo_edge)
-        if tails.any():
-            tt = t[tails]
-            edge = np.where(tt > hi_edge, hi_edge, lo_edge)
-            sig = expit(2.0 * (tt - edge) / w)
-            value[tails] = edge + w * (2.0 * sig - 1.0)
-            slope[tails] = 4.0 * sig * (1.0 - sig)
+    t = np.asarray(t, dtype=float)
+    w = SOFTCLIP_WIDTH
+    hi_edge, lo_edge = SOFTCLIP_HI - w, SOFTCLIP_LO + w
+    value = t.copy()
+    slope = np.ones(t.shape)
+    if t.size == 0 or (t.max() <= hi_edge and t.min() >= lo_edge):
         return value, slope
+    tails = (t > hi_edge) | (t < lo_edge)
+    if tails.any():
+        tt = t[tails]
+        edge = np.where(tt > hi_edge, hi_edge, lo_edge)
+        sig = expit(2.0 * (tt - edge) / w)
+        value[tails] = edge + w * (2.0 * sig - 1.0)
+        slope[tails] = 4.0 * sig * (1.0 - sig)
+    return value, slope
 
 
 @dataclass(frozen=True)
@@ -78,8 +68,6 @@ class SectorSensitivities:
         if self.beta.ndim != 1 or self.gamma.shape != self.beta.shape:
             raise InvalidInputError("beta and gamma must be vectors of equal length")
 
-
-_SOFTCLIP = SoftClip()
 
 # the per-exposure numeric columns of a Portfolio, in input-file order
 CREDIT_COLUMNS = ("ead", "pd0", "lgd0", "rho", "maturity")
@@ -189,8 +177,7 @@ class Portfolio:
         """Stressed LGD and the soft-clip slope at its affine pre-image
         lgd0 + gamma x + eta g, so d LGD_i / d s = slope_i lgd_loadings[:, i].
         Like :meth:`stressed_pd`, over s (d,) or each row of s (N, d)."""
-        return _SOFTCLIP.value_and_slope(
-            self._affine(s, self.lgd0, self.lgd_loadings))
+        return softclip(self._affine(s, self.lgd0, self.lgd_loadings))
 
     def _affine(self, s, base, loadings):
         """base + sum_k s[..., k] loadings[k] for a scenario (d,) or a block
@@ -207,8 +194,7 @@ def monotonicity_rows(portfolio: Portfolio) -> np.ndarray:
     [eta | gamma]. PD and LGD are strictly increasing maps of affine maps
     of s, so M s >= 0 holds exactly when no exposure's stressed PD or LGD
     falls below its value at s = 0: pd0, and lgd0 unless lgd0 lies within
-    the soft-clip width (0.02) of 0 or 1, where it is softclip(lgd0), not
-    lgd0 itself.
+    SOFTCLIP_WIDTH of 0 or 1, where it is softclip(lgd0), not lgd0 itself.
     """
     table = portfolio.sectors.values()
     rows = np.unique([[s.delta, *s.beta] for s in table]

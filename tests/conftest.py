@@ -56,6 +56,18 @@ def monotonicity_violation(portfolio, s) -> float:
     return float(max(worst, 0.0))
 
 
+def fd_grad(fun, y, step=1e-5) -> np.ndarray:
+    """Central differences of a scalar function at y: the test oracle for
+    the capital maps' analytic ``ratio_grad``."""
+    y = np.asarray(y, dtype=float)
+    g = np.empty_like(y)
+    for j in range(y.size):
+        e = np.zeros_like(y)
+        e[j] = step
+        g[j] = (fun(y + e) - fun(y - e)) / (2.0 * step)
+    return g
+
+
 def make_credit_capital(portfolio, cet1_0=6.0, rwa_0=50.0, **state_kwargs):
     state = CapitalState(cet1_0=cet1_0, rwa_0=rwa_0, **state_kwargs)
     return CreditCapitalModel(portfolio, state, LossQuantileSpec())
@@ -63,11 +75,13 @@ def make_credit_capital(portfolio, cet1_0=6.0, rwa_0=50.0, **state_kwargs):
 
 class CountingCapital:
     """Capital map wrapper that counts R(s) evaluations, one per scenario
-    of a ``ratio_many`` block too."""
+    of a ``ratio_many`` block too; ``ratio_grad`` is the wrapped map's and
+    is not counted."""
 
     def __init__(self, inner, ratio=None):
         self.r0, self.r_star = inner.r0, inner.r_star
         self._ratio = inner.ratio if ratio is None else ratio
+        self.ratio_grad = inner.ratio_grad
         self.calls = 0
 
     def ratio(self, s):

@@ -17,6 +17,7 @@ from georst import (CapitalState, ConstraintSet, CreditCapitalModel, Family,
                     SolverConfig, TargetSet, build_pool, grid_oracle,
                     loss_quantile, mc_loss_quantile, reduce_farthest_point,
                     solve_design_point)
+from georst.capital import breaches
 from georst.cli import main
 from georst.scenario_sets import CandidatePool, PoolEntry
 from georst.special_functions import chi2_cdf, f_cdf
@@ -51,8 +52,10 @@ class SmoothCapital:
     def ratio_many(self, S):
         return self.r0 - self.slope * self._severity(np.asarray(S, dtype=float))
 
-    def breach(self, s):
-        return self.ratio(s) <= self.r_star
+    def ratio_grad(self, s):
+        g, x = s
+        return -self.slope * np.array([self.a + 2.0 * self.c * g,
+                                       self.b + 2.0 * self.e * x])
 
 
 def random_map_suite(n_maps=10, seed=123):
@@ -94,7 +97,8 @@ def test_criterion_03_constraint_activity():
     model = ReferenceModel.from_covariance(np.array([[1.0, 0.2], [0.2, 1.0]]))
     cons = ConstraintSet()
     for cap in random_map_suite():
-        assert not cap.breach(np.zeros(2))  # baseline is feasible by design
+        # baseline is feasible by design
+        assert not breaches(cap.ratio(np.zeros(2)), cap.r_star)
         res = solve_design_point(model, cap, cons, SolverConfig(seed=0))
         assert res.active
         assert abs(res.ratio_at_optimum - cap.r_star) <= 1e-6 * cap.r0
@@ -188,6 +192,7 @@ def test_criterion_08_farthest_point_hand_trace():
     # pool values {0, 1, 2, 10}, P = 3 -> [0, 10, 2] exactly, and the
     # selected set is invariant over 100 pool permutations
     model = ReferenceModel.from_covariance(np.eye(2))
+    cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
     values = np.array([0.0, 1.0, 2.0, 10.0])
     rng = np.random.default_rng(0)
     reference = None
@@ -197,7 +202,8 @@ def test_criterion_08_farthest_point_hand_trace():
             target=TargetSet.NEIGHBOURHOOD,
             entries=[PoolEntry(s=np.array([values[i], 0.0]),
                                origin="local_draw") for i in perm])
-        lst = reduce_farthest_point(model, pool, np.zeros(2), P=3)
+        lst = reduce_farthest_point(model, pool, np.zeros(2), P=3,
+                                    capital=cap)
         coords = [float(e.s[0]) for e in lst.entries]
         if reference is None:
             reference = coords

@@ -10,11 +10,11 @@ from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
                     ReferenceModel, RwaMode, SectorSensitivities,
                     calibrate_linear_alpha, loss_quantile, risk_weight)
 from georst.capital import (BLOCK_ELEMENTS, MA_PD_FLOOR, _ma_base, _ma_parts,
-                            cet1_stressed, risk_weight_pd_derivative,
-                            rwa_stressed_flagged)
-from georst.solver import _fd_grad
+                            breaches, cet1_stressed,
+                            risk_weight_pd_derivative, rwa_stressed_flagged)
 
-from conftest import make_credit_capital, make_portfolio, portfolio_from_rows
+from conftest import (fd_grad, make_credit_capital, make_portfolio,
+                      portfolio_from_rows)
 
 SPEC = LossQuantileSpec(q=0.999)
 
@@ -77,13 +77,15 @@ def test_risk_weight_non_decreasing_in_pd(rho, maturity):
     assert np.all(np.diff(rw) >= 0.0)
     assert risk_weight(2.93e-6, 0.45, rho, maturity, SPEC) <= risk_weight(
         1e-3, 0.45, rho, maturity, SPEC)
-    # the analytic slope follows the held adjustment on both sides
-    for p in (1e-5, 0.5 * MA_PD_FLOOR, 2.0 * MA_PD_FLOOR):
+    # the analytic slope follows the held adjustment on both sides, and
+    # the risk weight without the adjustment
+    for p, use_adj in itertools.product(
+            (1e-5, 0.5 * MA_PD_FLOOR, 2.0 * MA_PD_FLOOR), (True, False)):
         h = 1e-3 * p
-        fd = (risk_weight(p + h, 0.45, rho, maturity, SPEC)
-              - risk_weight(p - h, 0.45, rho, maturity, SPEC)) / (2 * h)
-        assert risk_weight_pd_derivative(p, 0.45, rho, maturity, SPEC) == (
-            pytest.approx(fd, rel=1e-6))
+        args = (0.45, rho, maturity, SPEC, use_adj)
+        fd = (risk_weight(p + h, *args) - risk_weight(p - h, *args)) / (2 * h)
+        assert risk_weight_pd_derivative(p, *args) == pytest.approx(fd,
+                                                                   rel=1e-6)
 
 
 def test_capital_state_thresholds():
@@ -192,7 +194,7 @@ def test_credit_capital_model_interface():
     cap = make_credit_capital(pf, rwa_mode=RwaMode.CONSTANT)
     s0 = np.zeros(2)
     assert cap.ratio(s0) == pytest.approx(cap.r0, abs=1e-14)
-    assert not cap.breach(s0)
+    assert not breaches(cap.ratio(s0), cap.r_star)
     s = np.array([1.0, 0.5])
     assert cap.ratio(s) == cap.cet1(s) / cap.rwa(s)
     assert cap.cet1(s) == cap.state.cet1_0 - (cap.loss_quantile(s)
@@ -221,16 +223,16 @@ def test_ratio_non_increasing_in_g_on_random_portfolios():
 
 def test_linear_capital_breach_half_space():
     cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
-    assert not cap.breach(np.array([1.0, 1.0]))
-    assert cap.breach(np.array([2.0, 2.0]))
-    assert cap.breach(np.array([0.0, 5.0]))
+    for s, breach in (([1.0, 1.0], False), ([2.0, 2.0], True),
+                      ([0.0, 5.0], True)):
+        assert breaches(cap.ratio(np.array(s)), cap.r_star) == breach
     assert cap.ratio(np.zeros(2)) == pytest.approx(cap.r0)
 
 
 def test_linear_capital_ratio_grad_is_the_slope():
     cap = LinearCapital(weights=np.array([1.0, 2.0]), level=4.0)
     s = np.array([0.3, -1.0])
-    assert np.allclose(cap.ratio_grad(s), _fd_grad(cap.ratio, s, 1e-5),
+    assert np.allclose(cap.ratio_grad(s), fd_grad(cap.ratio, s),
                        rtol=1e-9, atol=0.0)
 
 
@@ -280,7 +282,7 @@ def test_ratio_grad_matches_finite_differences(seed, case, s):
                          with_pnl)
     s = np.array(s)
     grad = cap.ratio_grad(s)
-    fd = _fd_grad(cap.ratio, s, 1e-5)
+    fd = fd_grad(cap.ratio, s)
     assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -298,7 +300,7 @@ def test_ratio_grad_on_the_rwa_floor():
         cap.portfolio, CapitalState(cet1_0=1.0, rwa_0=floor,
                                     rwa_mode=RwaMode.CONSTANT), SPEC)
     assert np.allclose(grad, constant.ratio_grad(s), rtol=1e-12, atol=0.0)
-    assert np.linalg.norm(grad - _fd_grad(cap.ratio, s, 1e-5)) <= (
+    assert np.linalg.norm(grad - fd_grad(cap.ratio, s)) <= (
         1e-6 * np.linalg.norm(grad))
     # hits count once per ratio or rwa call, never from the gradient
     cap.rwa_floor_hits = 0

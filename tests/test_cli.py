@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from georst import cli
 from georst.cli import build_parser, main
 from georst.dataio import (load_alpha, load_covariance, load_history,
                            load_portfolio, load_sector_portfolio,
                            load_sensitivities)
-from georst.errors import InvalidInputError
+from georst.errors import (GeorstError, InfeasibleError, InvalidInputError,
+                           NonConvergenceError)
 from georst.capital import breaches
 from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
                            emit_contours, run_scenario_list)
@@ -373,6 +375,21 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("error,code", [
+    (InvalidInputError("bad input"), 2), (InfeasibleError("no breach"), 3),
+    (NonConvergenceError("no convergence"), 4), (GeorstError("engine"), 2),
+    (ValueError("bad value"), 2)])
+def test_cli_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error,
+                                     code):
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(cli, "build_context", fail)
+    config = write_inputs(tmp_path)
+    assert main(["design-point", "--config", str(config)]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_cli_contour_columns_and_grid(tmp_path):
     config = write_inputs(tmp_path)
     out_dir = tmp_path / "out"
@@ -500,6 +517,20 @@ def test_toy_scenario_list_obeys_the_design_point(tmp_path, constraints):
     assert ctx.constraints.satisfied(S).all()
     m2 = dict(line.split(" = ") for line in sections["design_point"])
     assert sections["scenario_list"][1].split()[2] == m2["mahalanobis_sq"]
+
+
+def test_scenario_list_reports_its_pool_size_apart_from_the_settings(
+        tmp_path):
+    # pool_members is a result of the run: not in [defaults] but in its own
+    # [pool] section, right before the list
+    ctx = build_context(RunConfig.from_file(write_inputs(tmp_path)))
+    report, (_, pool, _) = run_scenario_list(ctx)
+    sections = report_sections(report)
+    assert not any(line.startswith("pool_members")
+                   for line in sections["defaults"])
+    assert sections["pool"] == [f"pool_members = {len(pool)}"]
+    names = list(sections)
+    assert names.index("pool") + 1 == names.index("scenario_list")
 
 
 def test_cli_config_hash_is_the_files(tmp_path):

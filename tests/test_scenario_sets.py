@@ -11,6 +11,7 @@ from georst import (ConstraintSet, Family, InvalidInputError, LinearCapital,
                     driver_decomposition, hit_and_run, local_sample,
                     reduce_farthest_point, solve_design_point)
 from georst import scenario_sets
+from georst.capital import breaches
 from georst.runner import RunConfig, build_context, run_scenario_list
 from georst.scenario_sets import (CandidatePool, PoolEntry,
                                   _farthest_point_indices, _pool_radius,
@@ -53,12 +54,13 @@ def test_membership_tests_geometry_before_ratio(half_plane, target, spec):
         mem = Membership(target, model, counting, res.s_star, spec, region)
         geometry = Membership(target, model, always, res.s_star, spec, region)
         # a breaching point far outside the set costs no R(s) call
-        assert cap.breach(np.array([6.0, 6.0]))
+        assert breaches(cap.ratio(np.array([6.0, 6.0])), cap.r_star)
         assert not mem(np.array([6.0, 6.0]))
         # nor does a breaching point of the set's geometry outside the region
         if region is not None:
             s = np.array([2.3, 2.0])
-            assert cap.breach(s) and not region.satisfied(s)
+            assert breaches(cap.ratio(s), cap.r_star)
+            assert not region.satisfied(s)
             assert Membership(target, model, always, res.s_star, spec)(s)
             assert not mem(s)
         assert counting.calls == 0
@@ -68,7 +70,7 @@ def test_membership_tests_geometry_before_ratio(half_plane, target, spec):
             for x in axis:
                 s = np.array([g, x])
                 # ratio first, then geometry: the order before the change
-                old = cap.breach(s) and geometry(s)
+                old = breaches(cap.ratio(s), cap.r_star) and geometry(s)
                 assert mem(s) == old
                 inside += geometry(s)
         assert 0 < inside < axis.size ** 2
@@ -394,7 +396,8 @@ def test_farthest_point_hand_trace(identity_model):
         target=TargetSet.NEIGHBOURHOOD,
         entries=[PoolEntry(s=np.array([v, 0.0]), origin="local_draw")
                  for v in (0.0, 1.0, 2.0, 10.0)])
-    lst = reduce_farthest_point(identity_model, pool, np.zeros(2), P=3)
+    lst = reduce_farthest_point(identity_model, pool, np.zeros(2), P=3,
+                                capital=LinearCapital(np.ones(2)))
     assert [float(e.s[0]) for e in lst.entries] == [0.0, 10.0, 2.0]
     # the maximin picks alone, seeded at the design point, are 10 then 2
     Y = np.array([[0.0], [1.0], [2.0], [10.0]])
@@ -412,7 +415,8 @@ def test_farthest_point_shuffle_invariance(identity_model):
         pool = CandidatePool(
             target=TargetSet.NEIGHBOURHOOD,
             entries=[PoolEntry(s=pts[i], origin="local_draw") for i in perm])
-        lst = reduce_farthest_point(identity_model, pool, s_star, P=6)
+        lst = reduce_farthest_point(identity_model, pool, s_star, P=6,
+                                    capital=LinearCapital(np.ones(2)))
         coords = np.vstack([e.s for e in lst.entries])
         if reference is None:
             reference = coords
@@ -436,7 +440,7 @@ def test_reduce_rejects_oversized_list(half_plane):
     model, cap, res = half_plane
     pool = CandidatePool(target=TargetSet.NEIGHBOURHOOD, entries=[])
     with pytest.raises(InvalidInputError):
-        reduce_farthest_point(model, pool, res.s_star, P=2)
+        reduce_farthest_point(model, pool, res.s_star, P=2, capital=cap)
 
 
 def test_driver_decomposition_orders_by_magnitude(correlated_model):

@@ -23,8 +23,8 @@ from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
                            _polish_to_frontier, _solve_from)
 from georst.transmission import monotonicity_rows
 
-from conftest import (CountingCapital, generate_inputs, generate_toy_inputs,
-                      make_credit_capital, make_portfolio,
+from conftest import (CountingCapital, fd_grad, generate_inputs,
+                      generate_toy_inputs, make_credit_capital, make_portfolio,
                       make_sensitivities, monotonicity_violation,
                       portfolio_from_rows)
 from test_acceptance import random_map_suite
@@ -232,13 +232,16 @@ def test_solver_on_credit_capital_model(correlated_model):
     assert res.mahalanobis_sq <= grid.mahalanobis_sq + 2 * cell
 
 
-class NoGradient:
-    """A capital map without ratio_grad: the solver falls back to central
-    differences and counts as the reference path."""
+class FdGradient:
+    """A capital map whose ratio_grad is central differences of its ratio:
+    the reference path for the analytic gradient."""
 
     def __init__(self, inner):
         self.r0, self.r_star = inner.r0, inner.r_star
         self.ratio = inner.ratio
+
+    def ratio_grad(self, s):
+        return fd_grad(self.ratio, s)
 
 
 def test_analytic_gradient_path_matches_finite_differences(correlated_model):
@@ -248,7 +251,7 @@ def test_analytic_gradient_path_matches_finite_differences(correlated_model):
     config = SolverConfig(seed=0, n_starts=12)
     analytic = solve_design_point(correlated_model, cap, ConstraintSet(),
                                   config)
-    fd = solve_design_point(correlated_model, NoGradient(cap),
+    fd = solve_design_point(correlated_model, FdGradient(cap),
                             ConstraintSet(), config)
     assert np.linalg.norm(analytic.y_star - fd.y_star) <= 1e-6
     assert analytic.mahalanobis_sq == pytest.approx(fd.mahalanobis_sq,
@@ -502,7 +505,6 @@ def test_polish_near_the_frontier_is_short(anchor_setup):
     # polish, free or at fixed g, breaches within 10 R(s) calls
     model, cap, cons, _ = anchor_setup
     counting = CountingCapital(cap)
-    counting.ratio_grad = cap.ratio_grad
     rng = np.random.default_rng(0)
     for g_j in default_g_grid(model, cons)[::3]:
         s_f = conditional_anchor(model, cap, cons, float(g_j))
@@ -647,6 +649,27 @@ class TwoModeCapital:
         severity = np.maximum((S * self.w[0]).sum(axis=-1),
                               (S * self.w[1]).sum(axis=-1))
         return self.r0 - self.slope * severity
+
+    def ratio_grad(self, s):
+        severities = self.w @ np.asarray(s, dtype=float)
+        return -self.slope * self.w[np.argmax(severities)]
+
+
+def test_synthetic_maps_ratio_grad_matches_finite_differences():
+    # every capital map the tests hand the solver has an analytic gradient;
+    # the points keep away from TwoModeCapital's kink w1 . s = w2 . s
+    two_mode = TwoModeCapital([0.2, 1.0], [1.0, -0.6], level=3.0)
+    maps = [*random_map_suite(seed=11), two_mode,
+            CountingCapital(random_map_suite(n_maps=1, seed=12)[0]),
+            CountingCapital(two_mode),
+            LinearCapital(weights=np.array([0.4, 1.0]), level=3.0)]
+    points = np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 2))
+    points = points[np.abs(points @ (two_mode.w[0] - two_mode.w[1])) > 1e-3]
+    for cap in maps:
+        for s in points:
+            fd = fd_grad(cap.ratio, s)
+            assert np.allclose(cap.ratio_grad(s), fd, rtol=1e-6,
+                               atol=1e-9 * cap.r0)
 
 
 def test_early_stop_finds_the_global_of_two_modes(correlated_model):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from georst import InvalidInputError, SectorSensitivities, SoftClip
-from georst.transmission import (monotonicity_rows,
-                                 smooth_monotonicity_violation)
+from georst import InvalidInputError, SectorSensitivities
+from georst.transmission import (SOFTCLIP_HI, SOFTCLIP_LO, monotonicity_rows,
+                                 smooth_monotonicity_violation, softclip)
 
 from conftest import (make_portfolio, make_sensitivities,
                       monotonicity_violation, portfolio_from_rows)
@@ -55,20 +55,17 @@ def test_stressed_lgd_saturates_inside_unit_interval():
 
 
 def test_softclip_identity_core_and_bounds():
-    sc = SoftClip()
-    core = np.linspace(sc.lo + 0.02, sc.hi - 0.02, 50)
-    assert sc.value_and_slope(core)[0] == pytest.approx(core, abs=1e-9)
+    core = np.linspace(SOFTCLIP_LO + 0.02, SOFTCLIP_HI - 0.02, 50)
+    assert softclip(core)[0] == pytest.approx(core, abs=1e-9)
     # far tails saturate onto [lo, hi] at double precision; values never
     # escape the unit interval
-    v = sc.value_and_slope(np.linspace(-5.0, 6.0, 200))[0]
-    assert np.all((sc.lo <= v) & (v <= sc.hi))
+    v = softclip(np.linspace(-5.0, 6.0, 200))[0]
+    assert np.all((SOFTCLIP_LO <= v) & (v <= SOFTCLIP_HI))
 
 
 def test_softclip_monotone_and_c1():
-    sc = SoftClip()
-
     def value(t):
-        return sc.value_and_slope(t)[0]
+        return softclip(t)[0]
 
     t = np.linspace(-2.0, 3.0, 1000)
     assert np.all(np.diff(value(t)) >= 0)
@@ -78,14 +75,7 @@ def test_softclip_monotone_and_c1():
     # the slope agrees with central differences, including across the blends
     h = 1e-6
     fd = (value(t + h) - value(t - h)) / (2 * h)
-    assert sc.value_and_slope(t)[1] == pytest.approx(fd, abs=1e-5)
-
-
-def test_softclip_invalid_config():
-    with pytest.raises(InvalidInputError):
-        SoftClip(lo=0.5, hi=0.4)
-    with pytest.raises(InvalidInputError):
-        SoftClip(lo=0.0, hi=0.03, width=0.02)
+    assert softclip(t)[1] == pytest.approx(fd, abs=1e-5)
 
 
 def test_pd_jacobian_matches_finite_differences():
