@@ -406,11 +406,11 @@ def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
                                       model.whiten(s_star), P - 1)
         picks.extend(scenarios[i] for i in idx)
     entries = []
-    for s in picks:
+    for s, ratio in zip(picks, capital.ratio_many(np.array(picks))):
         score = model.plausibility(s)
         entries.append(ScenarioEntry(
             s=s,
-            ratio=capital.ratio(s),
+            ratio=float(ratio),
             mahalanobis_sq=score.mahalanobis_sq,
             tail_probability=score.tail_probability,
             rarity=score.rarity,

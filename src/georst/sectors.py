@@ -22,7 +22,6 @@ class SectorAggregate:
     weight_total: float
     pd_star: float
     lgd_star: float
-    exposure_weights: np.ndarray
 
 
 def aggregate_sectors(portfolio: Portfolio, s) -> list[SectorAggregate]:
@@ -38,7 +37,6 @@ def aggregate_sectors(portfolio: Portfolio, s) -> list[SectorAggregate]:
             weight_total=float(ead.sum()),
             pd_star=float(w @ pd[idx]),
             lgd_star=float(w @ lgd[idx]),
-            exposure_weights=w,
         ))
     return out
 

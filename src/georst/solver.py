@@ -8,9 +8,7 @@ multi-start; a brute-force grid oracle validates 2-D problems.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,7 +31,6 @@ MAX_INNER_ITER = 200    # SLSQP iterations per start
 # the breaching end of the frontier bracket, the fixed-g polish sets g back
 # to g_j, and the box and monotonicity rows stay far inside TOL_CONSTRAINT.
 SLSQP_FTOL = 1e-12
-WARM_START_T_CAP = 4096.0  # longest warm-start ray, in marginal std devs
 POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
 
 
@@ -143,9 +140,9 @@ def _breach_margin(model: ReferenceModel, capital):
     scale = _constraint_scale(capital)
 
     def margin(y):
-        return (capital.r_star - capital.ratio(L @ y)) / scale
+        return (capital.r_star - capital.ratio(model.unwhiten(y))) / scale
 
-    return margin, lambda y: -(capital.ratio_grad(L @ y) @ L) / scale
+    return margin, lambda y: -(capital.ratio_grad(model.unwhiten(y)) @ L) / scale
 
 
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
@@ -224,39 +221,23 @@ def _frontier_t(ratio_at, r_star: float, r_0: float, t: float,
     return hi
 
 
-def _frontier_warm_start(model: ReferenceModel, capital,
-                         constraints: ConstraintSet,
-                         g_j: float) -> np.ndarray:
-    """A near-frontier start on the stress ray (g_j, t sigma_x), clipped to
-    the box: the point at the breaching end of ``_frontier_t``'s bracket
-    from t = 1, or the ray's origin when it breaches or when no t up to
-    WARM_START_T_CAP does."""
-    d = model.d
-    v = np.sqrt(np.diag(model.sigma)[1:])
-
-    def point(t):
-        s = np.empty(d)
-        s[0] = g_j
-        s[1:] = t * v
-        return constraints.clip(s)
-
-    r_0 = capital.ratio(point(0.0))
-    if breaches(r_0, capital.r_star):
-        return point(0.0)
-    t = _frontier_t(lambda t: capital.ratio(point(t)), capital.r_star, r_0,
-                    1.0, WARM_START_T_CAP)
-    return point(0.0 if t is None else t)
+def _g_start(model: ReferenceModel, constraints: ConstraintSet,
+             g_j: float) -> np.ndarray:
+    """The whitened start (g_j, 0, ..., 0), clipped to the box. It need not
+    breach: SLSQP accepts an infeasible start, and the polish moves its end
+    onto the breaching side."""
+    s = np.zeros(model.d)
+    s[0] = g_j
+    return model.whiten(constraints.clip(s))
 
 
-def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
+def _generate_starts(model: ReferenceModel, constraints: ConstraintSet,
                      config: SolverConfig,
-                     rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Half whitened-sphere draws, then half g-grid conditional warm starts,
-    as a lazy sequence. The sphere draws are made here, up front: they cost
-    no R(s) call. Each warm start costs a frontier search, so it is built
-    only when the caller takes it."""
+                     rng: np.random.Generator) -> list[np.ndarray]:
+    """Half whitened-sphere draws, then half g-grid starts (g_j, 0, ..., 0).
+    No start costs an R(s) call."""
     d = model.d
-    sphere = []
+    starts = []
     n_sphere = config.n_starts // 2
     radii = (1.0, 2.0, 3.0, 4.0)
     for i in range(n_sphere):
@@ -264,13 +245,11 @@ def _generate_starts(model: ReferenceModel, capital, constraints: ConstraintSet,
         u /= max(np.linalg.norm(u), 1e-12)
         y = radii[i % len(radii)] * u
         s = constraints.clip(model.unwhiten(y))
-        sphere.append(model.whiten(s))
+        starts.append(model.whiten(s))
     n_grid = config.n_starts - n_sphere
     g_cap = _g_cap(model, constraints)
     g_values = np.linspace(constraints.g_min, g_cap, max(n_grid, 2))[:n_grid]
-    return chain(sphere, (
-        model.whiten(_frontier_warm_start(model, capital, constraints, g_j))
-        for g_j in g_values))
+    return starts + [_g_start(model, constraints, g_j) for g_j in g_values]
 
 
 def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
@@ -298,7 +277,7 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     norm = np.linalg.norm(grad)
     if not norm >= 1e-14:
         return None
-    step = model.chol @ (grad / norm)
+    step = model.unwhiten(grad / norm)
     # four times the linearized distance to the frontier
     t_0 = (r_0 - capital.r_star) / _constraint_scale(capital) / norm * 4.0
     t_0 += 1e-12
@@ -340,33 +319,33 @@ def solve_design_point(model: ReferenceModel, capital,
     Multi-start SLSQP in whitened coordinates, feasibility polish onto the
     breach frontier, deduplication of local optima, and a deterministic
     lexicographic tie-break. The starts run in order, sphere draws first,
-    then g-grid warm starts, each warm start built only when reached. The
-    search stops once CONFIRMATIONS starts in a row each end feasible
-    within DEDUP_RADIUS of the best optimum so far; any other end (a new,
-    distinct best, a different optimum, an infeasible point) resets the
-    count. config.n_starts caps the starts, and the result's n_starts
-    counts those run. Raises InfeasibleError when no breach exists within
-    bounds, NonConvergenceError when starts exist but none converge to a
-    feasible point.
+    then g-grid starts. The search stops once CONFIRMATIONS starts in a row
+    each end feasible within DEDUP_RADIUS of the best optimum so far; any
+    other end (a new, distinct best, a different optimum, an infeasible
+    point) resets the count. config.n_starts caps the starts, and the
+    result's n_starts counts those run. A solve's end is the polished point,
+    or the SLSQP end when the polish finds none. When no end is feasible,
+    raises NonConvergenceError if some end, clipped to the box, breaches,
+    and InfeasibleError otherwise.
     """
     if constraints is None:
         constraints = ConstraintSet()
     if config is None:
         config = SolverConfig()
     rng = np.random.default_rng(config.seed)
-    starts = _generate_starts(model, capital, constraints, config, rng)
+    starts = _generate_starts(model, constraints, config, rng)
     cons = _build_constraints(model, capital, constraints)
 
-    tried: list[np.ndarray] = []
+    ends: list[np.ndarray] = []
     optima: list[LocalOptimum] = []
     incumbent: LocalOptimum | None = None
     confirmed = 0
     for idx, y0 in enumerate(starts):
-        tried.append(y0)
         res = _solve_from(y0, cons)
         s = _polish_to_frontier(model, capital, res.x)
         if s is None:
             s = model.unwhiten(res.x)
+        ends.append(s)
         if not _feasible(capital, constraints, s):
             confirmed = 0
             continue
@@ -386,8 +365,8 @@ def solve_design_point(model: ReferenceModel, capital,
 
     if not optima:
         # no start ended feasible, so none stopped the search early
-        if not any(breaches(capital.ratio(constraints.clip(model.unwhiten(y))),
-                            capital.r_star) for y in tried):
+        if not any(breaches(capital.ratio(constraints.clip(s)), capital.r_star)
+                   for s in ends):
             raise InfeasibleError(
                 "no capital-breaching scenario found within the admissible bounds")
         raise NonConvergenceError(
@@ -404,7 +383,7 @@ def solve_design_point(model: ReferenceModel, capital,
         ratio_at_optimum=best.ratio,
         active=active,
         local_optima=deduped,
-        n_starts=len(tried),
+        n_starts=len(ends),
     )
 
 
@@ -417,13 +396,12 @@ def conditional_anchor(model: ReferenceModel, capital,
     anchor has g == g_j exactly and R <= r_star, so it passes the breach test
     of ``Membership``. ``constraints.check_g`` gives the admissible g_j.
 
-    The anchor is one SLSQP solve from the frontier warm start at g_j,
+    The anchor is one SLSQP solve from (g_j, 0, ..., 0), clipped to the box,
     polished at fixed g; when that solve ends infeasible the anchor is None.
     """
     constraints.check_g(g_j)
     cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
-    res = _solve_from(model.whiten(_frontier_warm_start(
-        model, capital, constraints, g_j)), cons)
+    res = _solve_from(_g_start(model, constraints, g_j), cons)
     # an SLSQP end off g = g_j beyond its tolerance is not polished
     if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
         return None

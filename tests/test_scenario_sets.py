@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from georst import (ConstraintSet, Family, InvalidInputError, LinearCapital,
+from georst import (ConstraintSet, CreditCapitalModel, Family,
+                    InvalidInputError, LinearCapital,
                     Membership, NearOptimalSpec, NeighbourhoodSpec,
                     ReferenceModel,
                     SolverConfig, TargetSet, build_pool, conditional_anchor,
@@ -434,6 +435,37 @@ def test_reduce_puts_design_point_first(half_plane):
     assert lst.entries[0].s == pytest.approx(res.s_star)
     assert lst.entries[0].ratio == pytest.approx(cap.r_star, abs=1e-6)
     assert len(lst) == 3
+
+
+@pytest.mark.parametrize("rwa_0", [50.0, 1e7])
+def test_reduce_evaluates_the_list_in_one_kernel_pass(correlated_model,
+                                                       monkeypatch, rwa_0):
+    # the listed scenarios' R(s) come from one ratio_many block, each equal
+    # bit for bit to its own ratio call, with the same RWA-floor hits; at
+    # rwa_0 = 1e7 every scenario is held at the floor
+    pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
+                        gamma=(0.08,), pd0=0.015, lgd0=0.4)
+    cap = make_credit_capital(pf, cet1_0=6.0, rwa_0=rwa_0)
+    rng = np.random.default_rng(5)
+    pool = CandidatePool(
+        target=TargetSet.NEIGHBOURHOOD,
+        entries=[PoolEntry(s=s, origin="local_draw")
+                 for s in rng.standard_normal((30, 2))])
+    passes = []
+    kernel = CreditCapitalModel._kernel
+
+    def counting_kernel(self, arr):
+        passes.append(arr.shape)
+        return kernel(self, arr)
+
+    monkeypatch.setattr(CreditCapitalModel, "_kernel", counting_kernel)
+    lst = reduce_farthest_point(correlated_model, pool, np.zeros(2), P=6,
+                                capital=cap)
+    assert passes == [(6, 2)]
+    hits, cap.rwa_floor_hits = cap.rwa_floor_hits, 0
+    assert all(e.ratio == cap.ratio(e.s) for e in lst.entries)
+    assert cap.rwa_floor_hits == hits
+    assert hits == (6 if rwa_0 > 1e6 else 0)
 
 
 def test_reduce_rejects_oversized_list(half_plane):

@@ -85,7 +85,6 @@ def test_aggregate_sectors_ead_weighting():
     assert agg.weight_total == 100.0
     assert agg.pd_star == pytest.approx(0.3 * 0.01 + 0.7 * 0.03)
     assert agg.lgd_star == pytest.approx(0.3 * 0.3 + 0.7 * 0.5, abs=1e-9)
-    assert agg.exposure_weights == pytest.approx([0.3, 0.7])
 
 
 def test_aggregate_sector_pd_rises_under_stress():
@@ -135,4 +134,3 @@ def test_aggregate_sectors_matches_a_scan_of_the_exposures():
         w = pf.ead[idx] / pf.ead[idx].sum()
         assert agg.pd_star == float(w @ pd[idx])
         assert agg.lgd_star == float(w @ lgd[idx])
-        assert np.array_equal(agg.exposure_weights, w)

@@ -11,7 +11,8 @@ from scipy.optimize import OptimizeResult, minimize
 
 from georst import (ConstraintSet, CreditCapitalModel, Family,
                     InfeasibleError, InvalidInputError, LinearCapital,
-                    LossQuantileSpec, ReferenceModel, SolverConfig,
+                    LossQuantileSpec, NonConvergenceError, ReferenceModel,
+                    SolverConfig,
                     conditional_anchor, grid_oracle, risk_weight,
                     solve_design_point)
 from georst import solver
@@ -19,8 +20,7 @@ from georst.capital import breaches
 from georst.runner import RunConfig, build_context
 from georst.scenario_sets import default_g_grid
 from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
-                           _frontier_t, _frontier_warm_start,
-                           _polish_to_frontier, _solve_from)
+                           _frontier_t, _polish_to_frontier, _solve_from)
 from georst.transmission import monotonicity_rows
 
 from conftest import (CountingCapital, fd_grad, generate_inputs,
@@ -351,9 +351,10 @@ def test_design_point_kkt_alignment(correlated_model):
 
 
 def bisection_warm_start(model, capital, constraints, g_j, t_cap=4096.0):
-    """The reference: double t until point(t) breaches, then 40 halvings of
-    the bracket from the last t that does not breach. Returns point(hi) and
-    the final bracket width in t."""
+    """A near-frontier start on the stress ray (g_j, t sigma_x), clipped to
+    the box: the ray's origin when it breaches or when no t up to t_cap
+    does; otherwise t doubles until point(t) breaches, and 40 halvings of
+    the bracket from the last t that does not breach give point(hi)."""
     v = np.sqrt(np.diag(model.sigma)[1:])
 
     def point(t):
@@ -362,39 +363,20 @@ def bisection_warm_start(model, capital, constraints, g_j, t_cap=4096.0):
     def breach(t):
         return breaches(capital.ratio(point(t)), capital.r_star)
 
-    assert not breach(0.0)
+    if breach(0.0):
+        return point(0.0)
     lo, hi = 0.0, 1.0
     while not breach(hi):
         lo, hi = hi, 2.0 * hi
-        assert hi <= t_cap
+        if hi > t_cap:
+            return point(0.0)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         if breach(mid):
             hi = mid
         else:
             lo = mid
-    return point(hi), hi - lo
-
-
-@pytest.mark.parametrize("kind", ["linear", "credit"])
-def test_frontier_warm_start_root_find(correlated_model, kind):
-    if kind == "linear":
-        cap = LinearCapital(weights=np.array([0.4, 1.0]), level=3.0)
-    else:
-        pf = make_portfolio(n=20, delta=0.9, beta=(0.8,), eta=0.12,
-                            gamma=(0.08,), pd0=0.015, lgd0=0.4)
-        cap = make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
-    cons = ConstraintSet()
-    for g_j in (1e-6, 0.5, 1.2, 2.0):
-        counting = CountingCapital(cap)
-        s = _frontier_warm_start(correlated_model, counting, cons, g_j)
-        # the start breaches, sits as close to the frontier as 40 halvings
-        # put it, and costs a third of their R(s) calls or less
-        assert s[0] == g_j
-        assert breaches(cap.ratio(s), cap.r_star)
-        ref, width = bisection_warm_start(correlated_model, cap, cons, g_j)
-        assert abs(s[1] - ref[1]) <= width
-        assert counting.calls <= 15
+    return point(hi)
 
 
 def test_frontier_t_stops_at_an_exact_root():
@@ -446,13 +428,13 @@ def credit_fixture():
 
 
 def multi_start_anchor(model, capital, constraints, g_j, config):
-    """The reference: the frontier warm start and max(6, n_starts // 4) - 1
+    """The reference: the near-frontier start and max(6, n_starts // 4) - 1
     random starts at g_j, every one solved, the feasible result with the
     lowest m^2 kept."""
     d = model.d
     cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
     rng = np.random.default_rng(config.seed + 1)
-    starts = [model.whiten(_frontier_warm_start(model, capital, constraints,
+    starts = [model.whiten(bisection_warm_start(model, capital, constraints,
                                                 g_j))]
     stds = np.sqrt(np.diag(model.sigma)[1:])
     radii = (1.0, 2.0, 3.0)
@@ -488,7 +470,7 @@ def anchor_setup(request, correlated_model, tmp_path):
     return ctx.model, ctx.capital, ctx.constraints, ctx.solver_config
 
 
-def test_warm_start_anchor_matches_the_multi_start_solve(anchor_setup):
+def test_anchor_matches_the_multi_start_solve(anchor_setup):
     model, cap, cons, config = anchor_setup
     for g_j in default_g_grid(model, cons):
         g_j = float(g_j)
@@ -547,8 +529,8 @@ def counted_minimize(monkeypatch):
     return calls
 
 
-def test_feasible_warm_start_solve_is_the_only_solve(correlated_model,
-                                                     counted_minimize):
+def test_feasible_anchor_solve_is_the_only_solve(correlated_model,
+                                                 counted_minimize):
     cap = credit_fixture()
     cons = ConstraintSet()
     for g_j in default_g_grid(correlated_model, cons):
@@ -558,10 +540,37 @@ def test_feasible_warm_start_solve_is_the_only_solve(correlated_model,
         assert len(counted_minimize) == 1
 
 
+def test_anchor_makes_no_kernel_pass_before_its_solve(correlated_model,
+                                                      monkeypatch):
+    # the start (g_j, 0, ..., 0) costs no R(s) call: SLSQP makes the first
+    events = []
+    kernel = CreditCapitalModel._kernel
+    solve_from = solver._solve_from
+
+    def counting_kernel(self, arr):
+        events.append("kernel")
+        return kernel(self, arr)
+
+    def marking_solve_from(*args):
+        events.append("slsqp")
+        return solve_from(*args)
+
+    monkeypatch.setattr(CreditCapitalModel, "_kernel", counting_kernel)
+    monkeypatch.setattr(solver, "_solve_from", marking_solve_from)
+    cap = credit_fixture()
+    cons = ConstraintSet()
+    for g_j in default_g_grid(correlated_model, cons):
+        events.clear()
+        assert conditional_anchor(correlated_model, cap, cons,
+                                  float(g_j)) is not None
+        assert events[0] == "slsqp"
+        assert events.count("slsqp") == 1
+
+
 def test_an_anchor_that_does_not_exist_costs_one_solve(tmp_path,
                                                       counted_minimize):
     # with monotonicity no feasible x exists at g_min on the toy sector
-    # inputs: the warm-start solve ends infeasible, and nothing else runs
+    # inputs: the anchor's solve ends infeasible, and nothing else runs
     config = generate_toy_inputs("scenario-list-sector", tmp_path)
     raw = json.loads(config.read_text())
     raw["constraints"] = {"enforce_monotonicity": True}
@@ -574,14 +583,9 @@ def test_an_anchor_that_does_not_exist_costs_one_solve(tmp_path,
 
 
 def test_design_point_stops_once_the_best_is_confirmed(correlated_model,
-                                                      counted_minimize,
-                                                      monkeypatch):
+                                                      counted_minimize):
     # every sphere start reaches the one optimum: the first sets it, the
-    # next CONFIRMATIONS re-find it, and no warm start is ever built
-    def no_warm_start(*args):
-        raise AssertionError("warm start built")
-
-    monkeypatch.setattr(solver, "_frontier_warm_start", no_warm_start)
+    # next CONFIRMATIONS re-find it, and no g-grid start is solved
     res = solve_design_point(correlated_model, credit_fixture(),
                              ConstraintSet(), SolverConfig(seed=0))
     assert len(counted_minimize) == solver.CONFIRMATIONS + 1
@@ -591,9 +595,10 @@ def test_design_point_stops_once_the_best_is_confirmed(correlated_model,
 
 def test_feasible_design_point_makes_no_breach_probe(correlated_model,
                                                      monkeypatch):
-    # the probe evaluates R(s) at the starts, before any solve, to tell an
+    # the probe evaluates R(s) at the solves' clipped ends to tell an
     # infeasible problem from a non-converged one; a solve that finds an
-    # optimum never reads it, so its first R(s) call is inside SLSQP
+    # optimum never reads it, and no start costs an R(s) call, so the first
+    # R(s) call is inside SLSQP
     events = []
     ratio = CreditCapitalModel.ratio
     solve_from = solver._solve_from
@@ -629,6 +634,22 @@ def test_a_start_that_does_not_confirm_resets_the_count(identity_model,
                              SolverConfig(seed=0))
     assert res.n_starts == 7
     assert res.s_star.tolist() == a
+
+
+def test_a_breaching_end_outside_the_box_is_non_convergence(identity_model,
+                                                            monkeypatch):
+    # w . s >= 6 breaches and (3, 3) is feasible in the box x <= 4, but no
+    # start breaches: the sphere's radius is at most 4 and the g-grid
+    # starts sit at x = 0. Every solve is scripted to end at (2.5, 4.5),
+    # which breaches outside the box; clipped to (2.5, 4) it still breaches,
+    # so the solve did not converge, and the problem is not infeasible
+    end = np.array([2.5, 4.5])
+    monkeypatch.setattr(solver, "_solve_from", lambda y0, cons: (
+        OptimizeResult(x=end.copy())))
+    cap = LinearCapital(weights=np.array([1.0, 1.0]), level=6.0)
+    cons = ConstraintSet(x_max=4.0)
+    with pytest.raises(NonConvergenceError):
+        solve_design_point(identity_model, cap, cons, SolverConfig(seed=0))
 
 
 class TwoModeCapital:
