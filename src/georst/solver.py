@@ -27,11 +27,11 @@ MAX_INNER_ITER = 200    # SLSQP iterations per start
 # f = m^2 / 2. 1e-12 is at least 8 ulps of f for every f < 1024
 # (m^2 < 2048); a tighter bound sits below one ulp of f once f >= 64, and
 # the solve then runs R(s) on round-off until the line search fails. The
-# same bound limits the summed constraint violation: the polish returns
-# the breaching end of the frontier bracket, the fixed-g polish sets g back
-# to g_j, and the box and monotonicity rows stay far inside TOL_CONSTRAINT.
+# same bound limits the summed constraint violation: the polish steps onto
+# the breaching side of the frontier, the fixed-g polish sets g back to g_j,
+# and the box and monotonicity rows stay far inside TOL_CONSTRAINT.
 SLSQP_FTOL = 1e-12
-POLISH_GROWTH = 2.0 ** 60  # longest polish ray over its first step
+POLISH_GROWTH = 2.0 ** 60  # longest polish step over the Newton step
 
 
 @dataclass
@@ -176,51 +176,6 @@ def _g_cap(model: ReferenceModel, constraints: ConstraintSet) -> float:
     return normal_quantile(0.999) * model.marginal_std(0)
 
 
-def _frontier_t(ratio_at, r_star: float, r_0: float, t: float,
-                t_cap: float) -> float | None:
-    """The breaching end of a bracket on the frontier R = r_star along a ray.
-
-    ratio_at(t) is R at distance t along the ray and r_0 = ratio_at(0),
-    which does not breach. Doubles t from the given first step until
-    ratio_at(t) breaches, or returns None once t passes t_cap. Then shrinks
-    the bracket [lo, hi] (lo does not breach, hi does) by Illinois regula
-    falsi on f(t) = ratio_at(t) - r_star, bisecting when the secant point
-    leaves the bracket, to the width max(hi 2^-41, 1e-15), or until f(hi)
-    is exactly 0. The floor stops a search at round-off scale, where f is
-    noise of a few ulps. Returns hi.
-    """
-    lo, f_lo = 0.0, r_0 - r_star
-    while True:
-        if t > t_cap:
-            return None
-        r = ratio_at(t)
-        if breaches(r, r_star):
-            break
-        lo, f_lo, t = t, r - r_star, 2.0 * t
-    hi, f_hi = t, r - r_star
-    width = max(hi * 2.0 ** -41, 1e-15)
-    kept = 0  # +1 / -1 when the last step kept lo / hi
-    while hi - lo > width and f_hi != 0.0:
-        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo <= t <= hi:
-            t = 0.5 * (lo + hi)
-        # a step of at least width / 2 from each end closes the bracket
-        # when the root sits at one end, where regula falsi stalls
-        t = min(max(t, lo + 0.5 * width), hi - 0.5 * width)
-        r = ratio_at(t)
-        if breaches(r, r_star):
-            hi, f_hi = t, r - r_star
-            if kept == 1:
-                f_lo *= 0.5
-            kept = 1
-        else:
-            lo, f_lo = t, r - r_star
-            if kept == -1:
-                f_hi *= 0.5
-            kept = -1
-    return hi
-
-
 def _g_start(model: ReferenceModel, constraints: ConstraintSet,
              g_j: float) -> np.ndarray:
     """The whitened start (g_j, 0, ..., 0), clipped to the box. It need not
@@ -257,11 +212,13 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     """Move a near-frontier iterate onto the breaching side of R = r_star.
 
     Returns s = L y, with s[0] set to g_fixed when given, if it breaches.
-    Otherwise searches the ray from s along the breach margin's gradient in
-    y with ``_frontier_t`` and returns the point at the breaching end of the
-    bracket, or None when the ray finds no breach. With g_fixed the
-    gradient's y_0 part is zeroed: L is lower triangular, so the ray's first
-    component is exactly 0 and s[0] stays g_fixed bit for bit.
+    Otherwise steps from y along the breach margin's gradient in y by the
+    Newton step onto the linearized frontier, t = -c(y) / |grad c(y)|, and
+    doubles t until s + t L grad / |grad| breaches. Returns that first
+    breaching point, or None once t passes POLISH_GROWTH times the Newton
+    step. With g_fixed the gradient's y_0 part is zeroed: L is lower
+    triangular, so the step's first component is exactly 0 and s[0] stays
+    g_fixed bit for bit.
     """
     s = model.unwhiten(y)
     if g_fixed is not None:
@@ -278,12 +235,14 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     if not norm >= 1e-14:
         return None
     step = model.unwhiten(grad / norm)
-    # four times the linearized distance to the frontier
-    t_0 = (r_0 - capital.r_star) / _constraint_scale(capital) / norm * 4.0
-    t_0 += 1e-12
-    t = _frontier_t(lambda t: capital.ratio(s + t * step), capital.r_star,
-                    r_0, t_0, t_0 * POLISH_GROWTH)
-    return None if t is None else s + t * step
+    t = (r_0 - capital.r_star) / _constraint_scale(capital) / norm
+    t_cap = t * POLISH_GROWTH
+    while t <= t_cap:
+        s_t = s + t * step
+        if breaches(capital.ratio(s_t), capital.r_star):
+            return s_t
+        t *= 2.0
+    return None
 
 
 def _solve_from(y0: np.ndarray, cons: list[dict]):
