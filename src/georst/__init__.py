@@ -17,7 +17,7 @@ from .reference import (Family, PlausibilityScore, ReferenceModel,
 from .scenario_sets import (Membership, NearOptimalSpec, NeighbourhoodSpec,
                             TargetSet, build_pool, driver_decomposition,
                             hit_and_run, local_sample, reduce_farthest_point)
-from .sectors import SectorPortfolio, SectorRecord, aggregate_sectors
+from .sectors import SectorPortfolio, aggregate_sectors
 from .solver import (ConstraintSet, DesignPointResult, SolverConfig,
                      conditional_anchor, grid_oracle, solve_design_point)
 from .transmission import Portfolio, SectorSensitivities
@@ -33,7 +33,7 @@ __all__ = [
     "Membership", "NearOptimalSpec", "NeighbourhoodSpec", "TargetSet",
     "build_pool", "driver_decomposition", "hit_and_run", "local_sample",
     "reduce_farthest_point",
-    "SectorPortfolio", "SectorRecord", "aggregate_sectors",
+    "SectorPortfolio", "aggregate_sectors",
     "ConstraintSet", "DesignPointResult", "SolverConfig",
     "conditional_anchor", "grid_oracle", "solve_design_point",
     "Portfolio", "SectorSensitivities",

@@ -23,7 +23,7 @@ from scipy.special import ndtr, ndtri
 from .errors import InvalidInputError
 from .loss import (LossQuantileSpec, clip_pd, conditional_default_prob,
                    tail_pd_derivative)
-from .reference import as_scenario_array, as_scenario_block
+from .reference import as_scenarios
 from .transmission import Portfolio
 
 RWA_FLOOR_FRACTION = 1e-6
@@ -327,7 +327,7 @@ class CreditCapitalModel:
 
     def _evaluate(self, s) -> _Point:
         """The kernel at one scenario, through the last-point memo."""
-        arr = as_scenario_array(s, self.portfolio.d)
+        arr = as_scenarios(s, self.portfolio.d, ndim=(1,))
         key = arr.tobytes()
         if self._last is not None and self._last[0] == key:
             return self._last[1]
@@ -389,7 +389,7 @@ class CreditCapitalModel:
         at most BLOCK_ELEMENTS per-exposure terms, with ``ratio_many(S)[i]
         == ratio(S[i])`` bit for bit. Each row held at the RWA floor counts
         one floor hit. The single-scenario memo is neither read nor set."""
-        S = as_scenario_block(S, self.d)
+        S = as_scenarios(S, self.d, ndim=(2,))
         out = np.empty(S.shape[0])
         step = max(1, BLOCK_ELEMENTS // self.portfolio.n)
         for lo in range(0, S.shape[0], step):

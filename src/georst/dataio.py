@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .sectors import SectorPortfolio, SectorRecord
+from .sectors import SectorPortfolio
 from .transmission import CREDIT_COLUMNS, Portfolio, SectorSensitivities
 
 
@@ -151,9 +151,10 @@ def load_history(path) -> tuple[np.ndarray, tuple[str, ...]]:
     return _read_matrix(path)
 
 
-def load_sensitivities(path, factor_names) -> dict[str, SectorSensitivities]:
+def load_sensitivities(path, factor_names) -> SectorSensitivities:
     """Sensitivities file: sector_id, delta, eta, then beta_<f> and gamma_<f>
-    columns for each macro-financial factor, in covariance order."""
+    columns for each macro-financial factor, in covariance order, as one
+    table with a row per sector."""
     x_names = list(factor_names)[1:]
     names = (["delta", "eta"] + [f"beta_{n}" for n in x_names]
              + [f"gamma_{n}" for n in x_names])
@@ -162,13 +163,11 @@ def load_sensitivities(path, factor_names) -> dict[str, SectorSensitivities]:
     values = np.column_stack(values)
     _reject_nonfinite(path, ids, names, values)
     m = len(x_names)
-    return {sid: SectorSensitivities(sector_id=sid, delta=float(v[0]),
-                                     eta=float(v[1]), beta=v[2:2 + m],
-                                     gamma=v[2 + m:])
-            for sid, v in zip(ids, values)}
+    return SectorSensitivities(ids, pd=values[:, np.r_[0, 2:2 + m]],
+                               lgd=values[:, np.r_[1, 2 + m:2 + 2 * m]])
 
 
-def load_portfolio(path, sensitivities: dict[str, SectorSensitivities],
+def load_portfolio(path, sensitivities: SectorSensitivities,
                    sign_constraints: bool = True) -> Portfolio:
     """Exposure file: exposure_id, sector_id, ead, pd0, lgd0, rho, maturity."""
     (ids, sector_ids), values = _read_columns(
@@ -178,13 +177,14 @@ def load_portfolio(path, sensitivities: dict[str, SectorSensitivities],
                      sectors=sensitivities, sign_constraints=sign_constraints)
 
 
-def load_sector_portfolio(path, sensitivities: dict[str, SectorSensitivities],
+def load_sector_portfolio(path, sensitivities: SectorSensitivities,
                           sign_constraints: bool = True) -> SectorPortfolio:
-    """Sector file: sector_id, ead, pd0, lgd0, rho, maturity."""
+    """Sector file: sector_id, ead, pd0, lgd0, rho, maturity, as one record
+    array."""
     (ids,), values = _read_columns(path, ["sector_id"], CREDIT_COLUMNS)
     _reject_repeats(path, "sector_id", ids)
-    records = [SectorRecord(*row)
-               for row in zip(ids, *(v.tolist() for v in values))]
+    records = np.rec.fromarrays([ids, *values],
+                                names=["sector_id", *CREDIT_COLUMNS])
     return SectorPortfolio(records=records, sensitivities=sensitivities,
                            sign_constraints=sign_constraints)
 

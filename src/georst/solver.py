@@ -134,15 +134,15 @@ def _constraint_scale(capital) -> float:
 
 def _breach_margin(model: ReferenceModel, capital):
     """The scaled breach margin c(y) = (r_star - R(L y)) / scale, c >= 0 on
-    the breach set, and its gradient in y from the capital map's
-    ``ratio_grad``."""
+    the breach set, and its gradient in y as a function of s = L y, from
+    the capital map's ``ratio_grad`` at s itself."""
     L = model.chol
     scale = _constraint_scale(capital)
 
     def margin(y):
         return (capital.r_star - capital.ratio(model.unwhiten(y))) / scale
 
-    return margin, lambda y: -(capital.ratio_grad(model.unwhiten(y)) @ L) / scale
+    return margin, lambda s: -(capital.ratio_grad(s) @ L) / scale
 
 
 def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
@@ -152,8 +152,9 @@ def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSe
     the monotonicity rows M L y >= 0 when they are set; with g_fixed, the
     equality g = g_fixed in place of the block's g rows."""
     L = model.chol
-    breach_fun, breach_jac = _breach_margin(model, capital)
-    cons = [{"type": "ineq", "fun": breach_fun, "jac": breach_jac}]
+    breach_fun, breach_grad = _breach_margin(model, capital)
+    cons = [{"type": "ineq", "fun": breach_fun,
+             "jac": lambda y: breach_grad(model.unwhiten(y))}]
     lo, hi = constraints.bounds(model.d)
     if g_fixed is not None:
         lo[0], hi[0] = -np.inf, np.inf
@@ -212,8 +213,9 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     """Move a near-frontier iterate onto the breaching side of R = r_star.
 
     Returns s = L y, with s[0] set to g_fixed when given, if it breaches.
-    Otherwise steps from y along the breach margin's gradient in y by the
-    Newton step onto the linearized frontier, t = -c(y) / |grad c(y)|, and
+    Otherwise steps from y along the breach margin's gradient in y, taken
+    at s itself so that it reuses the kernel pass of R(s), by the Newton
+    step onto the linearized frontier, t = -c(y) / |grad c(y)|, and
     doubles t until s + t L grad / |grad| breaches. Returns that first
     breaching point, or None once t passes POLISH_GROWTH times the Newton
     step. With g_fixed the gradient's y_0 part is zeroed: L is lower
@@ -223,12 +225,11 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     s = model.unwhiten(y)
     if g_fixed is not None:
         s[0] = g_fixed
-        y = model.whiten(s)
     r_0 = capital.ratio(s)
     if breaches(r_0, capital.r_star):
         return s
     _, c_grad = _breach_margin(model, capital)
-    grad = c_grad(y)
+    grad = c_grad(s)
     if g_fixed is not None:
         grad[0] = 0.0
     norm = np.linalg.norm(grad)

@@ -54,19 +54,25 @@ def softclip(t) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SectorSensitivities:
-    """Per-sector shock loadings for the PD and LGD mappings."""
+    """The sectors' shock loadings as one table, row k for sector_id[k]:
+    ``pd`` (k, d) holds the PD log-odds loadings [delta | beta] on
+    s = (g, x), and ``lgd`` (k, d) the LGD loadings [eta | gamma]."""
 
-    sector_id: str
-    delta: float            # PD log-odds loading on g
-    eta: float              # LGD loading on g
-    beta: np.ndarray        # PD log-odds loadings on x, length d-1
-    gamma: np.ndarray       # LGD loadings on x, length d-1
+    sector_id: list[str]
+    pd: np.ndarray
+    lgd: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        if self.beta.ndim != 1 or self.gamma.shape != self.beta.shape:
-            raise InvalidInputError("beta and gamma must be vectors of equal length")
+        object.__setattr__(self, "pd", np.asarray(self.pd, dtype=float))
+        object.__setattr__(self, "lgd", np.asarray(self.lgd, dtype=float))
+        if (self.pd.ndim != 2 or self.lgd.shape != self.pd.shape
+                or len(self.sector_id) != len(self.pd)):
+            raise InvalidInputError(
+                "pd and lgd loadings must be (k, d) tables of equal shape, "
+                "one row per sector")
+
+    def __len__(self) -> int:
+        return len(self.sector_id)
 
 
 # the per-exposure numeric columns of a Portfolio, in input-file order
@@ -76,9 +82,11 @@ MONOTONICITY_TEMPERATURE = 1e-3  # log-sum-exp smoothing scale
 
 @dataclass
 class Portfolio:
-    """Exposure columns plus the sector sensitivity map, with vectorized
-    evaluation. Row i of every column is one exposure, and every sector of
-    ``sectors`` must hold at least one."""
+    """Exposure columns plus the sector loading table, with vectorized
+    evaluation. Row i of every column is one exposure, and sector_id[i]
+    names its row of ``sectors``: each of the table's ids occurs once
+    there and holds at least one exposure. The loadings are gathered per
+    exposure with no per-sector loop."""
 
     exposure_id: list[str]
     sector_id: list[str]
@@ -87,7 +95,7 @@ class Portfolio:
     lgd0: np.ndarray
     rho: np.ndarray
     maturity: np.ndarray
-    sectors: dict[str, SectorSensitivities]
+    sectors: SectorSensitivities
     sign_constraints: bool = True
 
     def __post_init__(self):
@@ -97,8 +105,12 @@ class Portfolio:
         columns = [self.sector_id] + [getattr(self, c) for c in CREDIT_COLUMNS]
         if any(len(column) != n for column in columns):
             raise InvalidInputError("portfolio columns differ in length")
-        names = list(self.sectors)
-        position = {sector_id: k for k, sector_id in enumerate(names)}
+        table = self.sectors
+        position = dict(zip(table.sector_id, range(len(table))))
+        if len(position) != len(table):
+            # a repeated id maps to its last row, so its first row is not it
+            k = next(k for k, s in enumerate(table.sector_id) if position[s] != k)
+            raise InvalidInputError(f"sector {table.sector_id[k]} is repeated")
         # an unknown sector is -1; map calls get with no Python frame per row
         index = np.fromiter(map(position.get, self.sector_id, repeat(-1)),
                             dtype=np.intp, count=n)
@@ -123,34 +135,27 @@ class Portfolio:
                 id=self.exposure_id[i], sector=self.sector_id[i],
                 **{c: float(getattr(self, c)[i]) for c in CREDIT_COLUMNS}))
         if self.sign_constraints:
-            for sens in self.sectors.values():
-                if sens.delta < 0 or sens.eta < 0:
-                    raise InvalidInputError(
-                        f"sector {sens.sector_id}: delta and eta must be >= 0 "
-                        "under sign constraints")
-        if len({s.beta.size for s in self.sectors.values()}) != 1:
-            raise InvalidInputError("sector loading vectors have inconsistent lengths")
-        counts = np.bincount(index, minlength=len(names))
+            negative = (table.pd[:, 0] < 0) | (table.lgd[:, 0] < 0)
+            if negative.any():
+                raise InvalidInputError(
+                    f"sector {table.sector_id[int(np.argmax(negative))]}: "
+                    "delta and eta must be >= 0 under sign constraints")
+        counts = np.bincount(index, minlength=len(table))
         if not counts.all():
             raise InvalidInputError(
-                f"sector {names[int(np.argmin(counts))]} has no exposures")
-        # one column per exposure, gathered from its sector's [delta | beta]
-        # and [eta | gamma]: d PD_i / d s = pd_i (1 - pd_i) pd_loadings[:, i]
-        # and d LGD_i / d s = slope_i lgd_loadings[:, i], with s = (g, x)
-        table = self.sectors.values()
-        pd_table = np.column_stack([[s.delta for s in table],
-                                    [s.beta for s in table]])
-        lgd_table = np.column_stack([[s.eta for s in table],
-                                     [s.gamma for s in table]])
+                f"sector {table.sector_id[int(np.argmin(counts))]} has no exposures")
         # every sector has a row, so these are all the loadings in use
-        if not (np.isfinite(pd_table).all() and np.isfinite(lgd_table).all()):
+        if not (np.isfinite(table.pd).all() and np.isfinite(table.lgd).all()):
             raise InvalidInputError("sensitivities must be finite")
-        self.pd_loadings = np.ascontiguousarray(pd_table[index].T)
-        self.lgd_loadings = np.ascontiguousarray(lgd_table[index].T)
+        # one column per exposure, gathered from its sector's row:
+        # d PD_i / d s = pd_i (1 - pd_i) pd_loadings[:, i] and
+        # d LGD_i / d s = slope_i lgd_loadings[:, i], with s = (g, x)
+        self.pd_loadings = np.ascontiguousarray(table.pd[index].T)
+        self.lgd_loadings = np.ascontiguousarray(table.lgd[index].T)
         self.logit_pd0 = np.log(self.pd0 / (1.0 - self.pd0))
         # a stable sort keeps each sector's rows ascending
         rows = np.split(np.argsort(index, kind="stable"), np.cumsum(counts)[:-1])
-        self.sector_rows = dict(zip(names, rows))
+        self.sector_rows = dict(zip(table.sector_id, rows))
 
     @property
     def n(self) -> int:
@@ -190,15 +195,14 @@ class Portfolio:
 
 
 def monotonicity_rows(portfolio: Portfolio) -> np.ndarray:
-    """M (k, d), the sectors' distinct nonzero rows [delta | beta] and
-    [eta | gamma]. PD and LGD are strictly increasing maps of affine maps
+    """M (m, d), the distinct nonzero rows [delta | beta] and [eta | gamma]
+    of the sector table's ``pd`` and ``lgd``. PD and LGD are strictly increasing maps of affine maps
     of s, so M s >= 0 holds exactly when no exposure's stressed PD or LGD
     falls below its value at s = 0: pd0, and lgd0 unless lgd0 lies within
     SOFTCLIP_WIDTH of 0 or 1, where it is softclip(lgd0), not lgd0 itself.
     """
-    table = portfolio.sectors.values()
-    rows = np.unique([[s.delta, *s.beta] for s in table]
-                     + [[s.eta, *s.gamma] for s in table], axis=0)
+    table = portfolio.sectors
+    rows = np.unique(np.vstack([table.pd, table.lgd]), axis=0)
     return rows[np.any(rows != 0.0, axis=1)]
 
 

@@ -21,9 +21,17 @@ def correlated_model():
 
 def make_sensitivities(delta=0.5, eta=0.1, beta=(0.3,), gamma=(0.05,),
                        sector_id="corp"):
-    return SectorSensitivities(sector_id, delta=delta, eta=eta,
-                               beta=np.array(beta, dtype=float),
-                               gamma=np.array(gamma, dtype=float))
+    """A one-row loading table: pd [delta | beta], lgd [eta | gamma]."""
+    return SectorSensitivities([sector_id], pd=[[delta, *beta]],
+                               lgd=[[eta, *gamma]])
+
+
+def stack_sensitivities(*tables):
+    """One loading table holding the rows of ``tables``, in order."""
+    return SectorSensitivities(
+        [sector_id for t in tables for sector_id in t.sector_id],
+        pd=np.vstack([t.pd for t in tables]),
+        lgd=np.vstack([t.lgd for t in tables]))
 
 
 def portfolio_from_rows(rows, sectors, sign_constraints=True):
@@ -39,8 +47,8 @@ def portfolio_from_rows(rows, sectors, sign_constraints=True):
 def make_portfolio(n=5, ead=1.0, pd0=0.02, lgd0=0.45, rho=0.2, **sens_kwargs):
     sens = make_sensitivities(**sens_kwargs)
     return portfolio_from_rows(
-        [(f"e{i}", sens.sector_id, ead, pd0, lgd0, rho) for i in range(n)],
-        {sens.sector_id: sens})
+        [(f"e{i}", sens.sector_id[0], ead, pd0, lgd0, rho) for i in range(n)],
+        sens)
 
 
 @pytest.fixture

@@ -7,14 +7,15 @@ from scipy import stats
 
 from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
                     LinearCapital, LossBasis, LossQuantileSpec, Portfolio,
-                    ReferenceModel, RwaMode, SectorSensitivities,
-                    calibrate_linear_alpha, loss_quantile, risk_weight)
+                    ReferenceModel, RwaMode, calibrate_linear_alpha,
+                    loss_quantile, risk_weight)
 from georst.capital import (BLOCK_ELEMENTS, MA_PD_FLOOR, _ma_base, _ma_parts,
                             breaches, cet1_stressed,
                             risk_weight_pd_derivative, rwa_stressed_flagged)
 
 from conftest import (fd_grad, make_credit_capital, make_portfolio,
-                      portfolio_from_rows)
+                      make_sensitivities, portfolio_from_rows,
+                      stack_sensitivities)
 
 SPEC = LossQuantileSpec(q=0.999)
 
@@ -243,12 +244,12 @@ def random_capital(seed, rwa_mode=RwaMode.IRB_FULL,
                    with_pnl=False, d=3, n=6, cet1_0=None, rwa_0=None):
     """Two sectors, n exposures with random credit terms and loadings."""
     rng = np.random.default_rng(seed)
-    sectors = {
-        k: SectorSensitivities(k, delta=rng.uniform(0.1, 0.8),
-                               eta=rng.uniform(0.0, 0.06),
-                               beta=rng.normal(0.0, 0.4, d - 1),
-                               gamma=rng.normal(0.0, 0.03, d - 1))
-        for k in ("a", "b")}
+    sectors = stack_sensitivities(*(
+        make_sensitivities(delta=rng.uniform(0.1, 0.8),
+                           eta=rng.uniform(0.0, 0.06),
+                           beta=rng.normal(0.0, 0.4, d - 1),
+                           gamma=rng.normal(0.0, 0.03, d - 1), sector_id=k)
+        for k in ("a", "b")))
     pf = portfolio_from_rows(
         [(f"e{i}", "ab"[i % 2], rng.lognormal(), rng.uniform(0.003, 0.05),
           rng.uniform(0.25, 0.55), rng.uniform(0.05, 0.25),

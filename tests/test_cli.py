@@ -94,8 +94,9 @@ def test_load_sensitivities_and_portfolio(tmp_path):
     sens_path = tmp_path / "sens.csv"
     sens_path.write_text(SENSITIVITIES)
     sens = load_sensitivities(sens_path, ("g", "x1"))
-    assert sens["corp"].delta == 0.9
-    assert sens["corp"].beta == pytest.approx([0.8])
+    assert sens.sector_id == ["corp"]
+    assert sens.pd[0, 0] == 0.9
+    assert sens.pd[0, 1:] == pytest.approx([0.8])
     pf_path = tmp_path / "pf.csv"
     pf_path.write_text(PORTFOLIO)
     pf = load_portfolio(pf_path, sens)
@@ -263,6 +264,26 @@ def test_portfolio_columns_match_a_per_cell_parse(tmp_path, inputs):
         assert idx.dtype == np.intp
         assert idx.tolist() == [i for i, row in enumerate(rows)
                                 if row["sector_id"].strip() == sector_id]
+
+
+@pytest.mark.parametrize("inputs", ["cli", "design-large-n",
+                                    "scenario-list-sector"])
+def test_sensitivity_rows_match_a_per_cell_parse(tmp_path, inputs):
+    # the oracle: csv.DictReader and float() per cell, row by row
+    config = (write_inputs(tmp_path) if inputs == "cli"
+              else generate_toy_inputs(inputs, tmp_path))
+    path = tmp_path / json.loads(config.read_text())["portfolio"]["sensitivities"]
+    factor_names = build_context(RunConfig.from_file(config)).model.factor_names
+    table = load_sensitivities(path, factor_names)
+    rows = dictreader_rows(path)
+    assert len(table) == len(rows)
+    assert table.sector_id == [row["sector_id"].strip() for row in rows]
+    for loadings, g_name, name in ((table.pd, "delta", "beta"),
+                                   (table.lgd, "eta", "gamma")):
+        assert loadings.tobytes() == np.array(
+            [[float(row[g_name])]
+             + [float(row[f"{name}_{f}"]) for f in factor_names[1:]]
+             for row in rows], dtype=float).tobytes()
 
 
 def test_validate_rejects_a_sector_without_exposures(tmp_path, capsys):

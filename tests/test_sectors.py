@@ -3,30 +3,28 @@ import pytest
 
 from georst import (CapitalState, ConstraintSet, CreditCapitalModel,
                     LossQuantileSpec, ReferenceModel, RwaMode,
-                    SectorPortfolio, SectorRecord, SolverConfig,
+                    SectorPortfolio, SolverConfig,
                     aggregate_sectors, calibrate_linear_alpha, loss_quantile,
                     risk_weight, solve_design_point)
 
-from conftest import make_sensitivities, portfolio_from_rows
+from conftest import (make_sensitivities, portfolio_from_rows,
+                      stack_sensitivities)
 
 SPEC = LossQuantileSpec()
 
 
 def two_sector_setup():
-    sens = {
-        "corp": make_sensitivities(delta=0.8, eta=0.1, beta=(0.5,),
-                                   gamma=(0.05,), sector_id="corp"),
-        "retail": make_sensitivities(delta=0.4, eta=0.05, beta=(0.2,),
-                                     gamma=(0.02,), sector_id="retail"),
-    }
-    records = [
-        SectorRecord("corp", ead=60.0, pd0=0.02, lgd0=0.45, rho=0.2),
-        SectorRecord("retail", ead=40.0, pd0=0.01, lgd0=0.35, rho=0.15),
-    ]
+    sens = stack_sensitivities(
+        make_sensitivities(delta=0.8, eta=0.1, beta=(0.5,), gamma=(0.05,),
+                           sector_id="corp"),
+        make_sensitivities(delta=0.4, eta=0.05, beta=(0.2,), gamma=(0.02,),
+                           sector_id="retail"))
+    rows = [("corp", 60.0, 0.02, 0.45, 0.2, 2.5),
+            ("retail", 40.0, 0.01, 0.35, 0.15, 2.5)]
+    records = np.rec.fromrecords(
+        rows, names=["sector_id", "ead", "pd0", "lgd0", "rho", "maturity"])
     sector_pf = SectorPortfolio(records, sens)
-    exposure_pf = portfolio_from_rows(
-        [(r.sector_id, r.sector_id, r.ead, r.pd0, r.lgd0, r.rho, r.maturity)
-         for r in records], sens)
+    exposure_pf = portfolio_from_rows([(r[0], *r) for r in rows], sens)
     return sector_pf, exposure_pf
 
 
@@ -78,7 +76,7 @@ def test_design_point_consistency():
 
 
 def test_aggregate_sectors_ead_weighting():
-    sens = {"corp": make_sensitivities(sector_id="corp")}
+    sens = make_sensitivities(sector_id="corp")
     pf = portfolio_from_rows([("a", "corp", 30.0, 0.01, 0.3, 0.2),
                               ("b", "corp", 70.0, 0.03, 0.5, 0.2)], sens)
     agg, = aggregate_sectors(pf, np.zeros(2))
@@ -120,8 +118,9 @@ def test_sector_linear_risk_weight_tangent_at_baseline():
 def test_aggregate_sectors_matches_a_scan_of_the_exposures():
     # the precomputed sector index gives the same sums, bit for bit, as
     # scanning the exposures of each sector in order
-    sens = {k: make_sensitivities(delta=0.3 + 0.1 * j, sector_id=k)
-            for j, k in enumerate(("a", "b", "c"))}
+    sens = stack_sensitivities(*(
+        make_sensitivities(delta=0.3 + 0.1 * j, sector_id=k)
+        for j, k in enumerate(("a", "b", "c"))))
     rows = [(f"e{i}", "abcab"[i % 5], 1.0 + 0.37 * i, 0.005 + 0.003 * i,
              0.3 + 0.01 * i, 0.2) for i in range(11)]
     pf = portfolio_from_rows(rows, sens)

@@ -26,7 +26,7 @@ from georst.transmission import monotonicity_rows
 from conftest import (CountingCapital, fd_grad, generate_inputs,
                       generate_toy_inputs, make_credit_capital, make_portfolio,
                       make_sensitivities, monotonicity_violation,
-                      portfolio_from_rows)
+                      portfolio_from_rows, stack_sensitivities)
 from test_acceptance import random_map_suite
 
 
@@ -149,10 +149,11 @@ def test_box_clip_satisfied_and_linear_block_agree(data, d, seed):
 def two_sector_capital():
     """Sector a is stressed by g and x; sector b's PD falls as x rises
     (beta < 0), so a breach driven by x improves sector b."""
-    sectors = {"a": make_sensitivities(delta=0.9, eta=0.12, beta=(0.8,),
-                                       gamma=(0.08,), sector_id="a"),
-               "b": make_sensitivities(delta=0.2, eta=0.0, beta=(-0.6,),
-                                       gamma=(0.0,), sector_id="b")}
+    sectors = stack_sensitivities(
+        make_sensitivities(delta=0.9, eta=0.12, beta=(0.8,), gamma=(0.08,),
+                           sector_id="a"),
+        make_sensitivities(delta=0.2, eta=0.0, beta=(-0.6,), gamma=(0.0,),
+                           sector_id="b"))
     pf = portfolio_from_rows([(f"{k}{i}", k, 1.0, 0.03, 0.4, 0.2)
                               for k in "ab" for i in range(10)], sectors)
     return pf, make_credit_capital(pf, cet1_0=6.0, rwa_0=50.0)
@@ -513,6 +514,38 @@ def test_polish_near_the_frontier_is_short(anchor_setup):
                     assert counting.calls <= 4
                     assert cap.ratio(s) <= cap.r_star
                     assert g_fixed is None or s[0] == g_fixed
+
+
+def test_fixed_g_polish_reuses_the_kernel_pass_of_its_ratio(tmp_path,
+                                                           monkeypatch):
+    # ratio_grad at the s whose R(s) the polish just evaluated hits the
+    # kernel's one-point memo; unwhiten(whiten(s)) lies a few ulps off s
+    # on these inputs, so a gradient taken there costs one more pass
+    ctx = build_context(RunConfig.from_file(
+        generate_toy_inputs("scenario-list-sector", tmp_path)))
+    model, cap = ctx.model, ctx.capital
+    passes = []
+    kernel = CreditCapitalModel._kernel
+
+    def counting_kernel(self, arr):
+        passes.append(1)
+        return kernel(self, arr)
+
+    monkeypatch.setattr(CreditCapitalModel, "_kernel", counting_kernel)
+    counting = CountingCapital(cap)
+    rng = np.random.default_rng(0)
+    stepped = round_trip_off = 0
+    for g_j in default_g_grid(model, ctx.constraints):
+        y = 0.1 * rng.standard_normal(model.d)
+        s = model.unwhiten(y)
+        s[0] = g_j
+        round_trip_off += not np.array_equal(model.unwhiten(model.whiten(s)), s)
+        passes.clear()
+        counting.calls = 0
+        _polish_to_frontier(model, counting, y, g_fixed=float(g_j))
+        stepped += counting.calls > 1
+        assert len(passes) == counting.calls
+    assert stepped and round_trip_off
 
 
 @settings(max_examples=60, deadline=None)

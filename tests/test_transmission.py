@@ -10,7 +10,8 @@ from georst.transmission import (SOFTCLIP_HI, SOFTCLIP_LO, monotonicity_rows,
                                  smooth_monotonicity_violation, softclip)
 
 from conftest import (make_portfolio, make_sensitivities,
-                      monotonicity_violation, portfolio_from_rows)
+                      monotonicity_violation, portfolio_from_rows,
+                      stack_sensitivities)
 
 
 def test_stressed_pd_known_value():
@@ -108,18 +109,50 @@ def test_lgd_jacobian_matches_finite_differences():
 
 
 def test_sign_constraints_reject_negative_g_loadings():
-    sens = SectorSensitivities("corp", delta=-0.1, eta=0.0,
-                               beta=np.array([0.0]), gamma=np.array([0.0]))
+    sens = SectorSensitivities(["corp"], pd=[[-0.1, 0.0]], lgd=[[0.0, 0.0]])
     row = ("e", "corp", 1.0, 0.02, 0.4, 0.2)
     with pytest.raises(InvalidInputError):
-        portfolio_from_rows([row], {"corp": sens})
+        portfolio_from_rows([row], sens)
     # allowed when sign constraints are off
-    pf = portfolio_from_rows([row], {"corp": sens}, sign_constraints=False)
+    pf = portfolio_from_rows([row], sens, sign_constraints=False)
     assert pf.n == 1
 
 
+def test_sign_constraints_name_the_first_offending_sector():
+    # b's eta and c's delta are negative: the first row of the table is
+    # named, by the id in the table
+    sens = SectorSensitivities(
+        ["a", "b", "c"], pd=[[0.5, 0.3], [0.2, 0.1], [-0.1, 0.0]],
+        lgd=[[0.1, 0.0], [-0.1, 0.0], [0.0, 0.0]])
+    rows = [(f"e{k}", k, 1.0, 0.02, 0.4, 0.2) for k in "abc"]
+    with pytest.raises(InvalidInputError,
+                       match="^sector b: delta and eta must be >= 0"):
+        portfolio_from_rows(rows, sens)
+
+
+def test_a_repeated_sector_id_is_rejected():
+    sens = stack_sensitivities(make_sensitivities(),
+                               make_sensitivities(sector_id="east"),
+                               make_sensitivities(delta=0.7))
+    rows = [("e0", "corp", 1.0, 0.02, 0.4, 0.2),
+            ("e1", "east", 1.0, 0.02, 0.4, 0.2)]
+    with pytest.raises(InvalidInputError, match="^sector corp is repeated"):
+        portfolio_from_rows(rows, sens)
+
+
+@pytest.mark.parametrize("sector_id, pd, lgd", [
+    (["corp"], [[0.5, 0.3]], [[0.1, 0.05, 0.0]]),
+    (["corp"], [[0.5, 0.3]], [[0.1, 0.05], [0.1, 0.05]]),
+    (["corp"], [0.5, 0.3], [0.1, 0.05]),
+    (["corp", "east"], [[0.5, 0.3]], [[0.1, 0.05]]),
+])
+def test_loading_tables_of_other_shapes_are_rejected(sector_id, pd, lgd):
+    with pytest.raises(InvalidInputError, match="tables of equal shape"):
+        SectorSensitivities(sector_id, pd=pd, lgd=lgd)
+
+
 def test_exposure_validation():
-    sens = {"corp": make_sensitivities()}
+    sens = make_sensitivities()
     for row, message in [
             (("e", "corp", 0.0, 0.02, 0.4, 0.2), "e: EAD must be positive"),
             (("e", "corp", 1.0, 1.0, 0.4, 0.2), r"e: pd0=1\.0 must lie strictly"),
@@ -133,7 +166,7 @@ def test_portfolio_rejects_unknown_sector():
     row = ("e", "other", 1.0, 0.02, 0.4, 0.2)
     with pytest.raises(InvalidInputError,
                        match="exposure e references unknown sector other"):
-        portfolio_from_rows([row], {"corp": sens})
+        portfolio_from_rows([row], sens)
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -153,14 +186,14 @@ def test_portfolio_rejects_unknown_sector():
 ])
 def test_portfolio_names_the_first_bad_row(rows, message):
     with pytest.raises(InvalidInputError, match=message):
-        portfolio_from_rows(rows, {"corp": make_sensitivities()})
+        portfolio_from_rows(rows, make_sensitivities())
 
 
 @pytest.mark.parametrize("loading", [
     {"beta": (np.nan,)}, {"gamma": (np.inf,)}, {"delta": np.nan}])
 def test_portfolio_rejects_non_finite_loadings(loading):
-    sens = {"corp": make_sensitivities(),
-            "east": make_sensitivities(sector_id="east", **loading)}
+    sens = stack_sensitivities(
+        make_sensitivities(), make_sensitivities(sector_id="east", **loading))
     rows = [("e0", "corp", 1.0, 0.02, 0.4, 0.2),
             ("e1", "east", 1.0, 0.02, 0.4, 0.2)]
     with pytest.raises(InvalidInputError, match="sensitivities must be finite"):
@@ -198,10 +231,10 @@ def test_monotonicity_rows_are_exact(seed, d, k):
     def loadings(size, low):
         return rng.uniform(low, 1.0, size) * (rng.random(size) < 0.7)
 
-    sectors = {f"s{j}": make_sensitivities(
+    sectors = stack_sensitivities(*(make_sensitivities(
         delta=loadings(1, 0.0)[0], eta=loadings(1, 0.0)[0],
         beta=loadings(d - 1, -1.0), gamma=loadings(d - 1, -1.0),
-        sector_id=f"s{j}") for j in range(k)}
+        sector_id=f"s{j}") for j in range(k)))
     pf = portfolio_from_rows(
         [(f"e{i}", f"s{i % k}", 1.0, rng.uniform(1e-3, 0.5),
           rng.uniform(0.03, 0.97), 0.2) for i in range(3 * k)], sectors)
