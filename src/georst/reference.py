@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import betainc, gammaincc
 
 from .errors import InvalidInputError
@@ -112,18 +111,13 @@ class ReferenceModel:
         return solve_triangular(self.chol, np.eye(self.d), lower=True)
 
     def whiten(self, S) -> np.ndarray:
-        """y = L^{-1} s of a scenario (d,) or of each row of a block (N, d).
-
-        LAPACK's triangular solve, called as ``solve_triangular`` calls it
-        for a C-ordered factor (L' upper, transposed), so the bits are the
-        same, without the wrapper's checks, which cost ten times the solve.
-        ``as_scenarios`` has checked that S is finite.
-        """
-        y, info = dtrtrs(self.chol.T, as_scenarios(S, self.d).T,
-                         lower=0, trans=1)
-        if info:
-            raise np.linalg.LinAlgError(f"triangular solve failed: info={info}")
-        return y.T
+        """y = L^{-1} s of a scenario (d,) or of each row of a block (N, d),
+        by the inverse factor through ``einsum``, as :meth:`mahalanobis_sq`
+        does: ``einsum`` sums over k in order for each output element, so
+        row i of a block equals ``whiten(S[i])`` bit for bit, and no BLAS
+        call makes the bits depend on the thread count."""
+        return np.einsum("...k,jk->...j", as_scenarios(S, self.d),
+                         self._chol_inv)
 
     def unwhiten(self, Y) -> np.ndarray:
         """s = L y of a whitened vector (d,) or of each row of a block (N, d),

@@ -3,7 +3,9 @@
 Minimizes half the squared Mahalanobis distance over the capital-breaching
 set, subject to g > 0 (as g >= g_min), optional box bounds, and optional
 linear monotonicity rows. All optimization runs in whitened coordinates with
-multi-start; a brute-force grid oracle validates 2-D problems.
+multi-start, each start solved by a small sequential quadratic program
+(``minimize``) in NumPy alone; a brute-force grid oracle validates 2-D
+problems.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .capital import breaches
 from .errors import InfeasibleError, InvalidInputError, NonConvergenceError
@@ -22,15 +23,18 @@ G_MIN_DEFAULT = 1e-6
 TOL_CONSTRAINT = 1e-8   # box and monotonicity; the breach has no slack
 DEDUP_RADIUS = 1e-3     # whitened distance between distinct local optima
 CONFIRMATIONS = 2       # consecutive starts re-finding the best that end a solve
-MAX_INNER_ITER = 200    # SLSQP iterations per start
-# SLSQP stops once |f_k - f_(k-1)| < SLSQP_FTOL, an absolute bound on
+MAX_INNER_ITER = 200    # SQP iterations per start
+# The SQP stops once |f_k - f_(k-1)| < FTOL, an absolute bound on
 # f = m^2 / 2. 1e-12 is at least 8 ulps of f for every f < 1024
 # (m^2 < 2048); a tighter bound sits below one ulp of f once f >= 64, and
-# the solve then runs R(s) on round-off until the line search fails. The
-# same bound limits the summed constraint violation: the polish steps onto
-# the breaching side of the frontier, the fixed-g polish sets g back to g_j,
-# and the box and monotonicity rows stay far inside TOL_CONSTRAINT.
-SLSQP_FTOL = 1e-12
+# the solve then runs R(s) on round-off. The same bound limits the summed
+# constraint violation: the polish steps onto the breaching side of the
+# frontier, and the box and monotonicity rows stay far inside
+# TOL_CONSTRAINT.
+FTOL = 1e-12
+LINE_SEARCH_MAX = 10    # merit evaluations per SQP iteration
+RELAX_WEIGHT = 100.0    # Kraft's weight of the relaxation in an augmented QP
+STEP_MIN = 0.1          # smallest line-search shrink factor
 POLISH_GROWTH = 2.0 ** 60  # longest polish step over the Newton step
 
 
@@ -132,43 +136,231 @@ def _constraint_scale(capital) -> float:
     return max(capital.r0 - capital.r_star, 1e-12)
 
 
-def _breach_margin(model: ReferenceModel, capital):
-    """The scaled breach margin c(y) = (r_star - R(L y)) / scale, c >= 0 on
-    the breach set, and its gradient in y as a function of s = L y, from
-    the capital map's ``ratio_grad`` at s itself."""
-    L = model.chol
+def _margin_grad(model: ReferenceModel, capital, s: np.ndarray) -> np.ndarray:
+    """The gradient in y of the scaled breach margin c = (r_star - R(L y))
+    / scale at s = L y, from the capital map's ``ratio_grad`` at s itself."""
+    return -(capital.ratio_grad(s) @ model.chol) / _constraint_scale(capital)
+
+
+def _breach_margin(model: ReferenceModel, capital, g_fixed: float | None = None):
+    """The scaled breach margin c(x), c >= 0 on the breach set, of the free
+    whitened coordinates x: all of y, s = L y; or, with g_fixed, y[1:] with
+    y_0 = g_fixed / L_00 held and s[0] set to g_fixed (L is lower
+    triangular, so s[0] depends on y_0 alone). And its gradient in x at the
+    point of the last margin call, which reuses that call's kernel pass."""
     scale = _constraint_scale(capital)
+    if g_fixed is None:
+        scenario, free = model.unwhiten, slice(None)
+    else:
+        y = np.empty(model.d)
+        y[0] = g_fixed / model.chol[0, 0]
+        free = slice(1, None)
 
-    def margin(y):
-        return (capital.r_star - capital.ratio(model.unwhiten(y))) / scale
+        def scenario(x):
+            y[1:] = x
+            s = model.unwhiten(y)
+            s[0] = g_fixed
+            return s
 
-    return margin, lambda s: -(capital.ratio_grad(s) @ L) / scale
+    last = None
+
+    def margin(x):
+        nonlocal last
+        last = scenario(x)
+        return (capital.r_star - capital.ratio(last)) / scale
+
+    return margin, lambda: _margin_grad(model, capital, last)[free]
 
 
-def _build_constraints(model: ReferenceModel, capital, constraints: ConstraintSet,
-                       g_fixed: float | None = None) -> list[dict]:
-    """SLSQP's constraints in whitened coordinates y, s = L y: the breach
-    margin; one linear block A y - b >= 0 over the box's finite bounds and
-    the monotonicity rows M L y >= 0 when they are set; with g_fixed, the
-    equality g = g_fixed in place of the block's g rows."""
+def _build_constraints(model: ReferenceModel, constraints: ConstraintSet,
+                       g_fixed: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The linear rows A x >= b over the free whitened coordinates x of
+    ``_breach_margin``: the box's finite bounds, L_i y >= lo_i and
+    -L_i y >= -hi_i, and the monotonicity rows M L y >= 0 when they are
+    set. With g_fixed, g's own bounds drop out and the held y_0 moves the
+    y_0 column into b."""
     L = model.chol
-    breach_fun, breach_grad = _breach_margin(model, capital)
-    cons = [{"type": "ineq", "fun": breach_fun,
-             "jac": lambda y: breach_grad(model.unwhiten(y))}]
     lo, hi = constraints.bounds(model.d)
     if g_fixed is not None:
         lo[0], hi[0] = -np.inf, np.inf
-        cons.append({"type": "eq", "fun": lambda y: L[:1] @ y - g_fixed,
-                     "jac": lambda y: L[:1]})
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
     M = (np.empty((0, model.d)) if constraints.monotonicity is None
          else constraints.monotonicity)
     A = np.vstack([L[has_lo], -L[has_hi], M @ L])
     b = np.concatenate([lo[has_lo], -hi[has_hi], np.zeros(len(M))])
-    if len(A):
-        cons.append({"type": "ineq", "fun": lambda y: A @ y - b,
-                     "jac": lambda y: A})
-    return cons
+    if g_fixed is None:
+        return A, b
+    return np.ascontiguousarray(A[:, 1:]), b - A[:, 0] * (g_fixed / L[0, 0])
+
+
+@dataclass
+class SQPResult:
+    """The end of one ``minimize`` solve: its point x, its status (0
+    converged, 4 QP subproblem infeasible, 9 iteration cap), the iterations
+    run and the last QP's multipliers, the breach row's first, then one per
+    row of A."""
+
+    x: np.ndarray
+    status: int
+    nit: int
+    multipliers: np.ndarray
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+def _qp_multipliers(Q: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """The multipliers lam >= 0 minimizing lam' Q lam / 2 - q' lam, the dual
+    of the QP subproblem, or None when the QP is infeasible.
+
+    A dual active set after Lawson & Hanson (1974, ch. 23) and Goldfarb &
+    Idnani (1983): the index j with the largest gradient w_j = q_j - Q_j lam
+    > 0 joins the free set P along the direction d (d_j = 1, d_P = -v,
+    v = Q_PP^-1 Q_Pj) that keeps w_P = 0. Along d the objective falls at
+    rate w_j with curvature s = Q_jj - Q_jP v, so the step is w_j / s,
+    unless a free multiplier reaches 0 first and leaves P. With one free
+    index that is the closed form lam_j = q_j / Q_jj. A row dependent on
+    the free rows (s <= 1e-12 Q_jj) whose ray no free multiplier stops
+    makes the dual unbounded: the QP is infeasible.
+    """
+    lam = np.zeros(len(q))
+    P: list[int] = []   # the free indices
+    tol = 1e-14 * (1.0 + float(np.abs(q).max()))
+    for _ in range(3 * len(q)):
+        w = q - Q @ lam
+        w[P] = -np.inf
+        j = int(w.argmax())
+        if not w[j] > tol:
+            break
+        while True:
+            v = (np.linalg.solve(Q[np.ix_(P, P)], Q[P, j]) if P
+                 else np.zeros(0))
+            s = float(Q[j, j] - Q[j, P] @ v)
+            t = (q[j] - Q[j] @ lam) / s if s > 1e-12 * Q[j, j] else np.inf
+            stops = np.flatnonzero(v > 0.0)
+            if len(stops):
+                ratios = lam[P][stops] / v[stops]
+                k = int(ratios.argmin())
+                if ratios[k] < t:
+                    # a free multiplier reaches 0 first: it leaves P
+                    lam[P] -= ratios[k] * v
+                    lam[j] += ratios[k]
+                    lam[P[stops[k]]] = 0.0
+                    del P[stops[k]]
+                    continue
+            if t == np.inf:
+                return None
+            lam[P] -= t * v
+            lam[j] += t
+            P.append(j)
+            break
+    return lam
+
+
+def _qp_step(H: np.ndarray, J: np.ndarray, x: np.ndarray, c: np.ndarray):
+    """The QP step p = H (J' lam - x), its multipliers lam and the
+    relaxation delta (0 unless the QP is infeasible), or None.
+
+    An infeasible QP is replaced, as Kraft does, by the augmented QP in
+    (p, delta), 0 <= delta <= 1, with cost RELAX_WEIGHT delta^2 / 2 added,
+    where each violated row relaxes to J_j p + (1 - delta) c_j >= 0;
+    p = 0, delta = 1 is feasible in it.
+    """
+    HJ = H @ J.T
+    Hx = H @ x
+    lam = _qp_multipliers(J @ HJ, J @ Hx - c)
+    if lam is not None:
+        return HJ @ lam - Hx, lam, 0.0
+    (m, n), v = J.shape, np.maximum(-c, 0.0)
+    H_aug = np.zeros((n + 1, n + 1))
+    H_aug[:n, :n] = H
+    H_aug[n, n] = 1.0 / RELAX_WEIGHT
+    J_aug = np.zeros((m + 2, n + 1))
+    J_aug[:m, :n], J_aug[:m, n], J_aug[m:, n] = J, v, (1.0, -1.0)
+    HJ, Hx = H_aug @ J_aug.T, H_aug[:, :n] @ x
+    lam = _qp_multipliers(J_aug @ HJ, J_aug @ Hx - np.append(c, (0.0, 1.0)))
+    if lam is None:
+        return None
+    step = HJ @ lam - Hx
+    return step[:n], lam[:m], float(step[n])
+
+
+def minimize(x0: np.ndarray, margin, margin_grad, A: np.ndarray,
+             b: np.ndarray) -> SQPResult:
+    """Minimize f(x) = |x|^2 / 2 subject to margin(x) >= 0 and A x >= b.
+
+    Sequential quadratic programming after Kraft (1988). Each iteration
+    solves the QP min g'p + p'Bp / 2 subject to J p + c >= 0 (g = x, J the
+    margin's gradient on top of A, c the constraint values) in its dual,
+    through ``_qp_step``, with B the damped BFGS (Powell 1978,
+    factor 0.2) model of the Lagrangian's Hessian, held as its inverse H
+    from H = I, so p = H (J' lam - g). A backtracking line search on the
+    l1 merit f + mu' max(-c, 0), with Kraft's mu update and his quadratic
+    interpolation, takes the step; margin_grad() is the margin's gradient
+    at the point of the last margin call. The solve stops (status 0) once
+    the QP step is zero to FTOL (|g'p| + |lam|'|c| < FTOL) or f moves by
+    less than FTOL, in each case with a summed violation below FTOL.
+    Status 4 is an infeasible QP whose relaxation cannot reduce the
+    violation, and 9 the iteration cap, the numbers of Kraft's code. Only
+    NumPy runs, and every product is at most (d, d), so the iterates do not
+    depend on the BLAS thread count.
+    """
+    x = np.array(x0, dtype=float)
+    n, m = x.size, len(A) + 1
+    H = np.eye(n)
+    J = np.empty((m, n))
+    J[1:] = A
+    c = np.empty(m)
+    c[0], c[1:] = margin(x), A @ x - b
+    J[0] = margin_grad()
+    f = 0.5 * float(x @ x)
+    mu = np.zeros(m)
+    for nit in range(1, MAX_INNER_ITER + 1):
+        step = _qp_step(H, J, x, c)
+        if step is None:
+            return SQPResult(x, 4, nit, np.zeros(m))
+        p, lam, relax = step
+        gp = float(x @ p)
+        viol = np.maximum(-c, 0.0)
+        if relax and (1.0 - relax) * float(viol.sum()) < FTOL:
+            # the linearization cannot reduce the violation: a stationary
+            # point of infeasibility
+            return SQPResult(x, 4, nit, lam)
+        if (abs(gp) + float(lam @ np.abs(c)) < FTOL
+                and float(viol.sum()) < FTOL):
+            return SQPResult(x, 0, nit, lam)
+        mu = np.maximum(lam, 0.5 * (mu + lam))
+        penalty = float(mu @ viol)
+        phi_0, slope = f + penalty, gp - (1.0 - relax) * penalty
+        t = 1.0
+        c_new = np.empty(m)
+        for trial in range(1, LINE_SEARCH_MAX + 1):
+            x_new = x + t * p
+            c_new[0], c_new[1:] = margin(x_new), A @ x_new - b
+            f_new = 0.5 * float(x_new @ x_new)
+            viol = np.maximum(-c_new, 0.0)
+            gain = f_new + float(mu @ viol) - phi_0
+            if gain <= 0.1 * t * slope or trial == LINE_SEARCH_MAX:
+                break
+            t *= max(t * slope / (2.0 * (t * slope - gain)), STEP_MIN)
+        if abs(f_new - f) < FTOL and float(viol.sum()) < FTOL:
+            return SQPResult(x_new, 0, nit, lam)
+        a_new = margin_grad()
+        s = x_new - x
+        Bs = t * (J.T @ lam - x)
+        u = s - lam[0] * (a_new - J[0])
+        sBs, su = float(s @ Bs), float(s @ u)
+        if su < 0.2 * sBs:
+            theta = 0.8 * sBs / (sBs - su)
+            u = theta * u + (1.0 - theta) * Bs
+            su = 0.2 * sBs
+        if sBs > 0.0:
+            Hu = H @ u
+            H += ((su + float(u @ Hu)) / su * s[:, None] * s
+                  - Hu[:, None] * s - s[:, None] * Hu) / su
+        x, f, c, J[0] = x_new, f_new, c_new, a_new
+    return SQPResult(x, 9, MAX_INNER_ITER, lam)
 
 
 def _g_cap(model: ReferenceModel, constraints: ConstraintSet) -> float:
@@ -180,8 +372,9 @@ def _g_cap(model: ReferenceModel, constraints: ConstraintSet) -> float:
 def _g_start(model: ReferenceModel, constraints: ConstraintSet,
              g_j: float) -> np.ndarray:
     """The whitened start (g_j, 0, ..., 0), clipped to the box. It need not
-    breach: SLSQP accepts an infeasible start, and the polish moves its end
-    onto the breaching side."""
+    breach: ``minimize`` accepts an infeasible start (its l1 merit charges
+    the violation, and an infeasible linearization is relaxed), and the
+    polish moves its end onto the breaching side."""
     s = np.zeros(model.d)
     s[0] = g_j
     return model.whiten(constraints.clip(s))
@@ -228,8 +421,7 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
     r_0 = capital.ratio(s)
     if breaches(r_0, capital.r_star):
         return s
-    _, c_grad = _breach_margin(model, capital)
-    grad = c_grad(s)
+    grad = _margin_grad(model, capital, s)
     if g_fixed is not None:
         grad[0] = 0.0
     norm = np.linalg.norm(grad)
@@ -244,17 +436,6 @@ def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
             return s_t
         t *= 2.0
     return None
-
-
-def _solve_from(y0: np.ndarray, cons: list[dict]):
-    return minimize(
-        lambda y: 0.5 * float(y @ y),
-        y0,
-        jac=lambda y: y,
-        method="SLSQP",
-        constraints=cons,
-        options={"maxiter": MAX_INNER_ITER, "ftol": SLSQP_FTOL},
-    )
 
 
 def _feasible(capital, constraints: ConstraintSet, s: np.ndarray) -> bool:
@@ -276,15 +457,17 @@ def solve_design_point(model: ReferenceModel, capital,
                        config: SolverConfig | None = None) -> DesignPointResult:
     """Find the most plausible capital-breaching scenario.
 
-    Multi-start SLSQP in whitened coordinates, feasibility polish onto the
-    breach frontier, deduplication of local optima, and a deterministic
+    Multi-start SQP (``minimize``, NumPy alone, so the result does not
+    depend on the BLAS thread count) in whitened coordinates, feasibility
+    polish onto the breach frontier, deduplication of local optima, and a deterministic
     lexicographic tie-break. The starts run in order, sphere draws first,
     then g-grid starts. The search stops once CONFIRMATIONS starts in a row
     each end feasible within DEDUP_RADIUS of the best optimum so far; any
     other end (a new, distinct best, a different optimum, an infeasible
     point) resets the count. config.n_starts caps the starts, and the
     result's n_starts counts those run. A solve's end is the polished point,
-    or the SLSQP end when the polish finds none. When no end is feasible,
+    or the SQP's end when the polish finds none, whatever its status (0
+    converged, 4 infeasible QP, 9 iteration cap). When no end is feasible,
     raises NonConvergenceError if some end, clipped to the box, breaches,
     and InfeasibleError otherwise.
     """
@@ -294,14 +477,15 @@ def solve_design_point(model: ReferenceModel, capital,
         config = SolverConfig()
     rng = np.random.default_rng(config.seed)
     starts = _generate_starts(model, constraints, config, rng)
-    cons = _build_constraints(model, capital, constraints)
+    margin, margin_grad = _breach_margin(model, capital)
+    A, b = _build_constraints(model, constraints)
 
     ends: list[np.ndarray] = []
     optima: list[LocalOptimum] = []
     incumbent: LocalOptimum | None = None
     confirmed = 0
     for idx, y0 in enumerate(starts):
-        res = _solve_from(y0, cons)
+        res = minimize(y0, margin, margin_grad, A, b)
         s = _polish_to_frontier(model, capital, res.x)
         if s is None:
             s = model.unwhiten(res.x)
@@ -356,16 +540,18 @@ def conditional_anchor(model: ReferenceModel, capital,
     anchor has g == g_j exactly and R <= r_star, so it passes the breach test
     of ``Membership``. ``constraints.check_g`` gives the admissible g_j.
 
-    The anchor is one SLSQP solve from (g_j, 0, ..., 0), clipped to the box,
-    polished at fixed g; when that solve ends infeasible the anchor is None.
+    The anchor is one ``minimize`` solve over y[1:] from (g_j, 0, ..., 0),
+    clipped to the box: L is lower triangular, so y_0 = g_j / L_00 is held
+    and the solve has no equality row. Its end is polished at fixed g; when
+    that end is infeasible the anchor is None.
     """
     constraints.check_g(g_j)
-    cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
-    res = _solve_from(_g_start(model, constraints, g_j), cons)
-    # an SLSQP end off g = g_j beyond its tolerance is not polished
-    if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
-        return None
-    s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)
+    margin, margin_grad = _breach_margin(model, capital, g_fixed=g_j)
+    A, b = _build_constraints(model, constraints, g_fixed=g_j)
+    res = minimize(_g_start(model, constraints, g_j)[1:], margin, margin_grad,
+                   A, b)
+    y = np.concatenate(([g_j / model.chol[0, 0]], res.x))
+    s = _polish_to_frontier(model, capital, y, g_fixed=g_j)
     return s if s is not None and _feasible(capital, constraints, s) else None
 
 

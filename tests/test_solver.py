@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,8 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult, minimize
+from hypothesis import assume, given, settings, strategies as st
 
 from georst import (ConstraintSet, CreditCapitalModel, Family,
                     InfeasibleError, InvalidInputError, LinearCapital,
@@ -19,8 +19,8 @@ from georst import solver
 from georst.capital import breaches
 from georst.runner import RunConfig, build_context
 from georst.scenario_sets import default_g_grid
-from georst.solver import (TOL_CONSTRAINT, _build_constraints, _feasible,
-                           _polish_to_frontier, _solve_from)
+from georst.solver import (TOL_CONSTRAINT, SQPResult, _breach_margin,
+                           _build_constraints, _feasible, _polish_to_frontier)
 from georst.transmission import monotonicity_rows
 
 from conftest import (CountingCapital, fd_grad, generate_inputs,
@@ -82,14 +82,6 @@ def test_box_makes_problem_infeasible(identity_model):
         solve_design_point(identity_model, cap, cons, SolverConfig(seed=0))
 
 
-def box_block(cons):
-    """The linear block among _build_constraints' dicts, the box's finite
-    bounds and the monotonicity rows, or None when it has no row."""
-    blocks = [c for c in cons[1:] if c["type"] == "ineq"]
-    assert len(blocks) <= 1
-    return blocks[0] if blocks else None
-
-
 quarters = st.integers(-16, 16).map(lambda k: k / 4.0)
 
 
@@ -123,27 +115,28 @@ def test_box_clip_satisfied_and_linear_block_agree(data, d, seed):
 
     y = model.whiten(s)
     s = model.chol @ y
-    cap = LinearCapital(weights=np.ones(d), level=1.0)
-    block = box_block(_build_constraints(model, cap, cons))
-    assert block is not None    # g_min is always a finite bound
-    assert (np.all(block["fun"](y) >= -TOL_CONSTRAINT)) == cons.satisfied(s)
+    A, b = _build_constraints(model, cons)
+    assert len(A)    # g_min is always a finite bound
+    assert (np.all(A @ y - b >= -TOL_CONSTRAINT)) == cons.satisfied(s)
 
-    # with g fixed, g leaves the block for an equality and only x rows
-    # and the monotonicity rows stay
-    cons_g = _build_constraints(model, cap, cons, g_fixed=s[0])
-    assert len(cons_g) <= 3
-    assert [c["type"] for c in cons_g[:2]] == ["ineq", "eq"]
-    assert cons_g[1]["fun"](y) == pytest.approx([0.0], abs=1e-12)
+    # with g fixed, g's rows leave the block and y_0 = g / L_00 is held:
+    # the x rows and the monotonicity rows stay, over y[1:], with the y_0
+    # column moved into b
     lo, hi = cons.bounds(d)
     rows = [model.chol[i] for i in range(1, d) if np.isfinite(lo[i])]
     rows += [-model.chol[i] for i in range(1, d) if np.isfinite(hi[i])]
+    bounds = [lo[i] for i in range(1, d) if np.isfinite(lo[i])]
+    bounds += [-hi[i] for i in range(1, d) if np.isfinite(hi[i])]
     if M is not None:
         rows += list(M @ model.chol)
-    block = box_block(cons_g)
-    if rows:
-        assert np.array_equal(block["jac"](y), np.array(rows))
-    else:
-        assert block is None
+        bounds += [0.0] * len(M)
+    rows, bounds = np.array(rows).reshape(-1, d), np.array(bounds)
+    A_g, b_g = _build_constraints(model, cons, g_fixed=s[0])
+    y_0 = s[0] / model.chol[0, 0]
+    assert np.array_equal(A_g, rows[:, 1:])
+    assert np.array_equal(b_g, bounds - rows[:, 0] * y_0)
+    assert np.allclose(A_g @ y[1:] - b_g, rows @ y - bounds,
+                       rtol=0.0, atol=1e-12 * (1.0 + np.abs(s).max()))
 
 
 def two_sector_capital():
@@ -404,7 +397,7 @@ def test_polish_on_a_linear_map_is_the_newton_step(g_fixed):
             y = model.whiten(s)
         to_frontier = (2.0 - w @ s) / (normal @ normal) * normal
         if trial % 2:
-            # a y at most 5e-13 short of the frontier, as SLSQP leaves one
+            # a y at most 5e-13 short of the frontier, as the SQP leaves one
             short = rng.uniform(0.0, 5e-13) / np.linalg.norm(normal)
             y = y + to_frontier - short * normal
             s = model.unwhiten(y)
@@ -445,7 +438,9 @@ def multi_start_anchor(model, capital, constraints, g_j, config):
     random starts at g_j, every one solved, the feasible result with the
     lowest m^2 kept."""
     d = model.d
-    cons = _build_constraints(model, capital, constraints, g_fixed=g_j)
+    margin, margin_grad = _breach_margin(model, capital, g_fixed=g_j)
+    A, b = _build_constraints(model, constraints, g_fixed=g_j)
+    y_0 = g_j / model.chol[0, 0]
     rng = np.random.default_rng(config.seed + 1)
     starts = [model.whiten(bisection_warm_start(model, capital, constraints,
                                                 g_j))]
@@ -460,10 +455,9 @@ def multi_start_anchor(model, capital, constraints, g_j, config):
         starts.append(model.whiten(constraints.clip(s)))
     best = None
     for y0 in starts:
-        res = _solve_from(y0, cons)
-        if abs(model.unwhiten(res.x)[0] - g_j) > 1e-6 * max(1.0, abs(g_j)):
-            continue
-        s = _polish_to_frontier(model, capital, res.x, g_fixed=g_j)
+        res = solver.minimize(y0[1:], margin, margin_grad, A, b)
+        s = _polish_to_frontier(model, capital,
+                                np.concatenate(([y_0], res.x)), g_fixed=g_j)
         if s is None or not _feasible(capital, constraints, s):
             continue
         m2 = model.mahalanobis_sq(s)
@@ -563,8 +557,9 @@ def test_fixed_g_polish_keeps_g_and_breaches(d, seed, g_j, level):
 
 @pytest.fixture
 def counted_minimize(monkeypatch):
-    """Counts the SLSQP solves the solver module starts."""
+    """Counts the SQP solves the solver module starts."""
     calls = []
+    minimize = solver.minimize
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -587,29 +582,29 @@ def test_feasible_anchor_solve_is_the_only_solve(correlated_model,
 
 def test_anchor_makes_no_kernel_pass_before_its_solve(correlated_model,
                                                       monkeypatch):
-    # the start (g_j, 0, ..., 0) costs no R(s) call: SLSQP makes the first
+    # the start (g_j, 0, ..., 0) costs no R(s) call: the SQP makes the first
     events = []
     kernel = CreditCapitalModel._kernel
-    solve_from = solver._solve_from
+    minimize = solver.minimize
 
     def counting_kernel(self, arr):
         events.append("kernel")
         return kernel(self, arr)
 
-    def marking_solve_from(*args):
-        events.append("slsqp")
-        return solve_from(*args)
+    def marking_minimize(*args):
+        events.append("sqp")
+        return minimize(*args)
 
     monkeypatch.setattr(CreditCapitalModel, "_kernel", counting_kernel)
-    monkeypatch.setattr(solver, "_solve_from", marking_solve_from)
+    monkeypatch.setattr(solver, "minimize", marking_minimize)
     cap = credit_fixture()
     cons = ConstraintSet()
     for g_j in default_g_grid(correlated_model, cons):
         events.clear()
         assert conditional_anchor(correlated_model, cap, cons,
                                   float(g_j)) is not None
-        assert events[0] == "slsqp"
-        assert events.count("slsqp") == 1
+        assert events[0] == "sqp"
+        assert events.count("sqp") == 1
 
 
 def test_an_anchor_that_does_not_exist_costs_one_solve(tmp_path,
@@ -643,24 +638,24 @@ def test_feasible_design_point_makes_no_breach_probe(correlated_model,
     # the probe evaluates R(s) at the solves' clipped ends to tell an
     # infeasible problem from a non-converged one; a solve that finds an
     # optimum never reads it, and no start costs an R(s) call, so the first
-    # R(s) call is inside SLSQP
+    # R(s) call is inside the SQP
     events = []
     ratio = CreditCapitalModel.ratio
-    solve_from = solver._solve_from
+    minimize = solver.minimize
 
     def counting_ratio(self, s):
         events.append("ratio")
         return ratio(self, s)
 
-    def marking_solve_from(*args):
-        events.append("slsqp")
-        return solve_from(*args)
+    def marking_minimize(*args):
+        events.append("sqp")
+        return minimize(*args)
 
     monkeypatch.setattr(CreditCapitalModel, "ratio", counting_ratio)
-    monkeypatch.setattr(solver, "_solve_from", marking_solve_from)
+    monkeypatch.setattr(solver, "minimize", marking_minimize)
     solve_design_point(correlated_model, credit_fixture(), ConstraintSet(),
                        SolverConfig(seed=0))
-    assert events[0] == "slsqp"
+    assert events[0] == "sqp"
     assert events.count("ratio") > 0
 
 
@@ -671,8 +666,8 @@ def test_a_start_that_does_not_confirm_resets_the_count(identity_model,
     # confirms, X and B reset the count, and the last two A's stop the solve
     a, b, x = [2.0 + 1e-9, 2.0 + 1e-9], [3.0, 3.0], [0.5, 0.5]
     ends = iter([a, a, x, a, b, a, a])
-    monkeypatch.setattr(solver, "_solve_from", lambda y0, cons: (
-        OptimizeResult(x=np.array(next(ends)))))
+    monkeypatch.setattr(solver, "minimize", lambda y0, *problem: SQPResult(
+        x=np.array(next(ends)), status=0, nit=1, multipliers=np.zeros(2)))
     monkeypatch.setattr(solver, "_polish_to_frontier", lambda *args: None)
     cap = LinearCapital(weights=np.array([1.0, 1.0]), level=4.0)
     res = solve_design_point(identity_model, cap, ConstraintSet(),
@@ -689,8 +684,8 @@ def test_a_breaching_end_outside_the_box_is_non_convergence(identity_model,
     # which breaches outside the box; clipped to (2.5, 4) it still breaches,
     # so the solve did not converge, and the problem is not infeasible
     end = np.array([2.5, 4.5])
-    monkeypatch.setattr(solver, "_solve_from", lambda y0, cons: (
-        OptimizeResult(x=end.copy())))
+    monkeypatch.setattr(solver, "minimize", lambda y0, *problem: SQPResult(
+        x=end.copy(), status=0, nit=1, multipliers=np.zeros(3)))
     cap = LinearCapital(weights=np.array([1.0, 1.0]), level=6.0)
     cons = ConstraintSet(x_max=4.0)
     with pytest.raises(NonConvergenceError):
@@ -837,11 +832,12 @@ def test_design_point_matches_hlrf(correlated_model):
 
 @pytest.fixture(scope="module")
 def toy_anchor_solves(tmp_path_factory):
-    """(SLSQP status of each solve, m^2 of each anchor) of the conditional
+    """(SQP status of each solve, m^2 of each anchor) of the conditional
     anchors over the default g-grid on the toy design-large-n inputs."""
     ctx = build_context(RunConfig.from_file(generate_toy_inputs(
         "design-large-n", tmp_path_factory.mktemp("design-large-n"))))
     statuses, m2s = [], []
+    minimize = solver.minimize
 
     def recording(*args, **kwargs):
         res = minimize(*args, **kwargs)
@@ -858,22 +854,20 @@ def toy_anchor_solves(tmp_path_factory):
 
 
 def test_anchor_solves_end_converged(toy_anchor_solves):
-    # with an ftol below a few ulps of f = m^2 / 2 (m^2 up to ~398 here),
-    # SLSQP kept iterating on round-off until its line search failed
-    # (status 8) on some of these anchors
+    # every anchor solve ends converged (status 0), the low-g ones with
+    # m^2 up to ~398 included, where f = m^2 / 2 has its largest ulps
     statuses, m2s = toy_anchor_solves
     assert len(statuses) == len(m2s)
     assert statuses == [0] * len(statuses)
 
 
-def test_slsqp_ftol_is_at_least_eight_ulps_of_the_objective(
-        toy_anchor_solves):
+def test_ftol_is_at_least_eight_ulps_of_the_objective(toy_anchor_solves):
     _, m2s = toy_anchor_solves
     assert max(m2s) > 300.0
     for m2 in m2s:
-        assert solver.SLSQP_FTOL >= 8 * np.spacing(0.5 * m2)
+        assert solver.FTOL >= 8 * np.spacing(0.5 * m2)
     # and for every f = m^2 / 2 below 1024, whose ulp is at most 2^-43
-    assert solver.SLSQP_FTOL >= 8 * np.spacing(np.nextafter(1024.0, 0.0))
+    assert solver.FTOL >= 8 * np.spacing(np.nextafter(1024.0, 0.0))
 
 
 COUNT_DESIGN_POINT_PASSES = """
@@ -903,9 +897,8 @@ print(counts["passes"], counts["rows"])
 def test_full_size_design_point_kernel_passes(tmp_path):
     # the one-point R(s) passes of the full-size design-large-n design point
     # (seed 0); ratio_many rows are counted apart. The process pins BLAS to
-    # one thread, as the benchmark does: SciPy's SLSQP links its own
-    # OpenBLAS, whose thread count changes SLSQP's iterates, and so the
-    # count.
+    # one thread, as the benchmark does; the solver's iterates do not depend
+    # on the thread count, and CI runs this test under 1 and 2 threads.
     config = generate_inputs("design-large-n", tmp_path, toy=False)
     src = str(Path(solver.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -917,3 +910,115 @@ def test_full_size_design_point_kernel_passes(tmp_path):
         env=env, check=True, capture_output=True, text=True).stdout
     passes, rows = map(int, out.split())
     assert passes <= 23, (passes, rows)
+
+
+def min_norm_point(G, h):
+    """The point of least norm in the polyhedron {y : G y >= h}, or None
+    when it is empty: every set of at most d linearly independent rows
+    held at equality gives the projection of 0 onto its affine set, and
+    the feasible one of least norm is the answer."""
+    m, d = G.shape
+    best = None
+    for k in range(d + 1):
+        for rows in itertools.combinations(range(m), k):
+            G_S = G[list(rows)]
+            if np.linalg.matrix_rank(G_S) < k:
+                continue
+            y = (G_S.T @ np.linalg.solve(G_S @ G_S.T, h[list(rows)]) if k
+                 else np.zeros(d))
+            if (np.all(G @ y >= h - 1e-9 * (1.0 + np.abs(h)))
+                    and (best is None or y @ y < best @ best)):
+                best = y
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       level=st.floats(0.5, 4.0), g_min=st.floats(1e-6, 1.0),
+       g_width=st.none() | st.floats(0.5, 4.0),
+       x_min=st.none() | st.floats(-4.0, -0.1),
+       x_max=st.none() | st.floats(0.1, 4.0))
+def test_linear_design_point_is_the_min_norm_point_of_its_polyhedron(
+        d, seed, level, g_min, g_width, x_min, x_max):
+    # with R affine the breach set and the box are half-spaces in y, so the
+    # design point is the projection of 0 onto their intersection
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    model = ReferenceModel.from_covariance(a @ a.T / d + 0.5 * np.eye(d))
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    cap = LinearCapital(weights=w, level=level)
+    g_max = None if g_width is None else g_min + g_width
+    cons = ConstraintSet(g_min=g_min, g_max=g_max, x_min=x_min, x_max=x_max)
+    lo, hi = cons.bounds(d)
+    # the largest w . s over the box; keep away from a box that only just
+    # reaches the breach set
+    reach = np.where(w > 0, w * hi, w * lo)
+    reach = np.sum(np.where(w == 0.0, 0.0, reach))
+    assume(not level - 0.05 <= reach <= level + 0.05)
+    L = model.chol
+    G = np.vstack([L.T @ w, L[np.isfinite(lo)], -L[np.isfinite(hi)]])
+    h = np.concatenate([[level], lo[np.isfinite(lo)], -hi[np.isfinite(hi)]])
+    y_min = min_norm_point(G, h)
+    if reach < level:
+        assert y_min is None
+        with pytest.raises(InfeasibleError):
+            solve_design_point(model, cap, cons, SolverConfig(seed=0))
+        return
+    res = solve_design_point(model, cap, cons, SolverConfig(seed=0))
+    assert np.abs(res.y_star - y_min).max() <= 1e-9 * max(
+        1.0, np.linalg.norm(y_min))
+
+
+KKT_REGIONS = {"free": None, "x_max": {"x_max": 0.5}, "g_max": {"g_max": 2.0},
+               "monotone": {"enforce_monotonicity": True}}
+
+
+@pytest.mark.parametrize("region", list(KKT_REGIONS))
+@pytest.mark.parametrize("workload", ["design-large-n", "scenario-list-sector"])
+def test_design_point_is_a_kkt_point_of_the_sqp_multipliers(
+        workload, region, tmp_path, monkeypatch):
+    # at the converged end y of the best start, the returned multipliers
+    # reproduce y = lam_0 grad c(y) + A' lam_A; where no linear row is
+    # active the design point y* points along -L' grad R(s*)
+    config = generate_toy_inputs(workload, tmp_path)
+    if KKT_REGIONS[region] is not None:
+        raw = json.loads(config.read_text())
+        raw["constraints"] = KKT_REGIONS[region]
+        config.write_text(json.dumps(raw))
+    ctx = build_context(RunConfig.from_file(config))
+    model, cap = ctx.model, ctx.capital
+    ends = []
+    minimize = solver.minimize
+
+    def recording(*args):
+        ends.append(minimize(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(solver, "minimize", recording)
+    res = solve_design_point(model, cap, ctx.constraints, ctx.solver_config)
+    end = ends[res.local_optima[0].start_index]
+    assert end.status == 0 and end.success
+    lam = end.multipliers
+    assert np.all(lam >= 0.0) and lam[0] > 0.0
+    A, _ = _build_constraints(model, ctx.constraints)
+    margin, margin_grad = _breach_margin(model, cap)
+    margin(end.x)
+    assert (np.linalg.norm(end.x - lam[0] * margin_grad() - A.T @ lam[1:])
+            <= 1e-6 * np.linalg.norm(end.x))
+    if not lam[1:].any():
+        v = -model.chol.T @ cap.ratio_grad(res.s_star)
+        cos = res.y_star @ v / (np.linalg.norm(res.y_star) * np.linalg.norm(v))
+        assert 1.0 - cos <= 1e-8
+
+
+def test_no_scipy_optimize_in_the_process():
+    # the solver is NumPy alone: importing the runner and the console
+    # script's module loads no scipy.optimize module
+    code = ("import sys, georst.runner, georst.cli; "
+            "sys.exit(any(m == 'scipy.optimize' or m.startswith('scipy.optimize.')"
+            " for m in sys.modules))")
+    src = str(Path(solver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
