@@ -19,7 +19,7 @@ from .scenario_sets import (Membership, NearOptimalSpec, NeighbourhoodSpec,
                             hit_and_run, local_sample, reduce_farthest_point)
 from .sectors import SectorPortfolio, aggregate_sectors
 from .solver import (ConstraintSet, DesignPointResult, SolverConfig,
-                     conditional_anchor, grid_oracle, solve_design_point)
+                     conditional_anchor, solve_design_point)
 from .transmission import Portfolio, SectorSensitivities
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "reduce_farthest_point",
     "SectorPortfolio", "aggregate_sectors",
     "ConstraintSet", "DesignPointResult", "SolverConfig",
-    "conditional_anchor", "grid_oracle", "solve_design_point",
+    "conditional_anchor", "solve_design_point",
     "Portfolio", "SectorSensitivities",
 ]

@@ -353,10 +353,11 @@ def run_scenario_list(ctx: RunContext, target: str | None = None) -> tuple[str, 
     pool = build_pool(membership, result, g_grid=cfg.get("g_grid"),
                       n_target=cfg.get("pool", DEFAULTS["pool_size"]),
                       seed=ctx.seed)
+    # a short pool (already warned of) lists every member after s*
     listing = reduce_farthest_point(
         ctx.model, pool, result.s_star,
-        P=cfg.get("list", DEFAULTS["list_size"]), capital=ctx.capital,
-        k=cfg.get("top_k", DEFAULTS["top_k"]))
+        P=min(cfg.get("list", DEFAULTS["list_size"]), len(pool) + 1),
+        capital=ctx.capital, k=cfg.get("top_k", DEFAULTS["top_k"]))
 
     w = ReportWriter("scenario-list report", ctx)
     _emit_defaults(w, ctx)

@@ -4,8 +4,7 @@ Minimizes half the squared Mahalanobis distance over the capital-breaching
 set, subject to g > 0 (as g >= g_min), optional box bounds, and optional
 linear monotonicity rows. All optimization runs in whitened coordinates with
 multi-start, each start solved by a small sequential quadratic program
-(``minimize``) in NumPy alone; a brute-force grid oracle validates 2-D
-problems.
+(``minimize``) in NumPy alone.
 """
 
 from __future__ import annotations
@@ -132,65 +131,56 @@ class DesignPointResult:
     n_starts: int = 0
 
 
-def _constraint_scale(capital) -> float:
-    return max(capital.r0 - capital.r_star, 1e-12)
+class _Problem:
+    """One solve's problem over its free whitened coordinates x, the only
+    code that knows a held g: x is all of y, s = L y; or, with g_fixed,
+    y[1:], with y_0 = g_fixed / L_00 held and s[0] set to g_fixed (L is
+    lower triangular, so s[0] depends on y_0 alone).
 
+    margin(x) is the scaled breach margin c = (r_star - R(s)) / scale,
+    c >= 0 on the breach set, and keeps its point's scenario s and ratio r;
+    margin_grad() is c's gradient in x at s, which reuses that call's
+    kernel pass. A x >= b are the linear rows: the box's finite bounds,
+    L_i y >= lo_i and -L_i y >= -hi_i, and the monotonicity rows M L y >= 0
+    when they are set. With g_fixed, g's own bounds drop out and the held
+    y_0 moves the y_0 column into b.
+    """
 
-def _margin_grad(model: ReferenceModel, capital, s: np.ndarray) -> np.ndarray:
-    """The gradient in y of the scaled breach margin c = (r_star - R(L y))
-    / scale at s = L y, from the capital map's ``ratio_grad`` at s itself."""
-    return -(capital.ratio_grad(s) @ model.chol) / _constraint_scale(capital)
+    def __init__(self, model: ReferenceModel, capital,
+                 constraints: ConstraintSet, g_fixed: float | None = None):
+        self.model, self.capital, self.g_fixed = model, capital, g_fixed
+        self.scale = max(capital.r0 - capital.r_star, 1e-12)
+        L = model.chol
+        lo, hi = constraints.bounds(model.d)
+        self.y = np.zeros(model.d)
+        self.free = slice(None)
+        if g_fixed is not None:
+            lo[0], hi[0] = -np.inf, np.inf
+            self.y[0] = g_fixed / L[0, 0]
+            self.free = slice(1, None)
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+        M = (np.empty((0, model.d)) if constraints.monotonicity is None
+             else constraints.monotonicity)
+        A = np.vstack([L[has_lo], -L[has_hi], M @ L])
+        b = np.concatenate([lo[has_lo], -hi[has_hi], np.zeros(len(M))])
+        self.A = np.ascontiguousarray(A[:, self.free])
+        self.b = b if g_fixed is None else b - A[:, 0] * self.y[0]
 
+    def scenario(self, x: np.ndarray) -> np.ndarray:
+        self.y[self.free] = x
+        s = self.model.unwhiten(self.y)
+        if self.g_fixed is not None:
+            s[0] = self.g_fixed
+        return s
 
-def _breach_margin(model: ReferenceModel, capital, g_fixed: float | None = None):
-    """The scaled breach margin c(x), c >= 0 on the breach set, of the free
-    whitened coordinates x: all of y, s = L y; or, with g_fixed, y[1:] with
-    y_0 = g_fixed / L_00 held and s[0] set to g_fixed (L is lower
-    triangular, so s[0] depends on y_0 alone). And its gradient in x at the
-    point of the last margin call, which reuses that call's kernel pass."""
-    scale = _constraint_scale(capital)
-    if g_fixed is None:
-        scenario, free = model.unwhiten, slice(None)
-    else:
-        y = np.empty(model.d)
-        y[0] = g_fixed / model.chol[0, 0]
-        free = slice(1, None)
+    def margin(self, x: np.ndarray) -> float:
+        self.s = self.scenario(x)
+        self.r = self.capital.ratio(self.s)
+        return (self.capital.r_star - self.r) / self.scale
 
-        def scenario(x):
-            y[1:] = x
-            s = model.unwhiten(y)
-            s[0] = g_fixed
-            return s
-
-    last = None
-
-    def margin(x):
-        nonlocal last
-        last = scenario(x)
-        return (capital.r_star - capital.ratio(last)) / scale
-
-    return margin, lambda: _margin_grad(model, capital, last)[free]
-
-
-def _build_constraints(model: ReferenceModel, constraints: ConstraintSet,
-                       g_fixed: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The linear rows A x >= b over the free whitened coordinates x of
-    ``_breach_margin``: the box's finite bounds, L_i y >= lo_i and
-    -L_i y >= -hi_i, and the monotonicity rows M L y >= 0 when they are
-    set. With g_fixed, g's own bounds drop out and the held y_0 moves the
-    y_0 column into b."""
-    L = model.chol
-    lo, hi = constraints.bounds(model.d)
-    if g_fixed is not None:
-        lo[0], hi[0] = -np.inf, np.inf
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    M = (np.empty((0, model.d)) if constraints.monotonicity is None
-         else constraints.monotonicity)
-    A = np.vstack([L[has_lo], -L[has_hi], M @ L])
-    b = np.concatenate([lo[has_lo], -hi[has_hi], np.zeros(len(M))])
-    if g_fixed is None:
-        return A, b
-    return np.ascontiguousarray(A[:, 1:]), b - A[:, 0] * (g_fixed / L[0, 0])
+    def margin_grad(self) -> np.ndarray:
+        grad = self.capital.ratio_grad(self.s) @ self.model.chol
+        return -grad[self.free] / self.scale
 
 
 @dataclass
@@ -401,39 +391,32 @@ def _generate_starts(model: ReferenceModel, constraints: ConstraintSet,
     return starts + [_g_start(model, constraints, g_j) for g_j in g_values]
 
 
-def _polish_to_frontier(model: ReferenceModel, capital, y: np.ndarray,
-                        g_fixed: float | None = None) -> np.ndarray | None:
-    """Move a near-frontier iterate onto the breaching side of R = r_star.
+def _polish_to_frontier(problem: _Problem, x: np.ndarray) -> np.ndarray | None:
+    """Move a near-frontier SQP end x onto the breaching side of R = r_star.
 
-    Returns s = L y, with s[0] set to g_fixed when given, if it breaches.
-    Otherwise steps from y along the breach margin's gradient in y, taken
-    at s itself so that it reuses the kernel pass of R(s), by the Newton
-    step onto the linearized frontier, t = -c(y) / |grad c(y)|, and
-    doubles t until s + t L grad / |grad| breaches. Returns that first
-    breaching point, or None once t passes POLISH_GROWTH times the Newton
-    step. With g_fixed the gradient's y_0 part is zeroed: L is lower
-    triangular, so the step's first component is exactly 0 and s[0] stays
-    g_fixed bit for bit.
+    Returns the scenario of x if it breaches. Otherwise steps in x along
+    the breach margin's gradient, taken at x itself so that it reuses the
+    kernel pass of R(s), by the Newton step onto the linearized frontier,
+    t = -c(x) / |grad c(x)|, and doubles t until x + t grad / |grad|
+    breaches. Returns that first breaching scenario, or None once t passes
+    POLISH_GROWTH times the Newton step. A held g is none of x's
+    coordinates, so a fixed-g problem's scenarios keep g bit for bit.
     """
-    s = model.unwhiten(y)
-    if g_fixed is not None:
-        s[0] = g_fixed
-    r_0 = capital.ratio(s)
-    if breaches(r_0, capital.r_star):
-        return s
-    grad = _margin_grad(model, capital, s)
-    if g_fixed is not None:
-        grad[0] = 0.0
+    r_star = problem.capital.r_star
+    c = problem.margin(x)
+    if breaches(problem.r, r_star):
+        return problem.s
+    grad = problem.margin_grad()
     norm = np.linalg.norm(grad)
     if not norm >= 1e-14:
         return None
-    step = model.unwhiten(grad / norm)
-    t = (r_0 - capital.r_star) / _constraint_scale(capital) / norm
+    step = grad / norm
+    t = -c / norm
     t_cap = t * POLISH_GROWTH
     while t <= t_cap:
-        s_t = s + t * step
-        if breaches(capital.ratio(s_t), capital.r_star):
-            return s_t
+        problem.margin(x + t * step)
+        if breaches(problem.r, r_star):
+            return problem.s
         t *= 2.0
     return None
 
@@ -477,18 +460,18 @@ def solve_design_point(model: ReferenceModel, capital,
         config = SolverConfig()
     rng = np.random.default_rng(config.seed)
     starts = _generate_starts(model, constraints, config, rng)
-    margin, margin_grad = _breach_margin(model, capital)
-    A, b = _build_constraints(model, constraints)
+    problem = _Problem(model, capital, constraints)
 
     ends: list[np.ndarray] = []
     optima: list[LocalOptimum] = []
     incumbent: LocalOptimum | None = None
     confirmed = 0
     for idx, y0 in enumerate(starts):
-        res = minimize(y0, margin, margin_grad, A, b)
-        s = _polish_to_frontier(model, capital, res.x)
+        res = minimize(y0, problem.margin, problem.margin_grad, problem.A,
+                       problem.b)
+        s = _polish_to_frontier(problem, res.x)
         if s is None:
-            s = model.unwhiten(res.x)
+            s = problem.scenario(res.x)
         ends.append(s)
         if not _feasible(capital, constraints, s):
             confirmed = 0
@@ -540,26 +523,17 @@ def conditional_anchor(model: ReferenceModel, capital,
     anchor has g == g_j exactly and R <= r_star, so it passes the breach test
     of ``Membership``. ``constraints.check_g`` gives the admissible g_j.
 
-    The anchor is one ``minimize`` solve over y[1:] from (g_j, 0, ..., 0),
-    clipped to the box: L is lower triangular, so y_0 = g_j / L_00 is held
-    and the solve has no equality row. Its end is polished at fixed g; when
-    that end is infeasible the anchor is None.
+    The anchor is one ``minimize`` solve of the problem at g held at g_j,
+    over y[1:] from (g_j, 0, ..., 0) clipped to the box, so the solve has
+    no equality row. Its end is polished in the same coordinates; when that
+    end is infeasible the anchor is None.
     """
     constraints.check_g(g_j)
-    margin, margin_grad = _breach_margin(model, capital, g_fixed=g_j)
-    A, b = _build_constraints(model, constraints, g_fixed=g_j)
-    res = minimize(_g_start(model, constraints, g_j)[1:], margin, margin_grad,
-                   A, b)
-    y = np.concatenate(([g_j / model.chol[0, 0]], res.x))
-    s = _polish_to_frontier(model, capital, y, g_fixed=g_j)
+    problem = _Problem(model, capital, constraints, g_fixed=g_j)
+    res = minimize(_g_start(model, constraints, g_j)[problem.free],
+                   problem.margin, problem.margin_grad, problem.A, problem.b)
+    s = _polish_to_frontier(problem, res.x)
     return s if s is not None and _feasible(capital, constraints, s) else None
-
-
-@dataclass
-class GridOracleResult:
-    s: np.ndarray
-    mahalanobis_sq: float
-    cell_size: tuple[float, float]
 
 
 def grid_2d(g_bounds: tuple[float, float], x_bounds: tuple[float, float],
@@ -573,33 +547,3 @@ def grid_2d(g_bounds: tuple[float, float], x_bounds: tuple[float, float],
     G, X = np.meshgrid(g_axis, x_axis, indexing="ij")
     cell = (g_axis[1] - g_axis[0], x_axis[1] - x_axis[0])
     return np.column_stack([G.ravel(), X.ravel()]), cell
-
-
-def grid_oracle(model: ReferenceModel, capital, constraints: ConstraintSet,
-                resolution: int, x_bounds: tuple[float, float] | None = None,
-                g_bounds: tuple[float, float] | None = None) -> GridOracleResult | None:
-    """Exhaustive 2-D scan: the feasible grid point with minimal distance.
-
-    Independent validator for the solver; returns None when no grid point
-    is feasible (infeasible signal). A point is feasible when it breaches
-    and satisfies ``constraints``, box and monotonicity alike, so explicit
-    bounds wider than the box do not admit points outside it. The grid
-    spans the constraints' box unless g_bounds or x_bounds is given.
-    """
-    if model.d != 2:
-        raise InvalidInputError("grid oracle only supports d = 2")
-    lo, hi = constraints.bounds(2)
-    g_bounds = (lo[0], hi[0]) if g_bounds is None else g_bounds
-    x_bounds = (lo[1], hi[1]) if x_bounds is None else x_bounds
-    if not np.all(np.isfinite([*g_bounds, *x_bounds])):
-        raise InvalidInputError("grid oracle needs a finite box")
-    S, cell = grid_2d(g_bounds, x_bounds, resolution)
-    feasible = breaches(capital.ratio_many(S), capital.r_star)
-    rows = np.flatnonzero(feasible)
-    feasible[rows] = constraints.satisfied(S[rows])
-    if not np.any(feasible):
-        return None
-    m2 = model.mahalanobis_sq(S[feasible])
-    idx = int(np.argmin(m2))
-    return GridOracleResult(s=S[feasible][idx], mahalanobis_sq=float(m2[idx]),
-                            cell_size=cell)

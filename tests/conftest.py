@@ -1,12 +1,16 @@
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from georst import (CapitalState, CreditCapitalModel, LossQuantileSpec,
-                    Portfolio, ReferenceModel, SectorSensitivities)
+from georst import (CapitalState, CreditCapitalModel, InvalidInputError,
+                    LossQuantileSpec, Portfolio, ReferenceModel,
+                    SectorSensitivities)
+from georst.capital import breaches
+from georst.solver import grid_2d
 
 
 @pytest.fixture
@@ -115,3 +119,39 @@ def generate_inputs(workload, out, toy=True):
 def generate_toy_inputs(workload, out):
     """``generate_inputs`` at self-test size."""
     return generate_inputs(workload, out)
+
+
+@dataclass
+class GridOracleResult:
+    s: np.ndarray
+    mahalanobis_sq: float
+    cell_size: tuple[float, float]
+
+
+def grid_oracle(model, capital, constraints, resolution, x_bounds=None,
+                g_bounds=None):
+    """Exhaustive 2-D scan: the feasible grid point with minimal distance.
+
+    Independent validator for the solver; returns None when no grid point
+    is feasible (infeasible signal). A point is feasible when it breaches
+    and satisfies ``constraints``, box and monotonicity alike, so explicit
+    bounds wider than the box do not admit points outside it. The grid
+    spans the constraints' box unless g_bounds or x_bounds is given.
+    """
+    if model.d != 2:
+        raise InvalidInputError("grid oracle only supports d = 2")
+    lo, hi = constraints.bounds(2)
+    g_bounds = (lo[0], hi[0]) if g_bounds is None else g_bounds
+    x_bounds = (lo[1], hi[1]) if x_bounds is None else x_bounds
+    if not np.all(np.isfinite([*g_bounds, *x_bounds])):
+        raise InvalidInputError("grid oracle needs a finite box")
+    S, cell = grid_2d(g_bounds, x_bounds, resolution)
+    feasible = breaches(capital.ratio_many(S), capital.r_star)
+    rows = np.flatnonzero(feasible)
+    feasible[rows] = constraints.satisfied(S[rows])
+    if not np.any(feasible):
+        return None
+    m2 = model.mahalanobis_sq(S[feasible])
+    idx = int(np.argmin(m2))
+    return GridOracleResult(s=S[feasible][idx], mahalanobis_sq=float(m2[idx]),
+                            cell_size=cell)

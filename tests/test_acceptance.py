@@ -14,15 +14,15 @@ from scipy.integrate import quad
 from georst import (CapitalState, ConstraintSet, CreditCapitalModel, Family,
                     LinearCapital, LossQuantileSpec, Membership,
                     NearOptimalSpec, NeighbourhoodSpec, ReferenceModel,
-                    SolverConfig, TargetSet, build_pool, grid_oracle,
-                    loss_quantile, mc_loss_quantile, reduce_farthest_point,
+                    SolverConfig, TargetSet, build_pool, loss_quantile,
+                    mc_loss_quantile, reduce_farthest_point,
                     solve_design_point)
 from georst.capital import breaches
 from georst.cli import main
 from georst.scenario_sets import CandidatePool, PoolEntry
 from georst.special_functions import chi2_cdf, f_cdf
 
-from conftest import make_portfolio
+from conftest import grid_oracle, make_portfolio
 from test_sectors import two_sector_setup
 from test_special_functions import chi2_density, f_density
 

@@ -540,6 +540,24 @@ def test_toy_scenario_list_obeys_the_design_point(tmp_path, constraints):
     assert sections["scenario_list"][1].split()[2] == m2["mahalanobis_sq"]
 
 
+def test_a_short_pool_lists_every_member(tmp_path):
+    # x_max 0.5 leaves the toy neighbourhood pool 2 of 40 members, short of
+    # the 4 - 1 the list asks for: a valid config, so the command exits 0
+    # and lists s* and every member
+    config = generate_toy_inputs("scenario-list-sector", tmp_path)
+    raw = json.loads(config.read_text())
+    raw["constraints"] = {"x_max": 0.5}
+    config.write_text(json.dumps(raw))
+    with pytest.warns(RuntimeWarning, match="short of the target"):
+        assert main(["scenario-list", "--config", str(config), "--target",
+                     "neighbourhood", "--out", str(tmp_path / "out")]) == 0
+    sections = report_sections(
+        (tmp_path / "out" / "scenario_list.txt").read_text())
+    members = int(sections["pool"][0].split(" = ")[1])
+    assert members + 1 < raw["scenario_set"]["list"]
+    assert len(sections["scenario_list"]) - 1 == members + 1
+
+
 def test_scenario_list_reports_its_pool_size_apart_from_the_settings(
         tmp_path):
     # pool_members is a result of the run: not in [defaults] but in its own
