@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
 from .loss import (LossQuantileSpec, clip_pd, conditional_default_prob,
-                   tail_pd_derivative)
+                   loss_quantile, tail_pd_derivative)
 from .reference import as_scenarios
 from .transmission import Portfolio
 
@@ -273,7 +273,8 @@ class CreditCapitalModel:
         self._sqrt_1mrho = np.sqrt(1.0 - portfolio.rho)
         self._m25 = _maturity_m25(portfolio.maturity,
                                   state.maturity_adjustment)
-        self._baseline_loss = self._loss_terms(np.zeros(portfolio.d))[-1]
+        self._baseline_loss = loss_quantile(portfolio, np.zeros(portfolio.d),
+                                            self.spec)
         self._last: tuple[bytes, _Point] | None = None
         self.rwa_floor_hits = 0
 
@@ -289,8 +290,9 @@ class CreditCapitalModel:
     def r_star(self) -> float:
         return self.state.r_star
 
-    def _loss_terms(self, arr):
-        pf = self.portfolio
+    def _kernel(self, arr) -> _Point:
+        """Evaluate a validated scenario (d,) or block of scenarios (N, d)."""
+        pf, state = self.portfolio, self.state
         pd_raw = pf.stressed_pd(arr)
         pd = clip_pd(pd_raw)
         lgd, lgd_slope = pf.stressed_lgd_and_slope(arr)
@@ -298,14 +300,7 @@ class CreditCapitalModel:
         arg = (zp + self._shift) / self._sqrt_1mrho
         tail = ndtr(arg)
         ead_lgd = pf.ead * lgd
-        return (pd_raw, pd, lgd, lgd_slope, zp, arg, tail, ead_lgd,
-                np.add.reduce(ead_lgd * tail, axis=-1))
-
-    def _kernel(self, arr) -> _Point:
-        """Evaluate a validated scenario (d,) or block of scenarios (N, d)."""
-        pf, state = self.portfolio, self.state
-        (pd_raw, pd, lgd, lgd_slope, zp, arg, tail, ead_lgd,
-         loss) = self._loss_terms(arr)
+        loss = np.add.reduce(ead_lgd * tail, axis=-1)
         cet1 = state.cet1_0 - (loss - self._baseline_loss
                                if state.loss_basis is LossBasis.INCREMENTAL
                                else loss)

@@ -367,19 +367,20 @@ def driver_decomposition(model: ReferenceModel, s, k: int = DEFAULT_TOP_K) -> li
 
 
 def _farthest_point_indices(Y: np.ndarray, y_star: np.ndarray, count: int) -> list[int]:
-    """Maximin selection over whitened pool Y, seeded at the design point.
+    """Maximin selection of at most ``count`` members of whitened pool Y,
+    seeded at the design point; it stops once no member is left or the
+    farthest is at distance 0 from the selection, so no two coincide.
 
     Ties broken by lexicographically smallest whitened coordinates;
     permutation-invariant up to that tie-break.
     """
-    n = Y.shape[0]
     selected: list[int] = []
-    available = np.ones(n, dtype=bool)
+    available = np.ones(Y.shape[0], dtype=bool)
     min_dist = np.linalg.norm(Y - y_star, axis=1)
     for _ in range(count):
-        if n == 0:
+        best = np.max(min_dist[available], initial=0.0)
+        if best == 0.0:
             break
-        best = np.max(min_dist[available])
         cand = np.flatnonzero(available & (min_dist >= best - 1e-12))
         # a stable lexicographic minimum: exact ties go to the lowest index
         pick = int(cand[np.lexsort(Y[cand].T[::-1])[0]])
@@ -392,15 +393,13 @@ def _farthest_point_indices(Y: np.ndarray, y_star: np.ndarray, count: int) -> li
 def reduce_farthest_point(model: ReferenceModel, pool: CandidatePool, s_star,
                           P: int, capital,
                           k: int = DEFAULT_TOP_K) -> ScenarioList:
-    """Reduce the pool to P diverse representatives, the design point first."""
+    """Reduce the pool to at most P diverse representatives, the design
+    point first; a pool with fewer distinct members lists each of them."""
     s_star = as_scenarios(s_star, model.d, ndim=(1,))
     if P < 1:
         raise InvalidInputError("list size P must be >= 1")
-    if P > len(pool) + 1:
-        raise InvalidInputError(
-            f"list size P={P} exceeds pool size {len(pool)} + 1")
     picks = [s_star]
-    if P > 1:
+    if P > 1 and len(pool):
         scenarios = pool.scenarios
         idx = _farthest_point_indices(model.whiten(scenarios),
                                       model.whiten(s_star), P - 1)

@@ -25,20 +25,19 @@ class SectorAggregate:
 
 
 def aggregate_sectors(portfolio: Portfolio, s) -> list[SectorAggregate]:
-    """EAD-weighted PD and LGD per sector under scenario s."""
-    pd = portfolio.stressed_pd(s)
-    lgd = portfolio.stressed_lgd(s)
-    out = []
-    for sector_id, idx in portfolio.sector_rows.items():
-        ead = portfolio.ead[idx]
-        w = ead / ead.sum()
-        out.append(SectorAggregate(
-            sector_id=sector_id,
-            weight_total=float(ead.sum()),
-            pd_star=float(w @ pd[idx]),
-            lgd_star=float(w @ lgd[idx]),
-        ))
-    return out
+    """EAD-weighted PD and LGD per sector under scenario s, in table order,
+    each summed over the sector's exposures in row order. The weights
+    ead_i / EAD_k are normalised first, so a sector of one exposure reports
+    that exposure's PD and LGD exactly."""
+    index, k = portfolio.sector_index, len(portfolio.sectors)
+    total = np.bincount(index, weights=portfolio.ead, minlength=k)
+    w = portfolio.ead / total[index]
+    pd_star, lgd_star = (
+        np.bincount(index, weights=w * column, minlength=k)
+        for column in (portfolio.stressed_pd(s), portfolio.stressed_lgd(s)))
+    return [SectorAggregate(*row) for row in zip(
+        portfolio.sectors.sector_id, total.tolist(), pd_star.tolist(),
+        lgd_star.tolist())]
 
 
 @dataclass

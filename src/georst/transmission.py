@@ -84,9 +84,9 @@ MONOTONICITY_TEMPERATURE = 1e-3  # log-sum-exp smoothing scale
 class Portfolio:
     """Exposure columns plus the sector loading table, with vectorized
     evaluation. Row i of every column is one exposure, and sector_id[i]
-    names its row of ``sectors``: each of the table's ids occurs once
-    there and holds at least one exposure. The loadings are gathered per
-    exposure with no per-sector loop."""
+    names its row of ``sectors``, row ``sector_index[i]``: each of the
+    table's ids occurs once there and holds at least one exposure. The
+    loadings are gathered per exposure with no per-sector loop."""
 
     exposure_id: list[str]
     sector_id: list[str]
@@ -153,9 +153,7 @@ class Portfolio:
         self.pd_loadings = np.ascontiguousarray(table.pd[index].T)
         self.lgd_loadings = np.ascontiguousarray(table.lgd[index].T)
         self.logit_pd0 = np.log(self.pd0 / (1.0 - self.pd0))
-        # a stable sort keeps each sector's rows ascending
-        rows = np.split(np.argsort(index, kind="stable"), np.cumsum(counts)[:-1])
-        self.sector_rows = dict(zip(table.sector_id, rows))
+        self.sector_index = index
 
     @property
     def n(self) -> int:

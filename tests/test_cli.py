@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from georst.dataio import (load_alpha, load_covariance, load_history,
 from georst.errors import (GeorstError, InfeasibleError, InvalidInputError,
                            NonConvergenceError)
 from georst.capital import breaches
-from georst.runner import (CONFIG_KEYS, RunConfig, build_context,
-                           emit_contours, run_scenario_list)
+from georst.runner import (CONFIG_KEYS, RunConfig, _membership_from_cfg,
+                           build_context, emit_contours, run_mc_check,
+                           run_scenario_list, run_validate)
 from georst.scenario_sets import (Membership, NearOptimalSpec,
-                                  NeighbourhoodSpec, TargetSet)
+                                  NeighbourhoodSpec, TargetSet,
+                                  default_g_grid)
 from georst.solver import (TOL_CONSTRAINT, ConstraintSet, _g_cap,
                            conditional_anchor, solve_design_point)
 from georst.transmission import monotonicity_rows
@@ -259,11 +263,9 @@ def test_portfolio_columns_match_a_per_cell_parse(tmp_path, inputs):
         assert loadings.flags.c_contiguous
         assert loadings.T.tobytes() == bits(
             [[float(s[g_name])] + r for s, r in zip(sector, per_row)])
-    assert list(pf.sector_rows) == list(sens)
-    for sector_id, idx in pf.sector_rows.items():
-        assert idx.dtype == np.intp
-        assert idx.tolist() == [i for i, row in enumerate(rows)
-                                if row["sector_id"].strip() == sector_id]
+    assert pf.sector_index.dtype == np.intp
+    assert pf.sector_index.tolist() == [list(sens).index(row["sector_id"].strip())
+                                        for row in rows]
 
 
 @pytest.mark.parametrize("inputs", ["cli", "design-large-n",
@@ -543,7 +545,8 @@ def test_toy_scenario_list_obeys_the_design_point(tmp_path, constraints):
 def test_a_short_pool_lists_every_member(tmp_path):
     # x_max 0.5 leaves the toy neighbourhood pool 2 of 40 members, short of
     # the 4 - 1 the list asks for: a valid config, so the command exits 0
-    # and lists s* and every member
+    # and lists s* and every member once. One member is s* itself, so the
+    # list holds two distinct rows, not s* twice
     config = generate_toy_inputs("scenario-list-sector", tmp_path)
     raw = json.loads(config.read_text())
     raw["constraints"] = {"x_max": 0.5}
@@ -555,7 +558,9 @@ def test_a_short_pool_lists_every_member(tmp_path):
         (tmp_path / "out" / "scenario_list.txt").read_text())
     members = int(sections["pool"][0].split(" = ")[1])
     assert members + 1 < raw["scenario_set"]["list"]
-    assert len(sections["scenario_list"]) - 1 == members + 1
+    rows = [row.split()[1:] for row in sections["scenario_coordinates"][1:]]
+    assert len(sections["scenario_list"]) - 1 == len(rows) == 2
+    assert len({tuple(row) for row in rows}) == len(rows)
 
 
 def test_scenario_list_reports_its_pool_size_apart_from_the_settings(
@@ -570,6 +575,100 @@ def test_scenario_list_reports_its_pool_size_apart_from_the_settings(
     assert sections["pool"] == [f"pool_members = {len(pool)}"]
     names = list(sections)
     assert names.index("pool") + 1 == names.index("scenario_list")
+
+
+def literal(text):
+    """A JSON value, or the text itself where it is none."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def test_readme_table_of_defaults_is_what_an_omitted_key_resolves_to(
+        tmp_path):
+    # each row of the README's table against a config omitting its key,
+    # read through the resolved RunContext and the [defaults] it echoes
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {(section.strip("`"), key): cell for key, section, cell in
+             re.findall(r"^\| `(\w+)` \| (top level|`\w+`) \| (.+) \|$",
+                        text, re.M)}
+    s = np.zeros(2)
+
+    def near(c):
+        return _membership_from_cfg(c, s, TargetSet.NEAR_OPTIMAL)
+
+    def ball(c):
+        return _membership_from_cfg(c, s, TargetSet.NEIGHBOURHOOD)
+
+    def mc_sims(c):
+        lines = report_sections(run_mc_check(c))["comparison"]
+        return literal(dict(line.split(" = ") for line in lines)["n_sims"])
+
+    state = lambda c: c.capital.state  # noqa: E731
+    resolved = {
+        ("top level", "seed"): lambda c, d: [c.seed],
+        ("reference", "family"): lambda c, d: [c.model.family.value,
+                                               d["family"]],
+        ("portfolio", "kind"): lambda c, d: [c.portfolio_kind],
+        ("portfolio", "sign_constraints"):
+            lambda c, d: [c.portfolio.sign_constraints],
+        ("loss", "q"): lambda c, d: [c.loss_spec.q, d["q"]],
+        ("loss", "n_sims"): lambda c, d: [mc_sims(c)],
+        ("capital", "depletion"): lambda c, d: [state(c).depletion,
+                                                d["depletion"]],
+        ("capital", "rwa_mode"): lambda c, d: [state(c).rwa_mode.value,
+                                               d["rwa_mode"]],
+        ("capital", "loss_basis"): lambda c, d: [state(c).loss_basis.value,
+                                                 d["loss_basis"]],
+        ("capital", "maturity_adjustment"):
+            lambda c, d: [state(c).maturity_adjustment,
+                          d["maturity_adjustment"]],
+        ("constraints", "g_min"): lambda c, d: [c.constraints.g_min,
+                                                d["g_min"]],
+        ("constraints", "enforce_monotonicity"):
+            lambda c, d: [c.constraints.monotonicity is not None],
+        ("solver", "n_starts"): lambda c, d: [c.solver_config.n_starts,
+                                              d["n_starts"]],
+        ("scenario_set", "target"):
+            lambda c, d: [_membership_from_cfg(c, s).target.value],
+        ("scenario_set", "epsilon"): lambda c, d: [near(c).spec.epsilon],
+        ("scenario_set", "eta"): lambda c, d: [ball(c).spec.radius_eta],
+        ("scenario_set", "pool"): lambda c, d: [d["pool_size"]],
+        ("scenario_set", "list"): lambda c, d: [d["list_size"]],
+        ("scenario_set", "top_k"): lambda c, d: [d["top_k"]],
+    }
+    assert set(table) == set(resolved) | {("solver", "seed"),
+                                          ("scenario_set", "g_grid")}
+    base = json.loads(write_inputs(tmp_path).read_text())
+
+    def context_without(section, key, **top):
+        raw = json.loads(json.dumps(base))
+        (raw if section == "top level" else raw.get(section, {})).pop(key,
+                                                                      None)
+        raw.update(top)
+        path = tmp_path / "omitted.json"
+        path.write_text(json.dumps(raw))
+        ctx = build_context(RunConfig.from_file(path))
+        lines = report_sections(run_validate(ctx))["defaults"]
+        return ctx, {k: literal(v) for k, v in
+                     (line.split(" = ") for line in lines)}
+
+    for (section, key), read in resolved.items():
+        want = literal(table[section, key].strip("`"))
+        ctx, defaults = context_without(section, key)
+        assert read(ctx, defaults) == [want] * len(read(ctx, defaults)), key
+    assert table["solver", "seed"] == "the run's `seed`"
+    ctx, _ = context_without("solver", "seed", seed=7)
+    assert ctx.solver_config.seed == 7
+    assert table["scenario_set", "g_grid"].startswith("8 points from `g_min`")
+    for g_max, top in ((None, NormalDist().inv_cdf(0.999)), (2.0, 2.0)):
+        ctx, _ = context_without("scenario_set", "g_grid",
+                                 constraints={"g_max": g_max} if g_max else {})
+        assert "g_grid" not in ctx.scenario_cfg
+        grid = default_g_grid(ctx.model, ctx.constraints)
+        assert len(grid) == 8 and grid[0] == ctx.constraints.g_min
+        assert grid[-1] == pytest.approx(top, rel=1e-12)
 
 
 def test_cli_config_hash_is_the_files(tmp_path):

@@ -468,11 +468,24 @@ def test_reduce_evaluates_the_list_in_one_kernel_pass(correlated_model,
     assert hits == (6 if rwa_0 > 1e6 else 0)
 
 
-def test_reduce_rejects_oversized_list(half_plane):
+def test_reduce_lists_each_distinct_member_once(half_plane):
+    # P is an upper bound: an oversized P lists s* and each distinct pool
+    # member once, never a repeat of s* or of a member; an empty pool
+    # lists s* alone
     model, cap, res = half_plane
-    pool = CandidatePool(target=TargetSet.NEIGHBOURHOOD, entries=[])
-    with pytest.raises(InvalidInputError):
-        reduce_farthest_point(model, pool, res.s_star, P=2, capital=cap)
+    members = [np.array([2.5, 2.0]), res.s_star.copy(),
+               np.array([2.0, 2.6]), np.array([2.5, 2.0])]
+    pool = CandidatePool(
+        target=TargetSet.NEIGHBOURHOOD,
+        entries=[PoolEntry(s=s, origin="local_draw") for s in members])
+    lst = reduce_farthest_point(model, pool, res.s_star, P=10, capital=cap)
+    listed = {tuple(e.s) for e in lst.entries}
+    assert len(lst) == len(listed) == 3
+    assert listed == {tuple(s) for s in members}
+    assert np.array_equal(lst.entries[0].s, res.s_star)
+    empty = CandidatePool(target=TargetSet.NEIGHBOURHOOD, entries=[])
+    lst = reduce_farthest_point(model, empty, res.s_star, P=2, capital=cap)
+    assert [tuple(e.s) for e in lst.entries] == [tuple(res.s_star)]
 
 
 def test_driver_decomposition_orders_by_magnitude(correlated_model):

@@ -7,8 +7,10 @@ from georst import (CapitalState, ConstraintSet, CreditCapitalModel,
                     aggregate_sectors, calibrate_linear_alpha, loss_quantile,
                     risk_weight, solve_design_point)
 
-from conftest import (make_sensitivities, portfolio_from_rows,
-                      stack_sensitivities)
+from georst.runner import RunConfig, build_context
+
+from conftest import (generate_toy_inputs, make_sensitivities,
+                      portfolio_from_rows, stack_sensitivities)
 
 SPEC = LossQuantileSpec()
 
@@ -116,8 +118,9 @@ def test_sector_linear_risk_weight_tangent_at_baseline():
 
 
 def test_aggregate_sectors_matches_a_scan_of_the_exposures():
-    # the precomputed sector index gives the same sums, bit for bit, as
-    # scanning the exposures of each sector in order
+    # the sector index gives the same sums, bit for bit, as scanning the
+    # exposures of each sector in row order: first EAD_k, then the PD and
+    # LGD weighted by w_i = ead_i / EAD_k
     sens = stack_sensitivities(*(
         make_sensitivities(delta=0.3 + 0.1 * j, sector_id=k)
         for j, k in enumerate(("a", "b", "c"))))
@@ -130,6 +133,30 @@ def test_aggregate_sectors_matches_a_scan_of_the_exposures():
     assert [a.sector_id for a in aggregates] == ["a", "b", "c"]
     for agg in aggregates:
         idx = [i for i, row in enumerate(rows) if row[1] == agg.sector_id]
-        w = pf.ead[idx] / pf.ead[idx].sum()
-        assert agg.pd_star == float(w @ pd[idx])
-        assert agg.lgd_star == float(w @ lgd[idx])
+        total = pd_star = lgd_star = 0.0
+        for i in idx:
+            total += float(pf.ead[i])
+        for i in idx:
+            w = float(pf.ead[i]) / total
+            pd_star += w * float(pd[i])
+            lgd_star += w * float(lgd[i])
+        assert (agg.weight_total, agg.pd_star, agg.lgd_star) == (
+            total, pd_star, lgd_star)
+
+
+def test_a_sector_of_one_exposure_reports_its_own_parameters(tmp_path):
+    # every row of a sector file is a sector of one exposure: its row of
+    # the sector table is that exposure's EAD, stressed PD and stressed LGD
+    # bit for bit, at s = 0 and at s*
+    ctx = build_context(RunConfig.from_file(
+        generate_toy_inputs("scenario-list-sector", tmp_path)))
+    pf = ctx.portfolio
+    s_star = solve_design_point(ctx.model, ctx.capital, ctx.constraints,
+                                ctx.solver_config).s_star
+    for s in (np.zeros(ctx.model.d), s_star):
+        aggregates = aggregate_sectors(pf, s)
+        assert [a.sector_id for a in aggregates] == pf.sector_id
+        assert [(a.weight_total, a.pd_star, a.lgd_star)
+                for a in aggregates] == list(zip(
+                    pf.ead.tolist(), pf.stressed_pd(s).tolist(),
+                    pf.stressed_lgd(s).tolist()))
